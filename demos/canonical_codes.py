@@ -2,9 +2,15 @@
 
 canonical_encode quotients away edge-label shifts and crossing order,
 so two differently-written PD codes for the same presentation produce
-the same string.  It does NOT quotient away moves: isotopic but
-differently drawn diagrams still encode differently.  That makes it
-the right cache key for computed values.
+the same string.  It labels each piece of the diagram (components
+joined through crossings) by a rooted traversal: the root's component
+in orientation order, then every other component from the strand where
+the walk first meets it.  Every crossing's incoming under-strand is
+tried as the root and the smallest sorted crossing list is kept, so the
+cost is polynomial in the number of edges rather than a search over
+component orders and starting edges.  It does NOT quotient away moves:
+isotopic but differently drawn diagrams still encode differently.  That
+makes it the right cache key for computed values.
 """
 
 from skeinalg import bundled_catalog, canonical_encode, lookup, parse_diagram

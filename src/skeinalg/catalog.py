@@ -10,7 +10,7 @@ feed wrong expectations into tests.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .diagram import Diagram, DiagramError, parse_diagram
@@ -30,9 +30,12 @@ class CorpusEntry:
     writhe: int
     pd: str
     comment: str = ""
+    # the diagram parsed from `pd` when the row was validated; a Diagram
+    # is immutable, so every caller can share it
+    parsed: Diagram | None = field(default=None, compare=False, repr=False)
 
     def diagram(self) -> Diagram:
-        return parse_diagram(self.pd)
+        return parse_diagram(self.pd) if self.parsed is None else self.parsed
 
 
 def _validate_row(row: dict, line: int) -> CorpusEntry:
@@ -61,7 +64,7 @@ def _validate_row(row: dict, line: int) -> CorpusEntry:
     if problems:
         raise CatalogError(f"row {line} ({name}): {'; '.join(problems)}")
     return CorpusEntry(name, crossings, components, writhe, pd,
-                       (row.get("comment") or "").strip())
+                       (row.get("comment") or "").strip(), d)
 
 
 def load_catalog(path=None, strict: bool = True) -> list[CorpusEntry]:

@@ -9,10 +9,12 @@ for fixed inputs and flags.  Exit codes: 0 success, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from .algebra import (ALGEBRA_NAMES, AlgebraError, ConwayAlgebraSpec,
                       check_axioms, make_algebra)
@@ -22,7 +24,7 @@ from .laurent import LaurentError
 from .moves import MoveError, parse_event, random_perturb, replay_events
 from .skein import SkeinError, evaluate
 
-ENGINE = "skeinalg/0.1.0"
+ENGINE = "skeinalg/0.2.0"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -64,10 +66,13 @@ def _diagram_from(args) -> Diagram:
         raise CliFailure(EXIT_INPUT, str(exc))
 
 
-def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None) -> dict:
+def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None,
+                  canon: str | None = None) -> dict:
+    """The JSON result record of `d`; `canon` is its canonical code when
+    the caller already has it."""
     stored = evaluate(d, algebra, memo=memo)
     return {
-        "input": canonical_encode(d),
+        "input": canonical_encode(d) if canon is None else canon,
         "algebra": algebra.key,
         "value": algebra.render(stored),
         "terms": stored.json_terms(),
@@ -156,10 +161,29 @@ def _cache_read(path: str, canon: str, algebra_key: str) -> dict | None:
             record = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (record.get("engine") == ENGINE and record.get("input") == canon
-            and record.get("algebra") == algebra_key):
+    if (isinstance(record, dict) and record.get("engine") == ENGINE
+            and record.get("input") == canon
+            and record.get("algebra") == algebra_key
+            and isinstance(record.get("value"), str)
+            and isinstance(record.get("terms"), list)):
         return record
     return None
+
+
+def _cache_write(path: str, record: dict) -> None:
+    """Write a record whole or not at all: into a hidden temporary file
+    beside it, then renamed over it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".",
+                               suffix=".json")
+    os.close(fd)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def cmd_table(args) -> int:
@@ -184,22 +208,24 @@ def cmd_table(args) -> int:
         if cache_dir is not None:
             path = _cache_path(cache_dir, canon, algebra.key)
             record = _cache_read(path, canon, algebra.key)
+        computed = record is None
         if record is not None:
             # spot-check a deterministic tenth of the hits against a
             # fresh evaluation; a stale record is replaced, not trusted
             if hits % 10 == 0:
-                fresh = result_record(d, algebra, memo=memo)
-                if fresh["value"] != record["value"]:
+                fresh = result_record(d, algebra, memo=memo, canon=canon)
+                if (fresh["value"], fresh["terms"]) != (record["value"],
+                                                        record["terms"]):
                     print(f"warning: stale cache entry for {entry.name}; "
                           "recomputed", file=sys.stderr)
                     record = fresh
+                    computed = True
             hits += 1
         if record is None:
-            record = result_record(d, algebra, memo=memo)
-        if path is not None:
+            record = result_record(d, algebra, memo=memo, canon=canon)
+        if computed and cache_dir is not None:
             try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh)
+                _cache_write(path, record)
             except OSError as exc:
                 print(f"warning: cache write failed, continuing without: "
                       f"{exc}", file=sys.stderr)

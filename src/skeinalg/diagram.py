@@ -29,8 +29,6 @@ deterministically (enter along the smaller label first).
 
 from __future__ import annotations
 
-from itertools import permutations, product
-
 # Test-only switch: when true, every diagram built inside the library is
 # rebuilt through the validating constructor and compared field by field.
 RECHECK_BUILDS = False
@@ -296,35 +294,109 @@ class Diagram:
         return f"PD[{body}]{suffix}"
 
     def canonical_encode(self) -> str:
-        """Deterministic text key, equal for equal labeled diagrams.
+        """Deterministic text key: equal exactly for diagrams that differ
+        only by crossing order and by a relabeling that keeps each
+        component's edges in orientation order.
 
-        Minimizes the rendered PD text over all component orders and all
-        starting edges, with crossings sorted.
+        The diagram splits into pieces, components joined through
+        crossings.  Each piece is labeled once from every root, the
+        incoming under-strand of each of its crossings, by the rooted
+        traversal of `_rooted_rows`, and keeps the numerically smallest
+        sorted list of crossing rows.  The pieces' row lists are sorted,
+        each piece's labels are shifted past the previous pieces', and
+        the rows are rendered as PD text with the free-loop suffix.  A
+        root's labeling follows from the diagram's structure alone, never
+        from its labels, so the minimum is an invariant; it is a
+        relabeling of the diagram, so equal codes mean equal diagrams.
+        The cost is O(E^2 log E) for E edges.
         """
         suffix = f"+O^{self.free_loops}" if self.free_loops else ""
-        if not self.crossings:
-            return f"PD[]{suffix}"
-        best = None
-        comp_count = len(self.components)
-        for order in permutations(range(comp_count)):
-            for starts in product(*(self.components[i] for i in order)):
-                labmap = {}
-                nxt = 1
-                for pos in range(comp_count):
-                    e = starts[pos]
-                    for _ in range(len(self.components[order[pos]])):
-                        labmap[e] = nxt
-                        nxt += 1
-                        e = self.succ[e]
-                rows = sorted(tuple(labmap[x] for x in cr) for cr in self.crossings)
-                text = "PD[" + ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows) + "]"
-                if best is None or text < best:
-                    best = text
-        return best + suffix
+        crossings = self.crossings
+        occ: dict[int, list[tuple[int, int]]] = {}
+        for ci, cr in enumerate(crossings):
+            for s, lab in enumerate(cr):
+                occ.setdefault(lab, []).append((ci, s))
+        # circles of at most two edges that run under nothing: the labels
+        # leave their direction open, so `_rooted_rows` fixes it
+        unders = {cr[0] for cr in crossings}
+        drifting = {lab for comp in self.components if len(comp) <= 2
+                    and not unders.intersection(comp) for lab in comp}
+
+        # pieces: components joined through crossings
+        parent = list(range(len(self.components)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b, _, _ in crossings:
+            parent[find(self.comp_of[a])] = find(self.comp_of[b])
+        pieces: dict[int, list[int]] = {}
+        for ci, cr in enumerate(crossings):
+            pieces.setdefault(find(self.comp_of[cr[0]]), []).append(ci)
+
+        # a root that is not the incoming under-strand of some crossing
+        # cannot give a row starting with 1, so only those roots compete
+        piece_rows = [
+            min(_rooted_rows(crossings, cis, self.succ, self.over_in, occ,
+                             drifting, root)
+                for root in cis)
+            for cis in pieces.values()]
+        piece_rows.sort()
+        rows = []
+        for prows in piece_rows:
+            shift = 2 * len(rows)
+            rows += [tuple(x + shift for x in row) for row in prows]
+        body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
+        return f"PD[{body}]{suffix}"
 
 
 def canonical_encode(d: Diagram) -> str:
     return d.canonical_encode()
+
+
+# where a strand entering a crossing at a slot leaves it
+_OUT_SLOT = (2, 3, None, 1)
+
+
+def _rooted_rows(crossings, cis, succ, over_in, occ, drifting, root):
+    """Sorted crossing rows of the piece made of crossings `cis`,
+    labeled from the incoming under-strand of crossing `root`.
+
+    The root's component is labeled first, in orientation order.  Then
+    the labeled edges are walked in label order; at the crossing each
+    one enters, the other incoming strand starts a new component if it
+    is not labeled yet, from that strand.  A circle whose direction is
+    free (`drifting`) is entered at slot 1 when met.
+    """
+    label: dict[int, int] = {}
+    entry: list[tuple[int, int]] = []  # the (crossing, slot) each label enters
+
+    def take(e, at):
+        start = e
+        while True:
+            label[e] = len(entry) + 1
+            entry.append(at)
+            ci, s = at
+            e = succ[e]
+            if e == start:
+                return
+            left = (ci, _OUT_SLOT[s])
+            first, second = occ[e]
+            at = second if first == left else first
+
+    take(crossings[root][0], (root, 0))
+    i = 0
+    while i < len(entry):
+        ci, s = entry[i]
+        i += 1
+        cr = crossings[ci]
+        o = 0 if s else (1 if cr[1] in drifting else over_in[ci])
+        if cr[o] not in label:
+            take(cr[o], (ci, o))
+    return sorted(tuple(label[x] for x in crossings[ci]) for ci in cis)
 
 
 def _fix_free_circles(crossings, components, over_in) -> tuple[int, ...]:

@@ -5,10 +5,14 @@ component structure and traversal order straight from crossing tuples,
 picks the LAST bad crossing instead of the first, gives every
 sub-diagram a fresh minimal marking instead of transferring one, and
 memoizes nothing.  Agreement with the engine is therefore evidence for
-well-definedness of the recursion, not a shared-code tautology.
+well-definedness of the recursion, not a shared-code tautology.  The
+exhaustive encoder searches every relabeling that the engine's rooted
+canonical code avoids searching.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 from skeinalg.algebra import ConwayAlgebraSpec, OpKind
 from skeinalg.diagram import Diagram
@@ -103,3 +107,28 @@ def naive_evaluate(d: Diagram, algebra: ConwayAlgebraSpec, bases=None):
     left = naive_evaluate(d.crossing_change(ci), algebra, bases)
     right = naive_evaluate(d.smooth(ci), algebra)
     return algebra.apply(op, left, right)
+
+
+def exhaustive_encode(d: Diagram) -> str:
+    """Canonical code by brute force: the smallest rendered PD text over
+    every component order and every starting edge, crossings sorted.
+
+    Costs c!·∏|component| renders, so it is for small diagrams only.
+    Components come from `_cycles`, not from the engine's encoder."""
+    suffix = f"+O^{d.free_loops}" if d.free_loops else ""
+    if not d.crossings:
+        return f"PD[]{suffix}"
+    cycles = _cycles(d)
+    best = None
+    for order in permutations(cycles):
+        for starts in product(*(range(len(cyc)) for cyc in order)):
+            labmap = {}
+            for cyc, k in zip(order, starts):
+                for e in cyc[k:] + cyc[:k]:
+                    labmap[e] = len(labmap) + 1
+            rows = sorted(tuple(labmap[x] for x in cr) for cr in d.crossings)
+            text = "PD[" + ",".join(
+                f"X[{w},{x},{y},{z}]" for w, x, y, z in rows) + "]"
+            if best is None or text < best:
+                best = text
+    return best + suffix

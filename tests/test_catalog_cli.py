@@ -31,6 +31,15 @@ class TestLoader:
                          "whitehead", "chain3", "braid4_3comp", *KNOT_NAMES):
             assert required in names
 
+    def test_entry_keeps_the_validated_diagram(self, corpus):
+        e = corpus[0]
+        assert e.diagram() is e.diagram()
+        assert e.diagram() == parse_diagram(e.pd)
+        # the parsed diagram takes no part in equality or repr
+        from dataclasses import replace
+        assert replace(e, parsed=None) == e
+        assert "parsed" not in repr(e)
+
     def test_rows_match_their_diagrams(self, corpus):
         for e in corpus:
             d = e.diagram()
@@ -279,6 +288,93 @@ class TestTableCommand:
         # the bad record was replaced, so a third run is quiet
         assert main(base) == 0
         assert "stale" not in capsys.readouterr().err
+
+    def test_stale_terms_detected_and_healed(self, tmp_path, capsys):
+        from skeinalg.cli import _cache_path
+
+        cache = tmp_path / "cache"
+        base = ["table", "--algebra", "gen-conway", "--cache", str(cache),
+                "--output", str(tmp_path / "o.csv")]
+        assert main(base) == 0
+        canon = canonical_encode(parse_diagram(lookup("unknot").pd))
+        victim = _cache_path(str(cache), canon, "gen-conway")
+        record = json.loads(open(victim).read())
+        record["terms"][0]["coeff"] += 1
+        with open(victim, "w") as fh:
+            json.dump(record, fh)
+        capsys.readouterr()
+        assert main(base) == 0
+        assert "stale cache entry for unknot" in capsys.readouterr().err
+        assert main(base) == 0
+        assert "stale" not in capsys.readouterr().err
+
+    def test_records_written_only_when_computed(self, tmp_path,
+                                                monkeypatch):
+        import skeinalg.cli as cli
+
+        written = []
+        real_write = cli._cache_write
+
+        def counting_write(path, record):
+            written.append(os.path.basename(path))
+            real_write(path, record)
+
+        monkeypatch.setattr(cli, "_cache_write", counting_write)
+        cache = tmp_path / "cache"
+        base = ["table", "--algebra", "gen-conway", "--cache", str(cache),
+                "--output", str(tmp_path / "o.csv")]
+        assert main(base) == 0
+        # 33 rows, two of them sharing a code: the second finds a hit
+        assert len(written) == 32 == len(set(written))
+        written.clear()
+        assert main(base) == 0
+        assert written == []
+        assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 32
+
+    def test_each_row_parsed_and_encoded_once(self, tmp_path, monkeypatch):
+        import skeinalg.catalog as catalog
+        from skeinalg.diagram import Diagram
+
+        calls = {"parse": 0, "encode": 0}
+        real_parse = catalog.parse_diagram
+        real_encode = Diagram.canonical_encode
+
+        def counting_parse(text):
+            calls["parse"] += 1
+            return real_parse(text)
+
+        def counting_encode(d):
+            calls["encode"] += 1
+            return real_encode(d)
+
+        monkeypatch.setattr(catalog, "parse_diagram", counting_parse)
+        monkeypatch.setattr(Diagram, "canonical_encode", counting_encode)
+        cache = tmp_path / "cache"
+        base = ["table", "--algebra", "gen-conway", "--cache", str(cache),
+                "--output", str(tmp_path / "o.csv")]
+        assert main(base) == 0
+        assert calls == {"parse": 33, "encode": 33}
+        calls.update(parse=0, encode=0)
+        # warm: every row a hit, four of them spot-checked
+        assert main(base) == 0
+        assert calls == {"parse": 33, "encode": 33}
+
+    def test_failed_cache_write_degrades(self, tmp_path, capsys,
+                                         monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("skeinalg.cli.os.replace", refuse)
+        cache = tmp_path / "cache"
+        out = tmp_path / "o.csv"
+        rc = main(["table", "--algebra", "gen-conway", "--cache", str(cache),
+                   "--output", str(out)])
+        assert rc == 0
+        assert "cache write failed, continuing without" in \
+            capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 34
+        # the half-written temporary file is cleaned up
+        assert list(cache.iterdir()) == []
 
     def test_unreadable_cache_dir_degrades(self, tmp_path, capsys):
         blocker = tmp_path / "not-a-dir"

@@ -1,8 +1,11 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import braid_components
+from oracles import braid_components, exhaustive_encode
 from skeinalg.diagram import (Diagram, DiagramError, PDSyntaxError,
                               braid_to_diagram, canonical_encode,
                               parse_diagram, parse_pd)
@@ -218,6 +221,100 @@ class TestCanonicalEncode:
         # the identical labeled diagram; the encoder must agree
         assert canonical_encode(diagrams["3_1"]) == \
             canonical_encode(diagrams["trefoil-"])
+
+
+def _relabeled(d, rng):
+    """`d` with its components in a shuffled order, each starting at a
+    random edge, and its crossings shuffled."""
+    comps = list(d.components)
+    rng.shuffle(comps)
+    lab = {}
+    for comp in comps:
+        k = rng.randrange(len(comp))
+        for e in comp[k:] + comp[:k]:
+            lab[e] = len(lab) + 1
+    crossings = [tuple(lab[x] for x in cr) for cr in d.crossings]
+    rng.shuffle(crossings)
+    return Diagram(crossings, d.free_loops)
+
+
+def _disjoint_union(first, second):
+    """PD of `first` beside `second`, the second's labels shifted past
+    the first's."""
+    shift = 2 * first.n_crossings
+    crossings = list(first.crossings) + [
+        tuple(x + shift for x in cr) for cr in second.crossings]
+    return Diagram(crossings, first.free_loops + second.free_loops)
+
+
+def _same_partition(codes_a, codes_b):
+    """Whether two code lists put the same pairs of positions together."""
+    n = len(codes_a)
+    return all((codes_a[i] == codes_a[j]) == (codes_b[i] == codes_b[j])
+               for i in range(n) for j in range(i + 1, n))
+
+
+braid_words = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(
+        [x for i in range(1, n) for x in (i, -i)] or [1]),
+        max_size=10 if n > 1 else 0)))
+
+
+class TestRootedSignature:
+    """The rooted-traversal code against the exhaustive relabeling
+    search of `oracles.exhaustive_encode`."""
+
+    @given(st.lists(braid_words, min_size=2, max_size=5),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_same_equivalence_as_exhaustive_oracle(self, words, rng):
+        ds = [braid_to_diagram(n, letters) for n, letters in words]
+        # a relabeled copy, so every draw has a pair that must coincide
+        ds.append(_relabeled(ds[0], rng))
+        assert _same_partition([canonical_encode(d) for d in ds],
+                               [exhaustive_encode(d) for d in ds])
+
+    def test_corpus_equivalence_matches_oracle(self, corpus, diagrams):
+        ds = [diagrams[e.name] for e in corpus]
+        assert _same_partition([canonical_encode(d) for d in ds],
+                               [exhaustive_encode(d) for d in ds])
+
+    @given(braid_words, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_relabeling(self, word, rng):
+        d = braid_to_diagram(*word)
+        assert canonical_encode(_relabeled(d, rng)) == canonical_encode(d)
+
+    def test_circle_of_free_direction_read_either_way(self):
+        # a two-edge circle lying over an unknot: which crossing it
+        # enters first is a free choice, fixed here by the labels
+        a = parse_pd("PD[X[1,3,2,4],X[2,4,1,3]]")
+        b = parse_pd("PD[X[1,4,2,3],X[2,3,1,4]]")
+        assert a.over_in != b.over_in
+        assert canonical_encode(a) == canonical_encode(b)
+        assert exhaustive_encode(a) == exhaustive_encode(b)
+
+    def test_split_diagram_any_piece_first(self):
+        trefoil = parse_pd(TREFOIL_PD)
+        hopf = parse_pd(HOPF_PD)
+        ab = _disjoint_union(trefoil, hopf)
+        ba = _disjoint_union(hopf, trefoil)
+        assert ab.component_count == 3
+        code = canonical_encode(ab)
+        assert canonical_encode(ba) == code
+        assert canonical_encode(parse_pd(code)) == code
+        assert code != canonical_encode(_disjoint_union(trefoil,
+                                                        hopf.mirror()))
+
+    def test_eight_ring_chain_is_fast(self):
+        d = parse_diagram(
+            "braid(8; " + " ".join(f"{i} {i}" for i in range(1, 8)) + ")")
+        assert d.component_count == 8
+        t0 = time.perf_counter()
+        code = canonical_encode(d)
+        assert time.perf_counter() - t0 < 0.25
+        assert canonical_encode(parse_pd(code)) == code
+        assert canonical_encode(_relabeled(d, random.Random(8))) == code
 
 
 class TestValidation:
