@@ -6,6 +6,8 @@ under-strand is either switched or smoothed, and the two branch values
 are combined by one of four algebra operations chosen by the crossing's
 sign and whether its strands belong to one component or two.  Crossing-
 free diagrams take the algebra's unit value for their circle count.
+One resolver runs this recursion: `evaluate` combines values as it goes,
+and `trace` records the tree, which `replay` values in any algebra.
 
 Entry points:
 
@@ -29,7 +31,7 @@ from .moves import (MoveError, MoveEvent, apply_move, euler_ok, faces,
                     trivialize)
 from .skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                     TraceLeaf, bad_crossings, default_marking, evaluate,
-                    evaluate_with, replay, trace)
+                    replay, trace)
 
 __version__ = "0.1.0"
 
@@ -41,7 +43,7 @@ __all__ = [
     "SkeinError", "TraceBranch", "TraceLeaf", "VarTable", "apply_move",
     "bad_crossings", "braid_to_diagram", "bundled_catalog",
     "canonical_encode", "check_axioms", "default_marking", "euler_ok",
-    "evaluate", "evaluate_with", "faces", "find_moves", "load_catalog",
+    "evaluate", "faces", "find_moves", "load_catalog",
     "lookup", "make_algebra", "parse_diagram", "parse_event", "parse_pd",
     "random_perturb", "replay", "replay_events", "trace", "trivialize",
     "__version__",

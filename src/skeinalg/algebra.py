@@ -32,14 +32,6 @@ class OpKind(enum.Enum):
     STAR = "star"
     SSLASH = "sslash"
 
-    def inverse_kind(self) -> "OpKind":
-        return {
-            OpKind.CIRC: OpKind.SLASH,
-            OpKind.SLASH: OpKind.CIRC,
-            OpKind.STAR: OpKind.SSLASH,
-            OpKind.SSLASH: OpKind.STAR,
-        }[self]
-
 
 @dataclass(frozen=True)
 class AffineOp:

@@ -14,10 +14,10 @@ the under-strand of every crossing must agree with the label order, and
 the over-strand directions must consume each label-successor transition
 exactly once across the whole diagram.  That holds at the boundary: a
 user-built `Diagram`, PD and braid parsing.  Diagrams that the library
-derives from a valid parent (crossing switches, smoothings, and the
-moves that rebuild through `_assemble`) already know their components
-and strand directions, and are built from them without a second
-validation pass.
+derives from a valid parent (crossing switches, smoothings, mirrors,
+triangle slides, and the moves that rebuild through `_assemble`)
+already know their components and strand directions, and are built
+from them without a second validation pass.
 
 One genuine ambiguity exists in this encoding: a component with at most
 two edges that never passes under anything admits two direction
@@ -206,19 +206,10 @@ class Diagram:
     def writhe(self) -> int:
         return sum(self.signs)
 
-    def sign(self, ci: int) -> int:
-        return self.signs[ci]
-
     def classify(self, ci: int) -> str:
         """'self' when both strands of the crossing lie on one component."""
         a, b, _, _ = self.crossings[ci]
         return "self" if self.comp_of[a] == self.comp_of[b] else "mixed"
-
-    def over_out_slot(self, ci: int) -> int:
-        return 4 - self.over_in[ci]  # 1 <-> 3
-
-    def in_slots(self, ci: int) -> tuple[int, int]:
-        return (0, self.over_in[ci])
 
     def pred(self, edge: int) -> int:
         comp = self.components[self.comp_of[edge]]
@@ -260,9 +251,6 @@ class Diagram:
         return Diagram._trusted(tuple(crs), self.free_loops, self.components,
                                 self.succ, self.comp_of, over_in)
 
-    def smooth(self, ci: int) -> "Diagram":
-        return self.smooth_with_map(ci)[0]
-
     def smooth_with_map(self, ci: int) -> tuple["Diagram", dict[int, int | None]]:
         """Orientation-respecting smoothing of one crossing.
 
@@ -281,9 +269,14 @@ class Diagram:
         return _assemble(rest, glues, self.free_loops)
 
     def mirror(self) -> "Diagram":
-        """Swap slots b and d everywhere; negates every crossing sign."""
-        return Diagram(
-            [(a, d, c, b) for (a, b, c, d) in self.crossings], self.free_loops
+        """Swap slots b and d everywhere; negates every crossing sign.
+
+        The strands keep their labels, so components are unchanged, and
+        each over-strand now enters at the other slot."""
+        return Diagram._trusted(
+            tuple((a, d, c, b) for (a, b, c, d) in self.crossings),
+            self.free_loops, self.components, self.succ, self.comp_of,
+            [4 - oi for oi in self.over_in],
         )
 
     # -- text forms -----------------------------------------------------------

@@ -219,11 +219,15 @@ def _trigon_orderable(flags) -> bool:
 
 def find_moves(d: Diagram) -> list[MoveEvent]:
     """Applicable R1-, R2-, R3 and RLT events, deterministically ordered."""
+    return _find_moves(d, faces(d))
+
+
+def _find_moves(d: Diagram, fs) -> list[MoveEvent]:
+    """`find_moves` over the already computed `faces(d)`."""
     out: list[MoveEvent] = []
     for ci, cr in enumerate(d.crossings):
         if _curl_at(cr):
             out.append(MoveEvent("R1-", crossing=ci))
-    fs = faces(d)
     occ = _edge_slots(d)
     seen_pairs: set[frozenset] = set()
     for fi, face in enumerate(fs):
@@ -307,7 +311,10 @@ def _apply_r3(d: Diagram, face) -> Diagram:
     crs = [list(cr) for cr in d.crossings]
     for (ci, s), lab in writes.items():
         crs[ci][s] = lab
-    return Diagram([tuple(cr) for cr in crs], d.free_loops)
+    # the slide moves strands past each other without relabeling them or
+    # changing which slot each over-strand enters by
+    return Diagram._trusted(tuple(tuple(cr) for cr in crs), d.free_loops,
+                            d.components, d.succ, d.comp_of, d.over_in)
 
 
 def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
@@ -435,7 +442,9 @@ def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
 # -- fuzzing -------------------------------------------------------------------
 
 
-def _growth_events(d: Diagram, cap: int) -> list[MoveEvent]:
+def _growth_events(d: Diagram, cap: int, fs) -> list[MoveEvent]:
+    """R1+ and R2+ events that keep `d` within `cap` crossings; `fs` is
+    `faces(d)`."""
     out: list[MoveEvent] = []
     n = d.n_crossings
     if n + 1 <= cap:
@@ -449,7 +458,7 @@ def _growth_events(d: Diagram, cap: int) -> list[MoveEvent]:
                     out.append(MoveEvent("R1+", loop=True, sign=sign, flavor=flavor))
     if n + 2 <= cap and n:
         seen: set[tuple[int, int]] = set()
-        for face in faces(d):
+        for face in fs:
             es = []
             for lab in face_edges(d, face):
                 if lab not in es:
@@ -473,7 +482,8 @@ def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
     events: list[MoveEvent] = []
     cur = d
     for _ in range(steps):
-        pool = find_moves(cur) + _growth_events(cur, cap)
+        fs = faces(cur)
+        pool = _find_moves(cur, fs) + _growth_events(cur, cap, fs)
         if not pool:
             continue
         ev = rng.choice(pool)
@@ -550,7 +560,7 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
             ):
                 return npath
             queue.append((nxt, npath))
-    raise RuntimeError(
+    raise MoveError(
         "could not steer the diagram to a reducible state within the search budget"
     )
 

@@ -9,6 +9,10 @@ values are combined with the operation matching the crossing's sign and
 self/mixed status.  Termination: switching the first bad crossing makes
 it good without disturbing earlier crossings, and smoothing removes a
 crossing outright.
+
+One recursion, `_resolve`, does this for both entry points: `evaluate`
+combines algebra values as it goes, and `trace` records the tree that
+`replay` later values in any algebra.
 """
 
 from __future__ import annotations
@@ -139,46 +143,56 @@ def _branch_ops(sign: int, kind: str) -> OpKind:
     return OpKind.SLASH if kind == "self" else OpKind.SSLASH
 
 
-def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
-             marking: Marking | None = None, memo: dict | None = None):
-    """Value of the diagram in the given algebra (stored representation)."""
+def _prepared(d: Diagram, marking: Marking | None) -> Marking:
+    """The marking to resolve `d` under, after the crossing-limit and
+    marking checks."""
     if d.n_crossings > MAX_CROSSINGS:
         raise SkeinError(
             f"diagram has {d.n_crossings} crossings; limit is {MAX_CROSSINGS}"
         )
     if marking is None:
-        marking = default_marking(d)
-    else:
-        _check_marking(d, marking)
-    if memo is None:
-        memo = {}
-    return _evaluate(d, algebra, marking, memo)
+        return default_marking(d)
+    _check_marking(d, marking)
+    return marking
 
 
-def evaluate_with(d: Diagram, algebra: ConwayAlgebraSpec, marking: Marking,
-                  memo: dict | None = None):
-    return evaluate(d, algebra, marking=marking, memo=memo)
+def _resolve(d: Diagram, marking: Marking, memo, tag, leaf, branch):
+    """The skein recursion behind both `evaluate` and `trace`.
 
-
-def _evaluate(d: Diagram, algebra, marking: Marking, memo: dict):
-    key = (algebra.key, d, marking.bases)
+    A diagram with no bad crossing gives `leaf(component count)`.
+    Otherwise the first bad crossing is switched and smoothed, and
+    `branch(crossing, sign, kind, switched, smoothed)` combines the two
+    results.  Results are memoised in `memo` under `(tag, d, bases)`.
+    """
+    key = (tag, d, marking.bases)
     hit = memo.get(key)
     if hit is not None:
         return hit
     ci = _first_bad(d, marking)
     if ci is None:
-        value = algebra.unit(d.component_count)
+        node = leaf(d.component_count)
     else:
-        sign = d.signs[ci]
-        kind = d.classify(ci)
-        switched = d.crossing_change(ci)
         smoothed, lmap = d.smooth_with_map(ci)
         sub_marking = _transfer_marking(d, ci, marking, smoothed, lmap)
-        left = _evaluate(switched, algebra, marking, memo)
-        right = _evaluate(smoothed, algebra, sub_marking, memo)
-        value = algebra.apply(_branch_ops(sign, kind), left, right)
-    memo[key] = value
-    return value
+        node = branch(
+            ci, d.signs[ci], d.classify(ci),
+            _resolve(d.crossing_change(ci), marking, memo, tag, leaf, branch),
+            _resolve(smoothed, sub_marking, memo, tag, leaf, branch),
+        )
+    memo[key] = node
+    return node
+
+
+def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
+             marking: Marking | None = None, memo: dict | None = None):
+    """Value of the diagram in the given algebra (stored representation).
+    Memo keys carry the algebra, so one `memo` can serve several."""
+
+    def branch(ci, sign, kind, left, right):
+        return algebra.apply(_branch_ops(sign, kind), left, right)
+
+    return _resolve(d, _prepared(d, marking), {} if memo is None else memo,
+                    algebra.key, algebra.unit, branch)
 
 
 # -- explicit recursion trees -------------------------------------------------
@@ -205,38 +219,8 @@ def trace(d: Diagram, marking: Marking | None = None,
     `shared` is a node cache; passing the same dict across calls lets
     diagrams with common descendants reuse each other's subtrees.
     """
-    if d.n_crossings > MAX_CROSSINGS:
-        raise SkeinError(
-            f"diagram has {d.n_crossings} crossings; limit is {MAX_CROSSINGS}"
-        )
-    if marking is None:
-        marking = default_marking(d)
-    else:
-        _check_marking(d, marking)
-    if shared is None:
-        shared = {}
-    return _trace(d, marking, shared)
-
-
-def _trace(d: Diagram, marking: Marking, shared: dict):
-    key = (d, marking.bases)
-    hit = shared.get(key)
-    if hit is not None:
-        return hit
-    ci = _first_bad(d, marking)
-    if ci is None:
-        node = TraceLeaf(d.component_count)
-    else:
-        switched = d.crossing_change(ci)
-        smoothed, lmap = d.smooth_with_map(ci)
-        sub_marking = _transfer_marking(d, ci, marking, smoothed, lmap)
-        node = TraceBranch(
-            ci, d.signs[ci], d.classify(ci),
-            _trace(switched, marking, shared),
-            _trace(smoothed, sub_marking, shared),
-        )
-    shared[key] = node
-    return node
+    return _resolve(d, _prepared(d, marking), {} if shared is None else shared,
+                    None, TraceLeaf, TraceBranch)
 
 
 def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):

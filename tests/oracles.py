@@ -105,7 +105,7 @@ def naive_evaluate(d: Diagram, algebra: ConwayAlgebraSpec, bases=None):
     else:
         op = OpKind.SSLASH if mixed else OpKind.SLASH
     left = naive_evaluate(d.crossing_change(ci), algebra, bases)
-    right = naive_evaluate(d.smooth(ci), algebra)
+    right = naive_evaluate(d.smooth_with_map(ci)[0], algebra)
     return algebra.apply(op, left, right)
 
 

@@ -160,7 +160,7 @@ def _op_at(d, ci):
 def _one_step(d, ci, alg, memo):
     """Expand the recursion once at crossing ci, leaves by the engine."""
     other = d.crossing_change(ci)
-    zero = d.smooth(ci)
+    zero = d.smooth_with_map(ci)[0]
     return alg.apply(_op_at(d, ci), evaluate(other, alg, memo=memo),
                      evaluate(zero, alg, memo=memo))
 
@@ -168,7 +168,7 @@ def _one_step(d, ci, alg, memo):
 def _two_step(d, i, j, alg, memo):
     """Expand at i, then at (the image of) j inside both children."""
     other = d.crossing_change(i)
-    zero = d.smooth(i)
+    zero = d.smooth_with_map(i)[0]
     j_in_zero = j - 1 if j > i else j
     left = _one_step(other, j, alg, memo)
     right = _one_step(zero, j_in_zero, alg, memo)

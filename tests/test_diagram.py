@@ -82,7 +82,7 @@ class TestClassify:
 
     def test_smoothing_trefoil_turns_rest_mixed(self):
         d = parse_pd(TREFOIL_PD)
-        s = d.smooth(0)
+        s = d.smooth_with_map(0)[0]
         assert s.component_count == 2
         assert all(s.classify(ci) == "mixed" for ci in range(s.n_crossings))
 
@@ -104,19 +104,19 @@ class TestCrossingChange:
 class TestSmooth:
     def test_hopf_smooth(self):
         d = parse_pd(HOPF_PD)
-        s = d.smooth(0)
+        s = d.smooth_with_map(0)[0]
         assert (s.n_crossings, s.component_count) == (1, 1)
 
     def test_trefoil_smooth_gives_clasp(self):
         d = parse_pd(TREFOIL_PD)
-        s = d.smooth(0)
+        s = d.smooth_with_map(0)[0]
         assert (s.n_crossings, s.component_count) == (2, 2)
 
     def test_curl_smooth_detaches_circles(self):
         # smoothing the only crossing of a curled unknot leaves the
         # two-component crossingless unlink
         curl = parse_pd("PD[X[1,2,2,1]]")
-        s = curl.smooth(0)
+        s = curl.smooth_with_map(0)[0]
         assert (s.n_crossings, s.free_loops, s.component_count) == (0, 2, 2)
 
     def test_component_shift_exhaustive(self, corpus, diagrams):
@@ -125,7 +125,7 @@ class TestSmooth:
             d = diagrams[entry.name]
             for ci in range(d.n_crossings):
                 shift = 1 if d.classify(ci) == "self" else -1
-                s = d.smooth(ci)
+                s = d.smooth_with_map(ci)[0]
                 assert s.component_count == d.component_count + shift, \
                     f"{entry.name} crossing {ci}"
                 assert s.n_crossings == d.n_crossings - 1
@@ -162,6 +162,21 @@ class TestLibraryBuiltDiagrams:
             for seed in range(2):
                 perturbed, _ = random_perturb(d, seed=seed, steps=15, cap=14)
                 trace(perturbed)
+
+    def test_mirrors_and_triangle_slides(self, recheck_builds, corpus):
+        from skeinalg.moves import apply_move, find_moves, random_perturb
+
+        slides = 0
+        for entry in corpus:
+            d = entry.diagram()
+            assert d.mirror().mirror() == d
+            for seed in range(2):
+                perturbed, _ = random_perturb(d, seed=seed, steps=15, cap=14)
+                for ev in find_moves(perturbed):
+                    if ev.kind == "R3":
+                        apply_move(perturbed, ev)
+                        slides += 1
+        assert slides
 
 
 class TestBraids:

@@ -1,13 +1,16 @@
 """Local moves: face census, event grammar, detection, fuzzing, untangling."""
 
+import hashlib
+
 import pytest
 
+import skeinalg.moves
 from skeinalg.algebra import make_algebra
 from skeinalg.diagram import braid_to_diagram, parse_pd
 from skeinalg.moves import (MoveError, MoveEvent, apply_move, euler_ok,
                             face_edges, faces, find_moves, parse_event,
                             random_perturb, replay_events, trivialize,
-                            _growth_events, _reducing_event)
+                            _growth_events, _reducing_event, _search_unlock)
 from skeinalg.skein import evaluate
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -167,7 +170,7 @@ class TestGrowth:
         d = parse_pd(text)
         want = evaluate(d, GC)
         key = d.canonical_encode()
-        for ev in _growth_events(d, cap=14):
+        for ev in _growth_events(d, cap=14, fs=faces(d)):
             g = apply_move(d, ev)
             grown = {"R1+": 1, "R2+": 2}[ev.kind]
             assert g.n_crossings == d.n_crossings + grown
@@ -179,8 +182,8 @@ class TestGrowth:
 
     def test_cap_withholds_growth(self):
         d = parse_pd(TREFOIL_PD)
-        assert _growth_events(d, cap=3) == []
-        only_r1 = _growth_events(d, cap=4)
+        assert _growth_events(d, cap=3, fs=faces(d)) == []
+        only_r1 = _growth_events(d, cap=4, fs=faces(d))
         assert only_r1 and all(e.kind == "R1+" for e in only_r1)
 
 
@@ -243,6 +246,34 @@ class TestPerturb:
             fin, _ = random_perturb(d, seed=seed, steps=12)
             assert evaluate(fin, GC) == want
 
+    def test_walk_is_pinned(self, corpus):
+        # digest of the event strings that the perturbation walk took
+        # before faces were shared between the move finders
+        h = hashlib.sha256()
+        for seed in range(3):
+            for entry in corpus:
+                _, evs = random_perturb(entry.diagram(), seed=seed, steps=15,
+                                        cap=14)
+                h.update(f"{entry.name}:{' '.join(map(str, evs))}\n".encode())
+        assert h.hexdigest() == ("dceb92157ce3c19411503ca9a375aba6"
+                                 "afee3ecc441874483610ca3d4515e827")
+
+    def test_faces_once_per_step(self, corpus, monkeypatch):
+        # one census per step for the move finders, and one more inside
+        # each applied move that works on faces
+        calls = []
+        real = skeinalg.moves.faces
+        monkeypatch.setattr(skeinalg.moves, "faces",
+                            lambda d: calls.append(d) or real(d))
+        steps = face_moves = 0
+        for seed in range(10):
+            for entry in corpus:
+                _, evs = random_perturb(entry.diagram(), seed=seed, steps=15,
+                                        cap=14)
+                steps += 15
+                face_moves += sum(e.kind in ("R2-", "R3", "R2+") for e in evs)
+        assert len(calls) == steps + face_moves == 7119
+
 
 class TestTrivialize:
     def test_trefoil_certificate(self, diagrams):
@@ -266,6 +297,11 @@ class TestTrivialize:
                 if ev.kind in ("R1-", "R2-"):
                     assert nxt.n_crossings < cur.n_crossings, (name, str(ev))
                 cur = nxt
+
+    def test_search_budget_is_a_move_error(self, diagrams, monkeypatch):
+        monkeypatch.setattr(skeinalg.moves, "_SEARCH_LIMIT", 0)
+        with pytest.raises(MoveError, match="search budget"):
+            _search_unlock(diagrams["trefoil+"])
 
     def test_reducing_event_shrinks(self, diagrams):
         # corpus entries are already reduced, so _reducing_event finds

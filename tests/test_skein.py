@@ -6,13 +6,15 @@ the oracle and then checks the engine against the same text.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_evaluate
 from skeinalg.diagram import braid_to_diagram, parse_pd
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, _check_marking, _transfer_marking,
-                            bad_crossings, default_marking, evaluate,
-                            evaluate_with, replay, trace)
+                            bad_crossings, default_marking, evaluate, replay,
+                            trace)
 
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
 
@@ -152,12 +154,6 @@ class TestMarkingValidation:
         with pytest.raises(SkeinError, match="covers 1 of 2"):
             evaluate(hopf, algebras[0], marking=Marking((1,)))
 
-    def test_evaluate_with_agrees_on_default(self, diagrams, algebras):
-        gc = by_key(algebras, "gen-conway")
-        for name in ("trefoil+", "hopf+", "borromean"):
-            d = diagrams[name]
-            assert evaluate_with(d, gc, default_marking(d)) == evaluate(d, gc)
-
 
 class TestMarkingIndependence:
     def test_hopf_all_markings(self, algebras):
@@ -222,6 +218,30 @@ class TestTraceReplay:
     def test_replay_rejects_foreign_objects(self, algebras):
         with pytest.raises(SkeinError, match="not a trace node"):
             replay("bogus", algebras[0])
+
+
+@st.composite
+def braid_words(draw):
+    """A braid on at most 4 strands with at most 7 letters.  The oracle
+    is memo-free, so longer words cost seconds each."""
+    n = draw(st.integers(1, 4))
+    if n == 1:
+        return n, []
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return n, draw(st.lists(letter, max_size=7))
+
+
+class TestDifferential:
+    @given(braid_words())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_replay_and_oracle_agree(self, algebras, word):
+        d = braid_to_diagram(*word)
+        node = trace(d)
+        for key in ("gen-conway", "gen-homflypt", "nonlinear(k=2)"):
+            alg = by_key(algebras, key)
+            want = naive_evaluate(d, alg)
+            assert evaluate(d, alg) == want, (word, key)
+            assert replay(node, alg) == want, (word, key)
 
 
 class TestLimits:
