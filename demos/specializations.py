@@ -4,8 +4,10 @@ How the algebra instances relate to each other
 
 The wider families collapse onto the narrower ones under variable
 substitutions, and the nonlinear instances store exactly the linear
-values.  These bridges are what make the generalized invariants
-strictly stronger: they refine the classical ones without losing them.
+values.  So the generalized families lose nothing of the classical
+ones.  They gain nothing either: `gen-conway`, `gen-homflypt` and
+`nonlinear` are each fixed by the classical two-variable polynomial
+and the component count (the README derives the maps).
 """
 
 from skeinalg import bundled_catalog, evaluate, make_algebra

@@ -49,7 +49,10 @@ print("nonlinear k=2 (hopf), shown: ", n2.render(stored))
 print()
 
 # Values memoize per (algebra, diagram, marking); passing one dict
-# across calls shares work between related diagrams.
+# across calls shares work between related diagrams.  A caller's
+# marking reaches only the root and its switched children; every
+# smoothed child is keyed under its own default marking, so related
+# diagrams meet in the memo whatever marking they were called with.
 memo = {}
 for d in (trefoil, hopf, fig8):
     evaluate(d, gc, memo=memo)

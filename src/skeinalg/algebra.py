@@ -238,14 +238,17 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def check_axioms(alg: ConwayAlgebraSpec, unit_range: int = 6) -> AxiomReport:
+_UNIT_RANGE = 6
+
+
+def check_axioms(alg: ConwayAlgebraSpec) -> AxiomReport:
     """Verify the defining identities symbolically.
 
     Four fresh indeterminates a, b, c, d are adjoined to the algebra's
     table and both sides of every identity are expanded there; a check
     passes exactly when the difference polynomial is identically zero.
     The unit identities a(n) = a(n) circ a(n+1) and a(n) = a(n) slash
-    a(n+1) are checked for n = 1 .. unit_range.
+    a(n+1) are checked for n = 1 .. _UNIT_RANGE.
     """
     fresh = ("a", "b", "c", "d")
     if set(fresh) & set(alg.table.names):
@@ -275,7 +278,7 @@ def check_axioms(alg: ConwayAlgebraSpec, unit_range: int = 6) -> AxiomReport:
     ])
     record("B", [
         (alg.unit(n), ap(C, alg.unit(n), alg.unit(n + 1)))
-        for n in range(1, unit_range + 1)
+        for n in range(1, _UNIT_RANGE + 1)
     ])
     record("C", [(ap(C, ap(C, a, b), ap(C, c, d)), ap(C, ap(C, a, c), ap(C, b, d)))])
     record("D", [(ap(T, ap(T, a, b), ap(T, c, d)), ap(T, ap(T, a, c), ap(T, b, d)))])
@@ -286,7 +289,7 @@ def check_axioms(alg: ConwayAlgebraSpec, unit_range: int = 6) -> AxiomReport:
     record("R2", [(ap(S, ap(S, a, b), ap(S, c, d)), ap(S, ap(S, a, c), ap(S, b, d)))])
     record("R3", [
         (alg.unit(n), ap(S, alg.unit(n), alg.unit(n + 1)))
-        for n in range(1, unit_range + 1)
+        for n in range(1, _UNIT_RANGE + 1)
     ])
 
     return AxiomReport(alg.key, tuple(checks))

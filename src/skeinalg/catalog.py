@@ -67,11 +67,9 @@ def _validate_row(row: dict, line: int) -> CorpusEntry:
                        (row.get("comment") or "").strip(), d)
 
 
-def load_catalog(path=None, strict: bool = True) -> list[CorpusEntry]:
-    """Read a corpus CSV; None loads the bundled one.
-
-    strict=True raises on the first bad row; strict=False drops bad rows.
-    """
+def load_catalog(path=None) -> list[CorpusEntry]:
+    """Read a corpus CSV; None loads the bundled one.  The first bad row
+    raises `CatalogError`."""
     if path is None:
         ref = resources.files("skeinalg").joinpath("data/links.csv")
         text = ref.read_text(encoding="utf-8")
@@ -89,14 +87,9 @@ def load_catalog(path=None, strict: bool = True) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     names: set[str] = set()
     for line, row in enumerate(reader, start=2):
-        try:
-            entry = _validate_row(row, line)
-            if entry.name in names:
-                raise CatalogError(f"row {line}: duplicate name {entry.name!r}")
-        except CatalogError:
-            if strict:
-                raise
-            continue
+        entry = _validate_row(row, line)
+        if entry.name in names:
+            raise CatalogError(f"row {line}: duplicate name {entry.name!r}")
         names.add(entry.name)
         entries.append(entry)
     return entries

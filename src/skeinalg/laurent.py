@@ -14,6 +14,10 @@ from typing import Iterable, Mapping
 
 # Exponents are kept inside machine-friendly bounds on purpose: a runaway
 # exponent means a bug upstream, and wrapping silently would corrupt values.
+# The constructor enforces the bound, and so do `+`, `-`, `*`, `**` and
+# `remap`.  `_trusted` and `ConwayAlgebraSpec.apply`, which wraps its
+# results with `_trusted`, do not: an operand near the bound can give an
+# out-of-range exponent there.
 EXP_LIMIT = 2**31
 
 

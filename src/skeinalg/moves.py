@@ -41,15 +41,19 @@ Dart = tuple[int, int]
 # -- faces -------------------------------------------------------------------
 
 
-def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
-    """Face orbits in canonical order (each rotated to start at its
-    smallest dart, then sorted)."""
+def _edge_slots(d: Diagram) -> dict[int, list[Dart]]:
     occ: dict[int, list[Dart]] = {}
     for ci, cr in enumerate(d.crossings):
         for s, lab in enumerate(cr):
             occ.setdefault(lab, []).append((ci, s))
+    return occ
+
+
+def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
+    """Face orbits in canonical order (each rotated to start at its
+    smallest dart, then sorted)."""
     alpha: dict[Dart, Dart] = {}
-    for pair in occ.values():
+    for pair in _edge_slots(d).values():
         alpha[pair[0]] = pair[1]
         alpha[pair[1]] = pair[0]
 
@@ -78,14 +82,6 @@ def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
 
 def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
     return tuple(d.crossings[c][s] for c, s in face)
-
-
-def _edge_slots(d: Diagram) -> dict[int, list[Dart]]:
-    occ: dict[int, list[Dart]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for s, lab in enumerate(cr):
-            occ.setdefault(lab, []).append((ci, s))
-    return occ
 
 
 def _over_both(d: Diagram, occ, lab: int) -> bool:
@@ -187,14 +183,16 @@ def _curl_at(cr) -> bool:
     return any(cr[i] == cr[(i + 1) % 4] for i in range(4))
 
 
+def _is_bigon(d: Diagram, face) -> bool:
+    """A face with two distinct crossings and two distinct edges."""
+    return (len(face) == 2 and face[0][0] != face[1][0]
+            and len(set(face_edges(d, face))) == 2)
+
+
 def _bigon_ok(d: Diagram, occ, face) -> bool:
-    (c1, _), (c2, _) = face
-    if c1 == c2:
-        return False
-    e1, e2 = face_edges(d, face)
-    if e1 == e2:
-        return False
-    return _over_both(d, occ, e1) or _over_both(d, occ, e2)
+    """A bigon that R2- can remove: one strand is over at both corners."""
+    return _is_bigon(d, face) and any(
+        _over_both(d, occ, e) for e in face_edges(d, face))
 
 
 def _trigon_flags(d: Diagram, occ, face):
@@ -231,7 +229,7 @@ def _find_moves(d: Diagram, fs) -> list[MoveEvent]:
     occ = _edge_slots(d)
     seen_pairs: set[frozenset] = set()
     for fi, face in enumerate(fs):
-        if len(face) != 2 or not _bigon_ok(d, occ, face):
+        if not _bigon_ok(d, occ, face):
             continue
         pair = frozenset(c for c, _ in face)
         if pair in seen_pairs:
@@ -367,14 +365,13 @@ def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
     return [((y2, x2, y3, x), 3), ((y, x2, y2, x3), 1)]
 
 
-def _apply_r2plus(d: Diagram, ev: MoveEvent):
+def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
     x, y = ev.edge, ev.edge2
     if x == y:
         raise MoveError("the two edges of a finger push must differ")
     for e in (x, y):
         if e not in d.comp_of:
             raise MoveError(f"no edge {e}")
-    fs = faces(d)
     dart_x = dart_y = None
     for face in fs:
         dx = next((dd for dd in face if d.crossings[dd[0]][dd[1]] == x), None)
@@ -406,6 +403,14 @@ def _apply_r2plus(d: Diagram, ev: MoveEvent):
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
     if isinstance(ev, str):
         ev = parse_event(ev)
+    return _apply_move(d, ev, None)
+
+
+def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
+    """`apply_move` for a parsed event; `fs` is `faces(d)`, or None to
+    compute it only if the move needs it."""
+    if ev.kind in ("R2-", "R3", "R2+") and fs is None:
+        fs = faces(d)
     if ev.kind == "CC":
         if not 0 <= (ev.crossing or 0) < d.n_crossings:
             raise MoveError(f"no crossing {ev.crossing}")
@@ -420,22 +425,20 @@ def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
             raise MoveError(f"crossing {ci} is not a curl")
         return _remove_crossings(d, {ci})[0]
     if ev.kind == "R2-":
-        fs = faces(d)
         if not 0 <= ev.face < len(fs):
             raise MoveError(f"no face {ev.face}")
         face = fs[ev.face]
-        if len(face) != 2 or not _bigon_ok(d, _edge_slots(d), face):
+        if not _bigon_ok(d, _edge_slots(d), face):
             raise MoveError(f"face {ev.face} is not a removable clasp")
         return _remove_crossings(d, {c for c, _ in face})[0]
     if ev.kind == "R3":
-        fs = faces(d)
         if not 0 <= ev.face < len(fs):
             raise MoveError(f"no face {ev.face}")
         return _apply_r3(d, fs[ev.face])
     if ev.kind == "R1+":
         return _apply_r1plus(d, ev)
     if ev.kind == "R2+":
-        return _apply_r2plus(d, ev)
+        return _apply_r2plus(d, ev, fs)
     raise MoveError(f"unknown event kind {ev.kind!r}")
 
 
@@ -487,7 +490,7 @@ def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
         if not pool:
             continue
         ev = rng.choice(pool)
-        cur = apply_move(cur, ev)
+        cur = _apply_move(cur, ev, fs)
         events.append(ev)
     return cur, events
 
@@ -513,16 +516,12 @@ def _bigon_fix(d: Diagram) -> MoveEvent | None:
     """A crossing switch that turns some bigon face into a removable clasp."""
     occ = _edge_slots(d)
     for face in faces(d):
-        if len(face) != 2:
-            continue
-        (c1, _), (c2, _) = face
-        e1, e2 = face_edges(d, face)
-        if c1 == c2 or e1 == e2:
+        if not _is_bigon(d, face):
             continue
         # switch the corner where the smaller edge runs under
-        m = min(e1, e2)
-        for c, s in occ[m]:
-            if c in (c1, c2) and s % 2 == 0:
+        corners = {c for c, _ in face}
+        for c, s in occ[min(face_edges(d, face))]:
+            if c in corners and s % 2 == 0:
                 return MoveEvent("CC", crossing=c)
     return None
 
@@ -544,20 +543,18 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
         expanded += 1
         if expanded > _SEARCH_LIMIT:
             break
-        candidates = [ev for ev in find_moves(cur) if ev.kind == "R3"]
+        fs = faces(cur)
+        candidates = [ev for ev in _find_moves(cur, fs) if ev.kind == "R3"]
         candidates += [MoveEvent("CC", crossing=ci) for ci in range(cur.n_crossings)]
         for ev in candidates:
-            nxt = apply_move(cur, ev)
+            nxt = _apply_move(cur, ev, fs)
             key = nxt.canonical_encode()
             if key in seen:
                 continue
             seen.add(key)
             npath = path + [ev]
             if any(_curl_at(cr) for cr in nxt.crossings) or any(
-                len(f) == 2 and len({c for c, _ in f}) == 2
-                and len(set(face_edges(nxt, f))) == 2
-                for f in faces(nxt)
-            ):
+                    _is_bigon(nxt, f) for f in faces(nxt)):
                 return npath
             queue.append((nxt, npath))
     raise MoveError(

@@ -10,6 +10,12 @@ self/mixed status.  Termination: switching the first bad crossing makes
 it good without disturbing earlier crossings, and smoothing removes a
 crossing outright.
 
+The caller's marking (or the default one) applies to the root and to
+its chain of switches, which keep the root's edges and components.
+Every smoothed child starts afresh under its own `default_marking`:
+values do not depend on the marking, so no base edge is carried
+through a smoothing.
+
 One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
 `replay` later values in any algebra.
@@ -103,40 +109,6 @@ def _first_bad(d: Diagram, marking: Marking) -> int | None:
     return None
 
 
-def _transfer_marking(parent: Diagram, ci: int, marking: Marking,
-                      child: Diagram, lmap: dict[int, int | None]) -> Marking:
-    """Carry base edges through a smoothing.
-
-    Bases follow the label map; when two marked components merge, the
-    earlier base in the traversal order wins.  A split-off component with
-    no base gets one at the smoothing site when the site lies on it,
-    otherwise at its smallest edge; such bases are appended at the end.
-    """
-    a, _, c, _ = parent.crossings[ci]
-    site = [lmap.get(a), lmap.get(c)]
-    new_bases: list[int] = []
-    seen: set[int] = set()
-    for b in marking.bases:
-        nb = lmap.get(b)
-        if nb is None:
-            continue
-        comp = child.comp_of[nb]
-        if comp in seen:
-            continue
-        seen.add(comp)
-        new_bases.append(nb)
-    for comp_idx, comp in enumerate(child.components):
-        if comp_idx in seen:
-            continue
-        pick = next(
-            (g for g in site if g is not None and child.comp_of[g] == comp_idx),
-            comp[0],
-        )
-        new_bases.append(pick)
-        seen.add(comp_idx)
-    return Marking(tuple(new_bases))
-
-
 def _branch_ops(sign: int, kind: str) -> OpKind:
     if sign > 0:
         return OpKind.CIRC if kind == "self" else OpKind.STAR
@@ -162,7 +134,9 @@ def _resolve(d: Diagram, marking: Marking, memo, tag, leaf, branch):
     A diagram with no bad crossing gives `leaf(component count)`.
     Otherwise the first bad crossing is switched and smoothed, and
     `branch(crossing, sign, kind, switched, smoothed)` combines the two
-    results.  Results are memoised in `memo` under `(tag, d, bases)`.
+    results.  The switched child keeps `marking`, which termination
+    needs; the smoothed child is resolved under its default marking.
+    Results are memoised in `memo` under `(tag, d, bases)`.
     """
     key = (tag, d, marking.bases)
     hit = memo.get(key)
@@ -172,12 +146,12 @@ def _resolve(d: Diagram, marking: Marking, memo, tag, leaf, branch):
     if ci is None:
         node = leaf(d.component_count)
     else:
-        smoothed, lmap = d.smooth_with_map(ci)
-        sub_marking = _transfer_marking(d, ci, marking, smoothed, lmap)
+        smoothed = d.smooth_with_map(ci)[0]
         node = branch(
             ci, d.signs[ci], d.classify(ci),
             _resolve(d.crossing_change(ci), marking, memo, tag, leaf, branch),
-            _resolve(smoothed, sub_marking, memo, tag, leaf, branch),
+            _resolve(smoothed, default_marking(smoothed), memo, tag, leaf,
+                     branch),
         )
     memo[key] = node
     return node

@@ -1,11 +1,13 @@
 """Independent reference implementations used only by tests.
 
-Nothing here imports the skein module.  The evaluator below re-derives
-component structure and traversal order straight from crossing tuples,
-picks the LAST bad crossing instead of the first, gives every
-sub-diagram a fresh minimal marking instead of transferring one, and
-memoizes nothing.  Agreement with the engine is therefore evidence for
-well-definedness of the recursion, not a shared-code tautology.  The
+Nothing here imports the skein module.  Like the engine, the evaluator
+below gives every smoothed sub-diagram a fresh marking; what keeps it
+independent is the rest.  It resolves the LAST bad crossing instead of
+the first, so its tree differs from the engine's; it re-derives
+components and traversal order from crossing tuples with its own
+`_cycles` walk; and it memoizes nothing.  Agreement with the engine is
+therefore evidence for well-definedness of the recursion, not a
+shared-code tautology.  The
 exhaustive encoder searches every relabeling that the engine's rooted
 canonical code avoids searching.
 """

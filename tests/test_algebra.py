@@ -1,10 +1,13 @@
+import random
 import time
 
 import pytest
 
 from skeinalg.algebra import (AffineOp, AlgebraError, ConwayAlgebraSpec,
                               OpKind, check_axioms, make_algebra)
+from skeinalg.diagram import braid_to_diagram
 from skeinalg.laurent import LaurentPoly, VarTable
+from skeinalg.skein import evaluate
 
 C, S, T, U = OpKind.CIRC, OpKind.SLASH, OpKind.STAR, OpKind.SSLASH
 
@@ -185,3 +188,53 @@ class TestConstruction:
     def test_keys_distinguish_k(self):
         assert make_algebra("nonlinear", 2).key == "nonlinear(k=2)"
         assert make_algebra("gen-conway").key == "gen-conway"
+
+
+def _from_homflypt(h, n, gc, ghf):
+    """gen-conway and gen-homflypt values rebuilt from the HOMFLYPT value
+    `h` of an n-component diagram.
+
+    homflypt = (vz)^-(n-1) F(v^2, v^2 z^2) names F's terms p^i s^j;
+    gen-conway = q^-(n-1) F(p, qr) and gen-homflypt = (vw)^-(n-1)
+    F(v^2, v^2 wz) then follow term by term."""
+    f = {}
+    for (a, b), coeff in h.terms.items():
+        a, b = a + n - 1, b + n - 1
+        assert a % 2 == 0 and b % 2 == 0, h.text()
+        f[(a - b) // 2, b // 2] = coeff
+    conway = {(i, j - n + 1, j): c for (i, j), c in f.items()}
+    homfly = {(2 * i + 2 * j - n + 1, j, j - n + 1): c
+              for (i, j), c in f.items()}
+    return LaurentPoly(gc.table, conway), LaurentPoly(ghf.table, homfly)
+
+
+def _seeded_braids(seed=11, count=150):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(2, 11))]
+        yield n, word
+
+
+class TestHomflyptDetermines:
+    """Every shipped family with gamma = 0 is HOMFLYPT plus the component
+    count.  classic3 (gamma = z) is not of this form and is left out."""
+
+    def check(self, d, label):
+        hf, gc, ghf = (make_algebra(k)
+                       for k in ("homflypt", "gen-conway", "gen-homflypt"))
+        n2 = make_algebra("nonlinear", 2)
+        conway, homfly = _from_homflypt(evaluate(d, hf), d.component_count,
+                                        gc, ghf)
+        assert evaluate(d, gc) == conway, label
+        assert evaluate(d, ghf) == homfly, label
+        assert evaluate(d, n2).terms == conway.terms, label
+
+    def test_corpus(self, diagrams):
+        for name, d in diagrams.items():
+            self.check(d, name)
+
+    def test_seeded_braid_closures(self):
+        for n, word in _seeded_braids():
+            self.check(braid_to_diagram(n, word), (n, word))

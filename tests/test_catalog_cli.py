@@ -77,13 +77,13 @@ class TestLoader:
         with pytest.raises(CatalogError, match="duplicate name"):
             load_catalog(p)
 
-    def test_lenient_mode_drops_bad_rows(self, tmp_path):
+    def test_bad_row_before_good_rows_is_refused(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text(HEADER
                      + 'bad,9,9,9,"PD[X[1,1,2,2]]",\n'
                      + 'good,1,1,1,"PD[X[1,1,2,2]]",\n')
-        got = load_catalog(p, strict=False)
-        assert [e.name for e in got] == ["good"]
+        with pytest.raises(CatalogError, match=r"row 2 \(bad\)"):
+            load_catalog(p)
 
     def test_header_must_carry_required_columns(self, tmp_path):
         p = tmp_path / "c.csv"

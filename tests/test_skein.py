@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from oracles import naive_evaluate
 from skeinalg.diagram import braid_to_diagram, parse_pd
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
-                            TraceLeaf, _check_marking, _transfer_marking,
-                            bad_crossings, default_marking, evaluate, replay,
-                            trace)
+                            TraceLeaf, bad_crossings, default_marking,
+                            evaluate, replay, trace)
 
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
 
@@ -118,25 +117,27 @@ class TestBadCrossings:
             assert bad_crossings(flipped, m) == bad[1:]
 
 
-class TestMarkingTransfer:
-    def test_mixed_smoothing_keeps_earlier_base(self):
-        hopf = parse_pd(HOPF_PD)
-        child, lmap = hopf.smooth_with_map(0)
-        m2 = _transfer_marking(hopf, 0, default_marking(hopf), child, lmap)
-        assert m2.bases == (lmap[1],) == (1,)
-        _check_marking(child, m2)
+class TestMarkingRule:
+    """The caller's marking reaches only the root and its switches; every
+    smoothed child is resolved under its own default marking."""
 
-    def test_self_smoothing_appends_site_base(self):
-        d = braid_to_diagram(2, [1, 1, 1])
-        assert d.classify(0) == "self"
-        child, lmap = d.smooth_with_map(0)
-        m2 = _transfer_marking(d, 0, default_marking(d), child, lmap)
-        _check_marking(child, m2)
-        a, _, c, _ = d.crossings[0]
-        assert m2.bases[0] == lmap[1]
-        # the split-off component is marked where the smoothing happened
-        assert m2.bases[-1] in (lmap[a], lmap[c])
-        assert child.comp_of[m2.bases[-1]] != child.comp_of[m2.bases[0]]
+    def test_default_root_keeps_defaults_everywhere(self, diagrams):
+        shared = {}
+        for d in diagrams.values():
+            trace(d, shared=shared)
+        off = [(d, bases) for (_, d, bases) in shared
+               if bases != default_marking(d).bases]
+        assert not off, f"{len(off)} of {len(shared)} keys off the default"
+
+    def test_other_root_marking_stops_at_smoothings(self, diagrams):
+        for name, d in diagrams.items():
+            # the last edge of each component, components in reverse
+            root = tuple(comp[-1] for comp in reversed(d.components))
+            shared = {}
+            trace(d, Marking(root), shared=shared)
+            assert (None, d, root) in shared, name
+            for (_, sub, bases) in shared:
+                assert bases in (root, default_marking(sub).bases), name
 
 
 class TestMarkingValidation:
