@@ -48,11 +48,16 @@ print("nonlinear k=2 (hopf), shown: ", n2.render(stored))
 
 print()
 
-# Values memoize per (algebra, diagram, marking); passing one dict
-# across calls shares work between related diagrams.  A caller's
-# marking reaches only the root and its switched children; every
-# smoothed child is keyed under its own default marking, so related
-# diagrams meet in the memo whatever marking they were called with.
+# Passing one memo dict across calls shares work between related
+# diagrams.  PD input goes through the skein resolver, whose cost is
+# exponential in the crossings; it memoizes per (algebra, diagram,
+# marking).  A caller's marking reaches only the root and its switched
+# children; every smoothed child is keyed under its own default
+# marking, so related diagrams meet in the memo whatever marking they
+# were called with.  A braid closure (fig8 here) is valued on its word
+# instead, memoized per (algebra, permutation read so far, letters left):
+# at most n!*(L+1) states for n strands and L letters, and fewer for each
+# shorter word that Markov destabilisation leaves.
 memo = {}
 for d in (trefoil, hopf, fig8):
     evaluate(d, gc, memo=memo)

@@ -8,6 +8,9 @@ sign and whether its strands belong to one component or two.  Crossing-
 free diagrams take the algebra's unit value for their circle count.
 One resolver runs this recursion: `evaluate` combines values as it goes,
 and `trace` records the tree, which `replay` values in any algebra.
+`evaluate` values a braid closure on its braid word instead, with the
+same operations; for a fixed strand count its cost grows polynomially
+with the word length.
 
 Entry points:
 

@@ -33,6 +33,11 @@ from __future__ import annotations
 # rebuilt through the validating constructor and compared field by field.
 RECHECK_BUILDS = False
 
+# The most components a diagram may have for evaluation.  A braid on n
+# strands with L letters closes to at least n - L components, so braid
+# parsing refuses a strand count past this bound before building anything.
+_MAX_COMPONENTS = 64
+
 
 class DiagramError(ValueError):
     pass
@@ -45,10 +50,14 @@ class PDSyntaxError(DiagramError):
 
 
 class Diagram:
-    """Immutable validated diagram."""
+    """Immutable validated diagram.
+
+    `braid` is the `(strands, letters)` a braid closure was built from,
+    and None for every other diagram, derived ones included.  It takes
+    no part in equality or hashing."""
 
     __slots__ = ("crossings", "free_loops", "succ", "components",
-                 "signs", "over_in", "comp_of", "_hash")
+                 "signs", "over_in", "comp_of", "braid", "_hash")
 
     def __init__(self, crossings, free_loops: int = 0):
         crossings = tuple(tuple(int(x) for x in cr) for cr in crossings)
@@ -62,6 +71,7 @@ class Diagram:
                     raise DiagramError(f"crossing {ci}: labels must be positive, got {lab}")
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", int(free_loops))
+        object.__setattr__(self, "braid", None)
         object.__setattr__(self, "_hash", None)
         self._derive()
 
@@ -79,8 +89,8 @@ class Diagram:
         d = object.__new__(cls)
         for name, value in (
             ("crossings", crossings), ("free_loops", free_loops),
-            ("_hash", None), ("components", components), ("succ", succ),
-            ("comp_of", comp_of), ("over_in", over_in),
+            ("braid", None), ("_hash", None), ("components", components),
+            ("succ", succ), ("comp_of", comp_of), ("over_in", over_in),
             ("signs", tuple(1 if oi == 3 else -1 for oi in over_in)),
         ):
             object.__setattr__(d, name, value)
@@ -513,10 +523,16 @@ def braid_to_diagram(n: int, letters) -> Diagram:
 
     A letter i stands for the positive generator at positions |i|, |i|+1,
     negative i for its inverse.  Strands are oriented downward; the braid
-    axis closure joins each bottom end back to its own top end.
+    axis closure joins each bottom end back to its own top end.  The
+    diagram records `(n, letters)` as its `braid`.
     """
     if n < 1:
         raise DiagramError(f"braid needs at least one strand, got {n}")
+    letters = tuple(letters)
+    if n - len(letters) > _MAX_COMPONENTS:
+        raise DiagramError(
+            f"braid on {n} strands with {len(letters)} letters closes to "
+            f"more than {_MAX_COMPONENTS} components")
     pos = {i: i for i in range(1, n + 1)}
     fresh = n + 1
     slotted = []
@@ -535,7 +551,9 @@ def braid_to_diagram(n: int, letters) -> Diagram:
         pos[m], pos[m + 1] = u, y
     glues = [(pos[i], i) for i in range(1, n + 1)]
     d = _assemble(slotted, glues, 0)[0]
-    return Diagram(d.crossings, d.free_loops)
+    d = Diagram(d.crossings, d.free_loops)
+    object.__setattr__(d, "braid", (n, letters))
+    return d
 
 
 # -- parsing -----------------------------------------------------------------

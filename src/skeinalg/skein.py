@@ -18,7 +18,19 @@ through a smoothing.
 
 One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
-`replay` later values in any algebra.
+`replay` later values in any algebra.  It is the definition, and the
+path for PD input; its cost grows exponentially with the crossings.
+
+A diagram built by `braid_to_diagram` remembers its word, and
+`evaluate` values it by `_resolve_braid` instead: the same skein
+relations, applied to the braid word read from the top, reduce it to
+permutation braids, which Markov destabilisation then unwinds (Jones
+1987; Morton and Short 1990).  A state pairs a permutation of the
+strands with the unread letters, so a word of L letters on n strands
+has at most n!·(L+1) states, and each destabilisation leaves a shorter
+word on fewer strands.  For a fixed strand count the cost grows
+polynomially with the word length, not exponentially.  Values do not
+depend on the order of resolution, so both paths give the same value.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ConwayAlgebraSpec, OpKind
-from .diagram import Diagram
+from .diagram import _MAX_COMPONENTS, Diagram
 
 MAX_CROSSINGS = 64
 
@@ -116,11 +128,16 @@ def _branch_ops(sign: int, kind: str) -> OpKind:
 
 
 def _prepared(d: Diagram, marking: Marking | None) -> Marking:
-    """The marking to resolve `d` under, after the crossing-limit and
-    marking checks."""
+    """The marking to resolve `d` under, after the crossing-limit,
+    component-limit and marking checks."""
     if d.n_crossings > MAX_CROSSINGS:
         raise SkeinError(
             f"diagram has {d.n_crossings} crossings; limit is {MAX_CROSSINGS}"
+        )
+    if d.component_count > _MAX_COMPONENTS:
+        raise SkeinError(
+            f"diagram has {d.component_count} components; limit is "
+            f"{_MAX_COMPONENTS}"
         )
     if marking is None:
         return default_marking(d)
@@ -157,16 +174,144 @@ def _resolve(d: Diagram, marking: Marking, memo, tag, leaf, branch):
     return node
 
 
+def _one_component(t: list[int], rest, a: int, b: int) -> bool:
+    """Whether the strands that start at top positions a and b lie on one
+    component of the closure of P(t)·rest, P(t) being the permutation
+    braid of `t` (see `_resolve_braid`)."""
+    t = list(t)
+    for letter in rest:
+        i = abs(letter)
+        t[i - 1], t[i] = t[i], t[i - 1]
+    # the closure joins bottom position x to top position x, so a
+    # component's top positions are a cycle of x -> t[x]
+    x = t[a]
+    while x != a:
+        if x == b:
+            return True
+        x = t[x]
+    return False
+
+
+def _shed_end_strand(m: int, q: tuple[int, ...], rest: tuple[int, ...]):
+    """The state with one strand fewer that an end strand gives, or None.
+
+    The last strand qualifies when P(q) leaves it in place (it then
+    crosses nothing in P(q)) and at most one letter of `rest` crosses
+    it: with no letter it is a split circle, with one it goes by Markov
+    destabilisation, which deletes that letter.  The first strand
+    qualifies the same way, since a half turn of the braid about its
+    axis maps letter i to m-i of the same sign and keeps its closure;
+    the other strands then move down one place.
+    Returns (q, rest, split) for m-1 strands, `split` telling whether a
+    split circle was shed.
+    """
+    g = m - 1
+    if q[g] == g:
+        hits = rest.count(g) + rest.count(-g)
+        if hits <= 1:
+            return (q[:g], tuple(x for x in rest if abs(x) != g),
+                    hits == 0)
+    if q[0] == 0:
+        hits = rest.count(1) + rest.count(-1)
+        if hits <= 1:
+            return (tuple(x - 1 for x in q[1:]),
+                    tuple(x - 1 if x > 0 else x + 1 for x in rest
+                          if abs(x) != 1),
+                    hits == 0)
+    return None
+
+
+def _resolve_braid(s: int, m: int, q: tuple[int, ...],
+                   rest: tuple[int, ...], f: int, memo,
+                   algebra: ConwayAlgebraSpec):
+    """Value of the closure of P(q)·rest beside f split circles.
+
+    P(q) is the permutation braid of sign s on m strands whose strand at
+    bottom position `pos` starts at top position `q[pos]`: each pair of
+    strands crosses at most once, always in a letter of sign s.  `rest`
+    holds the letters still unread.  An end strand that
+    `_shed_end_strand` can remove goes first.  Then letters are read
+    while P(q) absorbs them: a letter i of sign s whose strands have not
+    crossed yet (q[i-1] < q[i]), or one of sign -s whose strands have.
+    At the first letter that breaks this, the crossing it makes is
+    switched (P(q) absorbs the switched letter) and smoothed (the letter
+    is dropped), and the two values are combined as in `_resolve`.  With
+    no letters left, P(q) is the identity (the unit), has an untouched
+    last strand (a split circle), or has its last strand removed by
+    Markov destabilisation, which leaves the letters that strand crossed.
+    Results are memoised in `memo` under
+    `(algebra.key, s, m, q, rest, f)`.
+    """
+    key = (algebra.key, s, m, q, rest, f)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    shed = _shed_end_strand(m, q, rest) if m > 1 else None
+    if shed is not None:
+        q, rest, split = shed
+        node = _resolve_braid(s, m - 1, q, rest, f + split, memo, algebra)
+        memo[key] = node
+        return node
+    t = list(q)
+    k = 0
+    for letter in rest:
+        i = abs(letter)
+        a, b = t[i - 1], t[i]
+        if (a < b) != (letter * s > 0):
+            break
+        t[i - 1], t[i] = b, a
+        k += 1
+    if k < len(rest):
+        letter = rest[k]
+        i = abs(letter)
+        after = rest[k + 1:]
+        here = tuple(t)
+        a, b = t[i - 1], t[i]
+        t[i - 1], t[i] = b, a
+        kind = "self" if _one_component(t, after, a, b) else "mixed"
+        node = algebra.apply(
+            _branch_ops(1 if letter > 0 else -1, kind),
+            _resolve_braid(s, m, tuple(t), after, f, memo, algebra),
+            _resolve_braid(s, m, here, after, f, memo, algebra))
+    elif t == list(range(m)):
+        node = algebra.unit(m + f)
+    else:
+        # P(q) = P(q without m-1)·g(m-1)·g(m-2)···g(j+1) with letters g(i)
+        # of sign s; conjugate the tail round and drop g(m-1).  With
+        # j = m-1 there is no letter: the strand is a split circle.
+        j = t.index(m - 1)
+        node = _resolve_braid(s, m - 1, tuple(t[:j] + t[j + 1:]),
+                              tuple(s * i for i in range(m - 2, j, -1)),
+                              f + (j == m - 1), memo, algebra)
+    memo[key] = node
+    return node
+
+
 def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
              marking: Marking | None = None, memo: dict | None = None):
     """Value of the diagram in the given algebra (stored representation).
-    Memo keys carry the algebra, so one `memo` can serve several."""
+
+    A braid closure from `braid_to_diagram` is valued on its word by
+    `_resolve_braid`, at a cost that grows with the word length; any
+    other diagram goes through the resolver, at a cost exponential in
+    its crossings.  The crossing limit, the component limit and the
+    marking are checked first either way.  Memo keys carry the algebra,
+    so one `memo` can serve several.
+    """
+    marking = _prepared(d, marking)
+    memo = {} if memo is None else memo
+    if d.braid is not None:
+        n, letters = d.braid
+        # read with permutation braids of the letters' majority sign, so
+        # that most letters on strands that have not crossed are absorbed
+        s = 1 if 2 * sum(x > 0 for x in letters) >= len(letters) else -1
+        return _resolve_braid(s, n, tuple(range(n)), letters, 0, memo,
+                              algebra)
 
     def branch(ci, sign, kind, left, right):
         return algebra.apply(_branch_ops(sign, kind), left, right)
 
-    return _resolve(d, _prepared(d, marking), {} if memo is None else memo,
-                    algebra.key, algebra.unit, branch)
+    return _resolve(d, marking, memo, algebra.key, algebra.unit, branch)
 
 
 # -- explicit recursion trees -------------------------------------------------

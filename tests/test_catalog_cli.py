@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from skeinalg.algebra import AffineOp, ConwayAlgebraSpec, make_algebra
+from skeinalg.algebra import (ALGEBRA_NAMES, AffineOp, ConwayAlgebraSpec,
+                              make_algebra)
 from skeinalg.algebra import OpKind
 from skeinalg.catalog import CatalogError, load_catalog, lookup
 from skeinalg.cli import ENGINE, main
@@ -165,6 +167,32 @@ class TestComputeCommand:
         rc = main(["compute", "--braid", f"braid(2; {word})",
                    "--algebra", "homflypt"])
         assert rc == 2
+
+    def test_too_many_components_is_input_error(self, capsys):
+        rc = main(["compute", "--pd", "PD[]+O^65", "--algebra", "homflypt"])
+        assert rc == 2
+        assert "65 components; limit is 64" in capsys.readouterr().err
+
+    def test_oversized_strand_count_is_input_error(self, capsys):
+        t0 = time.perf_counter()
+        rc = main(["compute", "--braid", "braid(1000000; 1)",
+                   "--algebra", "homflypt"])
+        assert time.perf_counter() - t0 < 0.5
+        assert rc == 2
+        assert "more than 64 components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+    def test_braid_prints_what_its_pd_prints(self, capsys, algebra):
+        text = "braid(4; 1 -2 3 1 1 -2 -3 2 -1 3)"
+        pd = parse_diagram(text).pd_text()
+        outs = []
+        for flag, value in (("--braid", text), ("--pd", pd)):
+            k = ["--k", "2"] if algebra == "nonlinear" else []
+            rc = main(["compute", flag, value, "--algebra", algebra, "--json",
+                       *k])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_unknown_algebra_is_semantic_error(self, capsys):
         rc = main(["compute", "--pd", "PD[]+O^1", "--algebra", "nope"])

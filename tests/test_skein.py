@@ -5,12 +5,14 @@ in oracles.py before the engine existed; each test re-derives them through
 the oracle and then checks the engine against the same text.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_evaluate
-from skeinalg.diagram import braid_to_diagram, parse_pd
+from skeinalg.diagram import DiagramError, braid_to_diagram, parse_pd
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
@@ -222,14 +224,14 @@ class TestTraceReplay:
 
 
 @st.composite
-def braid_words(draw):
-    """A braid on at most 4 strands with at most 7 letters.  The oracle
-    is memo-free, so longer words cost seconds each."""
+def braid_words(draw, max_letters=7):
+    """A braid on at most 4 strands with at most `max_letters` letters.
+    The oracle is memo-free, so more than 7 letters cost it seconds."""
     n = draw(st.integers(1, 4))
     if n == 1:
         return n, []
     letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    return n, draw(st.lists(letter, max_size=7))
+    return n, draw(st.lists(letter, max_size=max_letters))
 
 
 class TestDifferential:
@@ -245,6 +247,99 @@ class TestDifferential:
             assert replay(node, alg) == want, (word, key)
 
 
+FIVE_KEYS = ("classic3", "homflypt", "gen-conway", "gen-homflypt",
+             "nonlinear(k=2)")
+
+
+class CountingMemo(dict):
+    """A memo that counts its lookups and hits."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = self.hits = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        hit = super().get(key, default)
+        self.hits += hit is not None
+        return hit
+
+
+class TestBraidPath:
+    """Braid closures are valued on their word by `_resolve_braid`; the
+    PD text of the same closure has no word and goes through the
+    resolver, so the two must agree."""
+
+    @staticmethod
+    def _agree(algebras, n, word):
+        d = braid_to_diagram(n, word)
+        pd = parse_pd(d.pd_text())
+        assert pd.braid is None
+        for key in FIVE_KEYS:
+            alg = by_key(algebras, key)
+            assert evaluate(d, alg) == evaluate(pd, alg), (n, word, key)
+
+    @given(braid_words(max_letters=12))
+    @settings(max_examples=200, deadline=None)
+    def test_word_path_matches_resolver(self, algebras, word):
+        self._agree(algebras, *word)
+
+    @pytest.mark.parametrize("n,word", [
+        (1, []), (3, [1, 1]), (4, []), (2, [-1, -1, -1]),
+        (3, [-1, -2, -1, -2, -2]), (4, [-3, -1, -2, -3]), (2, [1, -1]),
+        (3, [2, -1, 2, -1, -2]), (4, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]),
+    ])
+    def test_pinned_words(self, algebras, n, word):
+        self._agree(algebras, n, word)
+
+    def test_word_is_recorded_only_on_the_closure(self):
+        d = braid_to_diagram(3, [1, -2, 1])
+        assert d.braid == (3, (1, -2, 1))
+        assert d.crossing_change(0).braid is None
+        assert d.smooth_with_map(0)[0].braid is None
+        assert d.mirror().braid is None
+        assert d == parse_pd(d.pd_text())
+
+    def test_second_evaluation_is_one_hit(self, algebras):
+        gc = by_key(algebras, "gen-conway")
+        d = braid_to_diagram(3, [1, 1, 2, -1, 2, 2, 1])
+        memo = CountingMemo()
+        first = evaluate(d, gc, memo=memo)
+        # every store followed a missed lookup
+        assert memo.lookups == len(memo) + memo.hits
+        before = memo.lookups, memo.hits
+        assert evaluate(d, gc, memo=memo) == first
+        assert (memo.lookups, memo.hits) == (before[0] + 1, before[1] + 1)
+
+    def test_mirror_word_costs_the_same(self, algebras):
+        # the word is read in permutation braids of its majority sign, so
+        # negating every letter mirrors the whole computation
+        gc = by_key(algebras, "gen-conway")
+        word = [1, 2, 3, 1, 2, -3, 1, 2, 3, 2, 1, 2, -1, 3, 3, 2]
+        memos = []
+        for w in (word, [-x for x in word]):
+            memos.append({})
+            evaluate(braid_to_diagram(4, w), gc, memo=memos[-1])
+        assert len(memos[0]) == len(memos[1])
+
+    def test_end_strands_crossed_once_are_shed(self, algebras):
+        # every generator occurs once, so the closure is an unknot that
+        # Markov destabilisation unwinds one end strand at a time
+        gc = by_key(algebras, "gen-conway")
+        word = [i if i % 2 else -i for i in range(1, 24)]
+        memo = {}
+        assert evaluate(braid_to_diagram(24, word), gc, memo=memo) == \
+            gc.unit(1)
+        assert len(memo) == 24
+
+    def test_bad_marking_still_refused(self, algebras):
+        d = braid_to_diagram(2, [1, 1])
+        with pytest.raises(SkeinError, match="covers 1 of 2"):
+            evaluate(d, algebras[0], marking=Marking((d.components[0][0],)))
+        with pytest.raises(SkeinError, match="not an edge"):
+            evaluate(d, algebras[0], marking=Marking((99, 1)))
+
+
 class TestLimits:
     def test_crossing_budget_enforced(self, algebras):
         big = braid_to_diagram(2, [1] * (MAX_CROSSINGS + 1))
@@ -252,3 +347,23 @@ class TestLimits:
             evaluate(big, algebras[0])
         with pytest.raises(SkeinError, match="limit"):
             trace(big)
+
+    def test_component_limit_enforced(self, algebras):
+        gc = by_key(algebras, "gen-conway")
+        assert evaluate(parse_pd("PD[]+O^64"), gc) == gc.unit(64)
+        assert evaluate(braid_to_diagram(64, []), gc) == gc.unit(64)
+        for d in (parse_pd("PD[]+O^65"), parse_pd("PD[X[1,1,2,2]]+O^64")):
+            with pytest.raises(SkeinError, match="components; limit"):
+                evaluate(d, gc)
+            with pytest.raises(SkeinError, match="components; limit"):
+                trace(d)
+
+    def test_braid_strand_count_refused_before_building(self):
+        # 65 strands and one letter close to at least 64 components
+        assert braid_to_diagram(65, [1]).component_count == 64
+        with pytest.raises(DiagramError, match="more than 64 components"):
+            braid_to_diagram(66, [1])
+        t0 = time.perf_counter()
+        with pytest.raises(DiagramError, match="more than 64 components"):
+            braid_to_diagram(10 ** 12, [1])
+        assert time.perf_counter() - t0 < 0.1
