@@ -56,8 +56,8 @@ print()
 # marking, so related diagrams meet in the memo whatever marking they
 # were called with.  A braid closure (fig8 here) is valued on its word
 # instead, memoized per (algebra, permutation read so far, letters left):
-# at most n!*(L+1) states for n strands and L letters, and fewer for each
-# shorter word that Markov destabilisation leaves.
+# at most n!*(L+1) states for n strands and L letters, plus a number that
+# depends on n alone for the short words Markov destabilisation leaves.
 memo = {}
 for d in (trefoil, hopf, fig8):
     evaluate(d, gc, memo=memo)

@@ -10,7 +10,7 @@ One resolver runs this recursion: `evaluate` combines values as it goes,
 and `trace` records the tree, which `replay` values in any algebra.
 `evaluate` values a braid closure on its braid word instead, with the
 same operations; for a fixed strand count its cost grows polynomially
-with the word length.
+with the word length, and with the factorial of the strand count.
 
 Entry points:
 

@@ -27,14 +27,16 @@ relations, applied to the braid word read from the top, reduce it to
 permutation braids, which Markov destabilisation then unwinds (Jones
 1987; Morton and Short 1990).  A state pairs a permutation of the
 strands with the unread letters, so a word of L letters on n strands
-has at most n!·(L+1) states, and each destabilisation leaves a shorter
-word on fewer strands.  For a fixed strand count the cost grows
-polynomially with the word length, not exponentially.  Values do not
-depend on the order of resolution, so both paths give the same value.
+has at most n!·(L+1) states, plus states for the short words
+destabilisation leaves, whose number depends on n alone.  The cost is
+polynomial in the word length for a fixed strand count, but grows with
+n!: many-strand words can still be expensive.  Values do not depend on
+the order of resolution, so both paths give the same value.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import ConwayAlgebraSpec, OpKind
@@ -192,35 +194,6 @@ def _one_component(t: list[int], rest, a: int, b: int) -> bool:
     return False
 
 
-def _shed_end_strand(m: int, q: tuple[int, ...], rest: tuple[int, ...]):
-    """The state with one strand fewer that an end strand gives, or None.
-
-    The last strand qualifies when P(q) leaves it in place (it then
-    crosses nothing in P(q)) and at most one letter of `rest` crosses
-    it: with no letter it is a split circle, with one it goes by Markov
-    destabilisation, which deletes that letter.  The first strand
-    qualifies the same way, since a half turn of the braid about its
-    axis maps letter i to m-i of the same sign and keeps its closure;
-    the other strands then move down one place.
-    Returns (q, rest, split) for m-1 strands, `split` telling whether a
-    split circle was shed.
-    """
-    g = m - 1
-    if q[g] == g:
-        hits = rest.count(g) + rest.count(-g)
-        if hits <= 1:
-            return (q[:g], tuple(x for x in rest if abs(x) != g),
-                    hits == 0)
-    if q[0] == 0:
-        hits = rest.count(1) + rest.count(-1)
-        if hits <= 1:
-            return (tuple(x - 1 for x in q[1:]),
-                    tuple(x - 1 if x > 0 else x + 1 for x in rest
-                          if abs(x) != 1),
-                    hits == 0)
-    return None
-
-
 def _resolve_braid(s: int, m: int, q: tuple[int, ...],
                    rest: tuple[int, ...], f: int, memo,
                    algebra: ConwayAlgebraSpec):
@@ -229,13 +202,12 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
     P(q) is the permutation braid of sign s on m strands whose strand at
     bottom position `pos` starts at top position `q[pos]`: each pair of
     strands crosses at most once, always in a letter of sign s.  `rest`
-    holds the letters still unread.  An end strand that
-    `_shed_end_strand` can remove goes first.  Then letters are read
-    while P(q) absorbs them: a letter i of sign s whose strands have not
-    crossed yet (q[i-1] < q[i]), or one of sign -s whose strands have.
-    At the first letter that breaks this, the crossing it makes is
-    switched (P(q) absorbs the switched letter) and smoothed (the letter
-    is dropped), and the two values are combined as in `_resolve`.  With
+    holds the letters still unread.  Letters are read while P(q)
+    absorbs them: a letter i of sign s whose strands have not crossed
+    yet (q[i-1] < q[i]), or one of sign -s whose strands have.  At the
+    first letter that breaks this, the crossing it makes is switched
+    (P(q) absorbs the switched letter) and smoothed (the letter is
+    dropped), and the two values are combined as in `_resolve`.  With
     no letters left, P(q) is the identity (the unit), has an untouched
     last strand (a split circle), or has its last strand removed by
     Markov destabilisation, which leaves the letters that strand crossed.
@@ -246,12 +218,6 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
     hit = memo.get(key)
     if hit is not None:
         return hit
-    shed = _shed_end_strand(m, q, rest) if m > 1 else None
-    if shed is not None:
-        q, rest, split = shed
-        node = _resolve_braid(s, m - 1, q, rest, f + split, memo, algebra)
-        memo[key] = node
-        return node
     t = list(q)
     k = 0
     for letter in rest:
@@ -292,11 +258,12 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     """Value of the diagram in the given algebra (stored representation).
 
     A braid closure from `braid_to_diagram` is valued on its word by
-    `_resolve_braid`, at a cost that grows with the word length; any
-    other diagram goes through the resolver, at a cost exponential in
-    its crossings.  The crossing limit, the component limit and the
-    marking are checked first either way.  Memo keys carry the algebra,
-    so one `memo` can serve several.
+    `_resolve_braid`, at a cost polynomial in the word length and
+    growing with the factorial of the strand count; any other diagram
+    goes through the resolver, at a cost exponential in its crossings.
+    The crossing limit, the component limit and the marking are checked
+    first either way.  Memo keys carry the algebra, so one `memo` can
+    serve several.
     """
     marking = _prepared(d, marking)
     memo = {} if memo is None else memo
@@ -305,6 +272,12 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         # read with permutation braids of the letters' majority sign, so
         # that most letters on strands that have not crossed are absorbed
         s = 1 if 2 * sum(x > 0 for x in letters) >= len(letters) else -1
+        uses = Counter(abs(x) for x in letters)
+        # a generator that occurs once makes a nugatory crossing: a circle
+        # through it between its two strands meets the closure nowhere
+        # else, so switching it is an isotopy, and it takes the sign s
+        letters = tuple(x if uses[abs(x)] > 1 else s * abs(x)
+                        for x in letters)
         return _resolve_braid(s, n, tuple(range(n)), letters, 0, memo,
                               algebra)
 

@@ -288,6 +288,8 @@ class TestBraidPath:
         (1, []), (3, [1, 1]), (4, []), (2, [-1, -1, -1]),
         (3, [-1, -2, -1, -2, -2]), (4, [-3, -1, -2, -3]), (2, [1, -1]),
         (3, [2, -1, 2, -1, -2]), (4, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]),
+        (3, [1, -2, 1]), (4, [-1, 2, -1, 3, 3, -1]),
+        (5, [1, 1, -2, -3, 4, 4]), (6, [1, 1, 1, -2, -3, -4, 5, -5, 5]),
     ])
     def test_pinned_words(self, algebras, n, word):
         self._agree(algebras, n, word)
@@ -322,13 +324,26 @@ class TestBraidPath:
             evaluate(braid_to_diagram(4, w), gc, memo=memos[-1])
         assert len(memos[0]) == len(memos[1])
 
-    def test_end_strands_crossed_once_are_shed(self, algebras):
-        # every generator occurs once, so the closure is an unknot that
-        # Markov destabilisation unwinds one end strand at a time
+    def test_generators_used_once_take_the_reading_sign(self, algebras):
+        # a generator that occurs once makes a nugatory crossing, so its
+        # letter is read in the reading sign whatever sign it was given;
+        # read as given, each of the minority letters -2 ... -12 here
+        # would branch and double the states
         gc = by_key(algebras, "gen-conway")
-        word = [i if i % 2 else -i for i in range(1, 24)]
+        for n, states in ((8, 57), (14, 81)):
+            word = [1] * 6 + [-i for i in range(2, n - 1)] + [n - 1] * 6
+            flipped = [abs(x) for x in word]
+            memos = [{}, {}]
+            values = [evaluate(braid_to_diagram(n, w), gc, memo=memo)
+                      for w, memo in zip((word, flipped), memos)]
+            assert values[0] == values[1]
+            assert memos[0].keys() == memos[1].keys()
+            assert len(memos[0]) == states
+        self._agree(algebras, 8, [1] * 6 + [-i for i in range(2, 7)] + [7] * 6)
+        # an unknot whose letters all differ: one state per strand
+        chain = [i if i % 2 else -i for i in range(1, 24)]
         memo = {}
-        assert evaluate(braid_to_diagram(24, word), gc, memo=memo) == \
+        assert evaluate(braid_to_diagram(24, chain), gc, memo=memo) == \
             gc.unit(1)
         assert len(memo) == 24
 
