@@ -6,7 +6,9 @@ The engine walks each component from a base edge and calls a crossing
 "bad" when it is first reached along its under-strand.  The value of a
 diagram is assembled from the values of its switched and smoothed
 children at the first bad crossing; descending diagrams (no bad
-crossings) are the base case.
+crossings) are the base case.  The default marking picks base edges
+and a component order with few bad crossings, which keeps the tree
+small.
 """
 
 from skeinalg import evaluate, make_algebra, parse_diagram
@@ -23,6 +25,18 @@ curl = parse_diagram("PD[X[1,1,2,2]]")
 print("curl, base edge 1:", bad_crossings(curl, Marking((1,))))
 print("curl, base edge 2:", bad_crossings(curl, Marking((2,))))
 print("(the value is the same either way; only the tree shape changes)")
+print("curl, default marking:", default_marking(curl).bases)
+print()
+
+# ... and on the order of the components: a component that runs over
+# the others is best walked first.
+borromean = parse_diagram("PD[X[1,6,2,5],X[9,2,10,3],X[6,11,7,10],"
+                          "X[3,7,4,8],X[11,1,12,4],X[8,12,5,9]]")
+first = Marking(tuple(comp[0] for comp in borromean.components))
+print("borromean, first edges", first.bases, "bad:",
+      bad_crossings(borromean, first))
+print("borromean, default    ", default_marking(borromean).bases, "bad:",
+      bad_crossings(borromean))
 print()
 
 

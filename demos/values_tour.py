@@ -54,10 +54,12 @@ print()
 # marking).  A caller's marking reaches only the root and its switched
 # children; every smoothed child is keyed under its own default
 # marking, so related diagrams meet in the memo whatever marking they
-# were called with.  A braid closure (fig8 here) is valued on its word
-# instead, memoized per (algebra, permutation read so far, letters left):
-# at most n!*(L+1) states for n strands and L letters, plus a number that
-# depends on n alone for the short words Markov destabilisation leaves.
+# were called with.  The default marking keeps bad crossings few, and
+# with them the number of sub-diagrams.  A braid closure (fig8 here) is
+# valued on its word instead, memoized per (algebra, permutation read
+# so far, letters left): at most n!*(L+1) states for n strands and L
+# letters, plus a number that depends on n alone for the short words
+# Markov destabilisation leaves.
 memo = {}
 for d in (trefoil, hopf, fig8):
     evaluate(d, gc, memo=memo)

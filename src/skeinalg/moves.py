@@ -445,40 +445,61 @@ def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
 # -- fuzzing -------------------------------------------------------------------
 
 
-def _growth_events(d: Diagram, cap: int, fs) -> list[MoveEvent]:
-    """R1+ and R2+ events that keep `d` within `cap` crossings; `fs` is
-    `faces(d)`."""
-    out: list[MoveEvent] = []
+# the (sign, flavor) of the four curls an R1+ can add at one place
+_CURL_KINDS = ((1, "o"), (1, "u"), (-1, "o"), (-1, "u"))
+
+
+def _growth_candidates(d: Diagram, cap: int, fs):
+    """Where R1+ and R2+ events keep `d` within `cap` crossings: the
+    edges to curl, then None for a crossingless circle if there is one,
+    and the (over, under) edge pairs to push; `fs` is `faces(d)`."""
     n = d.n_crossings
+    curls: list[int | None] = []
     if n + 1 <= cap:
-        for e in sorted(d.comp_of):
-            for sign in (1, -1):
-                for flavor in ("o", "u"):
-                    out.append(MoveEvent("R1+", edge=e, sign=sign, flavor=flavor))
+        curls = sorted(d.comp_of)
         if d.free_loops:
-            for sign in (1, -1):
-                for flavor in ("o", "u"):
-                    out.append(MoveEvent("R1+", loop=True, sign=sign, flavor=flavor))
+            curls.append(None)
+    pushes: list[tuple[int, int]] = []
     if n + 2 <= cap and n:
         seen: set[tuple[int, int]] = set()
         for face in fs:
-            es = []
-            for lab in face_edges(d, face):
-                if lab not in es:
-                    es.append(lab)
+            es = list(dict.fromkeys(face_edges(d, face)))
             for x in es:
                 for y in es:
                     if x != y and (x, y) not in seen:
                         seen.add((x, y))
-                        out.append(MoveEvent("R2+", edge=x, edge2=y))
-    return out
+                        pushes.append((x, y))
+    return curls, pushes
+
+
+def _growth_event(curls, pushes, i: int) -> MoveEvent:
+    """The i-th growth event: four curls at each place of `curls` in the
+    order of `_CURL_KINDS`, then the pushes."""
+    if i < 4 * len(curls):
+        e = curls[i // 4]
+        sign, flavor = _CURL_KINDS[i % 4]
+        if e is None:
+            return MoveEvent("R1+", loop=True, sign=sign, flavor=flavor)
+        return MoveEvent("R1+", edge=e, sign=sign, flavor=flavor)
+    x, y = pushes[i - 4 * len(curls)]
+    return MoveEvent("R2+", edge=x, edge2=y)
+
+
+def _growth_events(d: Diagram, cap: int, fs) -> list[MoveEvent]:
+    """R1+ and R2+ events that keep `d` within `cap` crossings; `fs` is
+    `faces(d)`."""
+    curls, pushes = _growth_candidates(d, cap, fs)
+    return [_growth_event(curls, pushes, i)
+            for i in range(4 * len(curls) + len(pushes))]
 
 
 def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
     """Apply `steps` random link-preserving moves; deterministic in seed.
 
     Growing moves are withheld once they would push the diagram past
-    `cap` crossings.  A step with no applicable move is skipped.
+    `cap` crossings.  A step with no applicable move is skipped.  Each
+    step draws one index into the step's moves, the growth events after
+    the others, and builds only the event it drew.
     Returns the final diagram and the applied events.
     """
     rng = random.Random(seed)
@@ -486,10 +507,14 @@ def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
     cur = d
     for _ in range(steps):
         fs = faces(cur)
-        pool = _find_moves(cur, fs) + _growth_events(cur, cap, fs)
-        if not pool:
+        found = _find_moves(cur, fs)
+        curls, pushes = _growth_candidates(cur, cap, fs)
+        total = len(found) + 4 * len(curls) + len(pushes)
+        if not total:
             continue
-        ev = rng.choice(pool)
+        i = rng.randrange(total)
+        ev = (found[i] if i < len(found)
+              else _growth_event(curls, pushes, i - len(found)))
         cur = _apply_move(cur, ev, fs)
         events.append(ev)
     return cur, events

@@ -14,7 +14,12 @@ The caller's marking (or the default one) applies to the root and to
 its chain of switches, which keep the root's edges and components.
 Every smoothed child starts afresh under its own `default_marking`:
 values do not depend on the marking, so no base edge is carried
-through a smoothing.
+through a smoothing.  The size of the tree does depend on it, so the
+default marking keeps bad crossings few: on each component the base
+edge at which the fewest of its self crossings are bad, and the
+components in a greedy order that puts first those that run over the
+others, kept only when it beats label order.  It never has more bad
+crossings than the first edges in label order.
 
 One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
@@ -60,7 +65,86 @@ class Marking:
 
 
 def default_marking(d: Diagram) -> Marking:
-    return Marking(tuple(comp[0] for comp in d.components))
+    """The marking with the fewest bad crossings that this rule finds.
+
+    Each component gets the base edge at which the fewest of its self
+    crossings are bad, the earliest such edge on a tie.  The components
+    are then taken greedily: next comes the one left with the fewest
+    crossings under the others left, less those over them, the lower
+    index on a tie.  That order is kept only when it has fewer bad mixed
+    crossings than label order, so the marking never has more bad
+    crossings than the first edges in label order, and keeps them when
+    they are already best.
+    """
+    return Marking(_fewest_bad(d, _head_maps(d)))
+
+
+def _fewest_bad(d: Diagram, heads) -> tuple[int, ...]:
+    """Bases of `default_marking(d)`; `heads` is `_head_maps(d)`.
+
+    A self crossing is bad exactly when the base lies after its
+    over-visit and no later than its under-visit along the component, so
+    each one adds 1 to a cyclic interval of bases (a difference array).
+    A mixed crossing is bad exactly when the component of its
+    under-strand comes first.  The greedy order can lose to label order,
+    so it is kept only when it has fewer bad mixed crossings.
+    """
+    comps = d.components
+    first: dict[int, tuple[int, int, int]] = {}  # crossing -> first visit
+    mixed: list[tuple[int, int]] = []  # (under, over) component pairs
+    bases = []
+    for c, comp in enumerate(comps):
+        diff = None
+        for i, e in enumerate(comp):
+            ci, slot = heads[e]
+            seen = first.pop(ci, None)
+            if seen is None:
+                first[ci] = (c, i, slot)
+                continue
+            c0, i0, slot0 = seen
+            if c0 != c:
+                mixed.append((c0, c) if slot0 == 0 else (c, c0))
+                continue
+            u, o = (i0, i) if slot0 == 0 else (i, i0)
+            if diff is None:
+                diff = [0] * (len(comp) + 1)
+            # bases o+1 .. u, wrapping round the end when u < o
+            diff[o + 1] += 1
+            diff[u + 1] -= 1
+            if u < o:
+                diff[0] += 1
+        if diff is None:
+            bases.append(comp[0])
+            continue
+        run = best = diff[0]
+        at = 0
+        for i in range(1, len(comp)):
+            run += diff[i]
+            if run < best:
+                best, at = run, i
+        bases.append(comp[at])
+    if not mixed:
+        return tuple(bases)
+    # score: times under minus times over the components left
+    score = [0] * len(comps)
+    for u, o in mixed:
+        score[u] += 1
+        score[o] -= 1
+    left = list(range(len(comps)))
+    rank = [0] * len(comps)
+    for r in range(len(comps)):
+        k = min(left, key=score.__getitem__)
+        left.remove(k)
+        rank[k] = r
+        for u, o in mixed:
+            if u == k:
+                score[o] += 1
+            elif o == k:
+                score[u] -= 1
+    greedy_bad = sum(rank[u] < rank[o] for u, o in mixed)
+    if greedy_bad >= sum(u < o for u, o in mixed):
+        return tuple(bases)
+    return tuple(b for _, b in sorted(zip(rank, bases)))
 
 
 def _check_marking(d: Diagram, marking: Marking) -> None:
@@ -79,11 +163,15 @@ def _check_marking(d: Diagram, marking: Marking) -> None:
 
 
 def bad_crossings(d: Diagram, marking: Marking | None = None) -> list[int]:
-    """Crossings first reached on their under-strand, in first-visit order."""
+    """Crossings first reached on their under-strand, in first-visit order,
+    under `marking` or else under `default_marking(d)`."""
+    heads = _head_maps(d)
     if marking is None:
-        marking = default_marking(d)
-    _check_marking(d, marking)
-    return [ci for ci, slot in _walk_first_visits(d, marking) if slot == 0]
+        bases = _fewest_bad(d, heads)
+    else:
+        _check_marking(d, marking)
+        bases = marking.bases
+    return [ci for ci, slot in _first_visits(d, bases, heads) if slot == 0]
 
 
 def _head_maps(d: Diagram) -> dict[int, tuple[int, int]]:
@@ -96,31 +184,20 @@ def _head_maps(d: Diagram) -> dict[int, tuple[int, int]]:
     return heads
 
 
-def _walk_first_visits(d: Diagram, marking: Marking):
-    """Yield (crossing, in_slot) for each first visit, in traversal order."""
-    heads = _head_maps(d)
+def _first_visits(d: Diagram, bases, heads):
+    """Yield (crossing, in-slot) for each first visit, in traversal order."""
+    succ = d.succ
     visited: set[int] = set()
-    order: list[tuple[int, int]] = []
-    for base in marking.bases:
+    for base in bases:
         e = base
         while True:
             ci, slot = heads[e]
             if ci not in visited:
                 visited.add(ci)
-                order.append((ci, slot))
-            e = d.succ[e]
+                yield ci, slot
+            e = succ[e]
             if e == base:
                 break
-    if len(visited) != len(d.crossings):
-        raise SkeinError("traversal failed to reach every crossing")
-    return order
-
-
-def _first_bad(d: Diagram, marking: Marking) -> int | None:
-    for ci, slot in _walk_first_visits(d, marking):
-        if slot == 0:
-            return ci
-    return None
 
 
 def _branch_ops(sign: int, kind: str) -> OpKind:
@@ -129,9 +206,9 @@ def _branch_ops(sign: int, kind: str) -> OpKind:
     return OpKind.SLASH if kind == "self" else OpKind.SSLASH
 
 
-def _prepared(d: Diagram, marking: Marking | None) -> Marking:
-    """The marking to resolve `d` under, after the crossing-limit,
-    component-limit and marking checks."""
+def _root_bases(d: Diagram, marking: Marking | None):
+    """The bases to resolve `d` under, None for its default marking,
+    after the crossing-limit, component-limit and marking checks."""
     if d.n_crossings > MAX_CROSSINGS:
         raise SkeinError(
             f"diagram has {d.n_crossings} crossings; limit is {MAX_CROSSINGS}"
@@ -142,35 +219,42 @@ def _prepared(d: Diagram, marking: Marking | None) -> Marking:
             f"{_MAX_COMPONENTS}"
         )
     if marking is None:
-        return default_marking(d)
+        return None
     _check_marking(d, marking)
-    return marking
+    return marking.bases
 
 
-def _resolve(d: Diagram, marking: Marking, memo, tag, leaf, branch):
+def _resolve(d: Diagram, bases, memo, tag, leaf, branch):
     """The skein recursion behind both `evaluate` and `trace`.
 
-    A diagram with no bad crossing gives `leaf(component count)`.
-    Otherwise the first bad crossing is switched and smoothed, and
-    `branch(crossing, sign, kind, switched, smoothed)` combines the two
-    results.  The switched child keeps `marking`, which termination
-    needs; the smoothed child is resolved under its default marking.
-    Results are memoised in `memo` under `(tag, d, bases)`.
+    `d` is resolved under the marking with base edges `bases`, or under
+    its default marking when `bases` is None.  A diagram with no bad
+    crossing gives `leaf(component count)`.  Otherwise the first bad
+    crossing is switched and smoothed, and `branch(crossing, sign, kind,
+    switched, smoothed)` combines the two results.  The switched child
+    keeps the marking, which termination needs; the smoothed child is
+    resolved under its default marking.  Results are memoised in `memo`
+    under `(tag, d, bases)`.
     """
-    key = (tag, d, marking.bases)
+    heads = None
+    if bases is None:
+        heads = _head_maps(d)
+        bases = _fewest_bad(d, heads)
+    key = (tag, d, bases)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    ci = _first_bad(d, marking)
+    if heads is None:
+        heads = _head_maps(d)
+    ci = next((ci for ci, slot in _first_visits(d, bases, heads)
+               if slot == 0), None)
     if ci is None:
         node = leaf(d.component_count)
     else:
-        smoothed = d.smooth_with_map(ci)[0]
         node = branch(
             ci, d.signs[ci], d.classify(ci),
-            _resolve(d.crossing_change(ci), marking, memo, tag, leaf, branch),
-            _resolve(smoothed, default_marking(smoothed), memo, tag, leaf,
-                     branch),
+            _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch),
+            _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch),
         )
     memo[key] = node
     return node
@@ -265,7 +349,7 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     first either way.  Memo keys carry the algebra, so one `memo` can
     serve several.
     """
-    marking = _prepared(d, marking)
+    bases = _root_bases(d, marking)
     memo = {} if memo is None else memo
     if d.braid is not None:
         n, letters = d.braid
@@ -284,7 +368,7 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     def branch(ci, sign, kind, left, right):
         return algebra.apply(_branch_ops(sign, kind), left, right)
 
-    return _resolve(d, marking, memo, algebra.key, algebra.unit, branch)
+    return _resolve(d, bases, memo, algebra.key, algebra.unit, branch)
 
 
 # -- explicit recursion trees -------------------------------------------------
@@ -311,8 +395,9 @@ def trace(d: Diagram, marking: Marking | None = None,
     `shared` is a node cache; passing the same dict across calls lets
     diagrams with common descendants reuse each other's subtrees.
     """
-    return _resolve(d, _prepared(d, marking), {} if shared is None else shared,
-                    None, TraceLeaf, TraceBranch)
+    return _resolve(d, _root_bases(d, marking),
+                    {} if shared is None else shared, None, TraceLeaf,
+                    TraceBranch)
 
 
 def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):

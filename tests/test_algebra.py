@@ -208,6 +208,16 @@ def _from_homflypt(h, n, gc, ghf):
     return LaurentPoly(gc.table, conway), LaurentPoly(ghf.table, homfly)
 
 
+def _classic3_linear_part(h, n, c3):
+    """G = q^-(n-1) F(p, q^2) over classic3's table, F as in
+    `_from_homflypt`: the gen-conway value at r = q."""
+    g = {}
+    for (a, b), coeff in h.terms.items():
+        a, b = a + n - 1, b + n - 1
+        g[(a - b) // 2, b - n + 1, 0] = coeff
+    return LaurentPoly(c3.table, g)
+
+
 def _seeded_braids(seed=11, count=150):
     rng = random.Random(seed)
     for _ in range(count):
@@ -218,18 +228,27 @@ def _seeded_braids(seed=11, count=150):
 
 
 class TestHomflyptDetermines:
-    """Every shipped family with gamma = 0 is HOMFLYPT plus the component
-    count.  classic3 (gamma = z) is not of this form and is left out."""
+    """Every shipped family is HOMFLYPT plus the component count.  Those
+    with gamma = 0 follow term by term (`_from_homflypt`).  classic3
+    (gamma = z) follows from the same F: shifted by c = z/(p+q-1), its
+    values obey pa + qb at every crossing, with unit 1 + c, so
+    classic3 = (1 + c)G - c for G = q^-(n-1) F(p, q^2), gen-conway at
+    r = q.  The tests check (p+q-1)(classic3 - G) = z(G - 1), which
+    fixes classic3 since the ring has no zero divisors."""
 
     def check(self, d, label):
-        hf, gc, ghf = (make_algebra(k)
-                       for k in ("homflypt", "gen-conway", "gen-homflypt"))
+        hf, gc, ghf, c3 = (make_algebra(k) for k in (
+            "homflypt", "gen-conway", "gen-homflypt", "classic3"))
         n2 = make_algebra("nonlinear", 2)
-        conway, homfly = _from_homflypt(evaluate(d, hf), d.component_count,
-                                        gc, ghf)
+        h = evaluate(d, hf)
+        conway, homfly = _from_homflypt(h, d.component_count, gc, ghf)
         assert evaluate(d, gc) == conway, label
         assert evaluate(d, ghf) == homfly, label
         assert evaluate(d, n2).terms == conway.terms, label
+        g = _classic3_linear_part(h, d.component_count, c3)
+        p, q, z = (LaurentPoly.var(c3.table, x) for x in "pqz")
+        one = LaurentPoly.const(c3.table, 1)
+        assert (p + q - one) * (evaluate(d, c3) - g) == z * (g - one), label
 
     def test_corpus(self, diagrams):
         for name, d in diagrams.items():

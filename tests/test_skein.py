@@ -5,7 +5,9 @@ in oracles.py before the engine existed; each test re-derives them through
 the oracle and then checks the engine against the same text.
 """
 
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_evaluate
 from skeinalg.diagram import DiagramError, braid_to_diagram, parse_pd
+from skeinalg.moves import random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
@@ -22,6 +25,54 @@ HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
 
 def by_key(algebras, key):
     return next(a for a in algebras if a.key == key)
+
+
+def switch_class(d):
+    """What a chain of crossing switches keeps: the free loops, the
+    components, and the edges that meet at each crossing."""
+    return (d.free_loops, d.components,
+            tuple(tuple(sorted(cr)) for cr in d.crossings))
+
+
+def off_the_rule(shared, root=()):
+    """Keys of a `trace` cache whose bases are neither `root`, nor their
+    own default marking, nor the default marking of a key of the same
+    switch class: the head of a chain of switches."""
+    heads = {}
+    for (_, d, bases) in shared:
+        if bases == default_marking(d).bases:
+            heads.setdefault(switch_class(d), set()).add(bases)
+    return [(d, bases) for (_, d, bases) in shared
+            if bases != root and bases not in heads.get(switch_class(d), ())]
+
+
+def first_edges(d):
+    """The marking of each component's first edge, in label order."""
+    return Marking(tuple(comp[0] for comp in d.components))
+
+
+def self_bad(d, marking, c):
+    """How many self crossings of component `c` are bad under `marking`."""
+    return sum(d.classify(ci) == "self" and d.comp_of[d.crossings[ci][0]] == c
+               for ci in bad_crossings(d, marking))
+
+
+@pytest.fixture(scope="module")
+def marking_set(diagrams):
+    """The corpus and two seeded perturbations of every entry."""
+    out = dict(diagrams)
+    for seed in (0, 1):
+        for name, d in diagrams.items():
+            out[f"{name}@{seed}"] = random_perturb(d, seed=seed, steps=15,
+                                                   cap=14)[0]
+    return out
+
+
+def descend(d, marking):
+    """Switch the first bad crossing until there is none."""
+    while bad := bad_crossings(d, marking):
+        d = d.crossing_change(bad[0])
+    return d
 
 
 # (corpus name, algebra key, canonical text of the value)
@@ -72,15 +123,10 @@ class TestUnlinks:
 
 class TestTraceShape:
     def test_hopf_tree(self):
+        # the smoothed child is a one-crossing curl, and its default base
+        # is the edge that makes the curl descending
         t = trace(parse_pd(HOPF_PD))
-        assert isinstance(t, TraceBranch)
-        assert (t.crossing, t.sign, t.kind) == (0, 1, "mixed")
-        assert t.switched == TraceLeaf(2)
-        sm = t.smoothed
-        assert isinstance(sm, TraceBranch)
-        assert (sm.sign, sm.kind) == (1, "self")
-        assert sm.switched == TraceLeaf(1)
-        assert sm.smoothed == TraceLeaf(2)
+        assert t == TraceBranch(0, 1, "mixed", TraceLeaf(2), TraceLeaf(1))
 
     def test_descending_curl_is_a_leaf(self):
         curl = parse_pd("PD[X[1,1,2,2]]")
@@ -101,12 +147,12 @@ class TestTraceShape:
 class TestBadCrossings:
     def test_curl_depends_on_base(self):
         curl = parse_pd("PD[X[1,1,2,2]]")
-        assert bad_crossings(curl) == [0]
+        assert bad_crossings(curl, first_edges(curl)) == [0]
         assert bad_crossings(curl, Marking((2,))) == []
 
     def test_trefoil_braid_closure(self):
         d = braid_to_diagram(2, [1, 1, 1])
-        assert bad_crossings(d) == [0, 2]
+        assert bad_crossings(d, first_edges(d)) == [0, 2]
 
     def test_switching_first_bad_pops_it(self, diagrams):
         # the traversal never changes, so the rest of the list survives
@@ -121,15 +167,18 @@ class TestBadCrossings:
 
 class TestMarkingRule:
     """The caller's marking reaches only the root and its switches; every
-    smoothed child is resolved under its own default marking."""
+    smoothed child is resolved under its own default marking, and its
+    switches keep that marking."""
 
-    def test_default_root_keeps_defaults_everywhere(self, diagrams):
+    def test_default_root_keeps_defaults_everywhere(self, marking_set):
         shared = {}
-        for d in diagrams.values():
+        for d in marking_set.values():
             trace(d, shared=shared)
-        off = [(d, bases) for (_, d, bases) in shared
-               if bases != default_marking(d).bases]
-        assert not off, f"{len(off)} of {len(shared)} keys off the default"
+        off = off_the_rule(shared)
+        assert not off, f"{len(off)} of {len(shared)} keys off the rule"
+        # a switch can leave its head's marking short of its own default
+        assert sum(bases != default_marking(d).bases
+                   for (_, d, bases) in shared) == 1
 
     def test_other_root_marking_stops_at_smoothings(self, diagrams):
         for name, d in diagrams.items():
@@ -138,8 +187,76 @@ class TestMarkingRule:
             shared = {}
             trace(d, Marking(root), shared=shared)
             assert (None, d, root) in shared, name
+            assert not off_the_rule(shared, root), name
             for (_, sub, bases) in shared:
-                assert bases in (root, default_marking(sub).bases), name
+                if bases == root:
+                    assert switch_class(sub) == switch_class(d), name
+
+
+class TestFewestBadMarking:
+    """`default_marking` takes the base with the fewest bad self
+    crossings on each component, the first such edge on a tie, and a
+    greedy component order only when it beats label order."""
+
+    def test_each_base_is_optimal(self, marking_set):
+        for name, d in marking_set.items():
+            bases = default_marking(d).bases
+            for b in bases:
+                c = d.comp_of[b]
+                counts = [self_bad(d, Marking(tuple(e if x == b else x
+                                                    for x in bases)), c)
+                          for e in d.components[c]]
+                # the earliest edge among the fewest
+                assert b == d.components[c][counts.index(min(counts))], name
+
+    def test_ties_keep_the_first_edges(self, diagrams):
+        # descending under the first edges: no marking does better
+        words = [(3, [1, 1, 2, 2, 2, 2, 2, 2]),
+                 (4, [3, 3, 2, 2, 2, 2, 2, 2, 1, 1])]
+        cases = [*diagrams.values(), *(braid_to_diagram(*w) for w in words)]
+        for d in cases:
+            flat = descend(d, first_edges(d))
+            assert default_marking(flat) == first_edges(flat), d
+        # descending in label order, component 0 runs over component 1
+        # twice and component 1 over component 2 six times: the greedy
+        # order alone would put component 1 first and make two bad
+        d = braid_to_diagram(*words[0])
+        flat = descend(d, first_edges(d))
+        meets = Counter(tuple(flat.comp_of[x] for x in cr[:2])
+                        for cr in flat.crossings)
+        assert meets == {(1, 0): 2, (2, 1): 6}
+
+    def test_never_more_bad_than_first_edges(self, marking_set):
+        fewer = 0
+        for name, d in marking_set.items():
+            ours = len(bad_crossings(d))
+            theirs = len(bad_crossings(d, first_edges(d)))
+            assert ours <= theirs, name
+            fewer += ours < theirs
+        assert fewer == 82
+        # seeded closures of several components, as given and descended
+        # in label order, where the greedy order alone sometimes loses
+        rng = random.Random(5)
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(2, 14))]
+            d = braid_to_diagram(n, word)
+            for x in (d, descend(d, first_edges(d))):
+                assert (len(bad_crossings(x))
+                        <= len(bad_crossings(x, first_edges(x)))), word
+
+    def test_order_can_change(self, diagrams):
+        d = diagrams["borromean"]
+        assert default_marking(d).bases == (1, 9, 5)
+        assert len(bad_crossings(d)) == 2
+        assert len(bad_crossings(d, first_edges(d))) == 4
+
+    def test_corpus_node_count(self, diagrams):
+        shared = {}
+        for d in diagrams.values():
+            trace(d, shared=shared)
+        assert len(shared) == 430
 
 
 class TestMarkingValidation:
