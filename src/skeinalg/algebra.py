@@ -11,13 +11,20 @@ x, y -> alpha*x + beta*y + gamma, which keeps every computation inside
 one Laurent ring.  The `nonlinear` family stores the k-th power of each
 formal value; on stored values its operations coincide with the linear
 ones, and only the rendering (a formal k-th root) differs.
+
+Every path that combines values (the skein resolver, `replay`, the
+braid-word evaluator and `check_axioms`) goes through
+`ConwayAlgebraSpec.apply`.  It runs each operation as a kernel compiled
+once per table and operation (`_compile_kernel`), with the exponent
+arithmetic written out for the table's width, and wraps the result
+without re-checking it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import add
+from typing import Callable
 
 from .laurent import LaurentError, LaurentPoly, VarTable
 
@@ -47,6 +54,65 @@ class AffineOp:
         )
 
 
+def _compile_kernel(op: AffineOp, width: int) -> Callable:
+    """A function of two term maps over a table of `width` variables that
+    returns the term map of alpha*x + beta*y + gamma.
+
+    Each term of alpha and beta becomes one loop over an operand's terms
+    with its shift written out per exponent and its scale folded into
+    the coefficient, so a shift of 0 costs nothing and a scale of +-1 no
+    multiplication.  Products of valid polynomials keep non-invertible
+    exponents non-negative, so the result is as `LaurentPoly._trusted`
+    wants it; exponents are not checked against EXP_LIMIT.
+    """
+    parts = [(shift, scale, "x") for shift, scale in op.alpha.terms.items()]
+    parts += [(shift, scale, "y") for shift, scale in op.beta.terms.items()]
+    lines = ["def kernel(x, y):"]
+    if op.gamma.terms:
+        lines.append("    out = dict(GAMMA)")
+    elif parts:
+        # a single shift is one to one and a product of nonzero
+        # coefficients is nonzero: the first part needs no merging
+        shift, scale, src = parts.pop(0)
+        target, key = _shifted(shift, width)
+        lines.append(f"    out = {{{key}: {_scaled(scale)} "
+                     f"for {target}, c in {src}.items()}}")
+    else:
+        lines.append("    out = {}")
+    if parts:
+        lines.append("    get = out.get")
+    for shift, scale, src in parts:
+        target, key = _shifted(shift, width)
+        lines += [
+            f"    for {target}, c in {src}.items():",
+            f"        k = {key}",
+            f"        s = get(k, 0) + {_scaled(scale)}",
+            "        if s:",
+            "            out[k] = s",
+            "        else:",
+            "            del out[k]",
+        ]
+    lines.append("    return out")
+    space = {"GAMMA": op.gamma.terms}
+    exec("\n".join(lines), space)
+    return space["kernel"]
+
+
+def _shifted(shift: tuple[int, ...], width: int) -> tuple[str, str]:
+    """Loop target and key expression that add `shift` to exponents."""
+    if not any(shift):
+        return "e", "e"
+    names = [f"e{i}" for i in range(width)]
+    key = [f"{n} + {d}" if d > 0 else f"{n} - {-d}" if d < 0 else n
+           for n, d in zip(names, shift)]
+    return f"({', '.join(names)},)", f"({', '.join(key)},)"
+
+
+def _scaled(scale: int) -> str:
+    """The coefficient c of an operand's term times `scale`."""
+    return {1: "c", -1: "-c"}.get(scale, f"{scale} * c")
+
+
 ALGEBRA_NAMES = ("classic3", "homflypt", "gen-conway", "gen-homflypt", "nonlinear")
 
 
@@ -56,7 +122,9 @@ class ConwayAlgebraSpec:
     `k` is None for the linear instances; for the nonlinear family it is
     the root index and stored values are understood as k-th powers.
     The unit sequence is produced by a recurrence and memoized; the memo
-    is append-only and behaves as a pure cache.
+    is append-only and behaves as a pure cache.  `key` names the instance
+    in memo keys and output.  `ops` is read once per table, at the first
+    `apply` over it, and compiled into kernels that the instance keeps.
     """
 
     def __init__(
@@ -73,11 +141,9 @@ class ConwayAlgebraSpec:
         self.k = k
         self._unit_step = unit_step
         self._units: list[LaurentPoly] = [LaurentPoly.const(table, 1)]
-        self._remapped: dict[VarTable, dict[OpKind, AffineOp]] = {table: ops}
-
-    @property
-    def key(self) -> str:
-        return self.name if self.k is None else f"{self.name}(k={self.k})"
+        self.key = name if k is None else f"{name}(k={k})"
+        # table -> op -> kernel, compiled on the first apply over the table
+        self._kernels: dict[VarTable, dict[OpKind, Callable]] = {}
 
     def unit(self, n: int) -> LaurentPoly:
         if n < 1:
@@ -86,36 +152,23 @@ class ConwayAlgebraSpec:
             self._units.append(self._unit_step(self._units[-1]))
         return self._units[n - 1]
 
-    def _ops_for(self, table: VarTable) -> dict[OpKind, AffineOp]:
-        got = self._remapped.get(table)
-        if got is None:
-            got = {kind: op.remap(table) for kind, op in self.ops.items()}
-            self._remapped[table] = got
-        return got
-
     def apply(self, op: OpKind, a, b) -> LaurentPoly:
+        """alpha*a + beta*b + gamma for the operation `op`, over the
+        operands' table, through that table's kernel for `op`."""
         if isinstance(a, int):
             a = LaurentPoly.const(self.table, a)
         if isinstance(b, int):
             b = LaurentPoly.const(self.table, b)
-        if a.table != b.table:
+        table = a.table
+        if b.table is not table and b.table != table:
             raise LaurentError("operands live over different tables")
-        f = self._ops_for(a.table)[op]
-        # alpha*a + beta*b + gamma, term by term.  Products of valid
-        # polynomials keep non-invertible exponents non-negative, so the
-        # result skips the constructor's checks; exponents are not
-        # re-checked against EXP_LIMIT here.
-        out = dict(f.gamma.terms)
-        for factor, x in ((f.alpha, a), (f.beta, b)):
-            for shift, scale in factor.terms.items():
-                for exps, coeff in x.terms.items():
-                    e = tuple(map(add, exps, shift))
-                    s = out.get(e, 0) + scale * coeff
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return LaurentPoly._trusted(a.table, out)
+        kernels = self._kernels.get(table)
+        if kernels is None:
+            width = len(table.names)
+            kernels = {kind: _compile_kernel(f.remap(table), width)
+                       for kind, f in self.ops.items()}
+            self._kernels[table] = kernels
+        return LaurentPoly._trusted(table, kernels[op](a.terms, b.terms))
 
     def to_formal(self, stored: LaurentPoly) -> str:
         """Render a stored k-th power as a formal root (plainly for k=1)."""

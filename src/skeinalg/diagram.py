@@ -13,11 +13,13 @@ Construction validates everything: each label must occur exactly twice,
 the under-strand of every crossing must agree with the label order, and
 the over-strand directions must consume each label-successor transition
 exactly once across the whole diagram.  That holds at the boundary: a
-user-built `Diagram`, PD and braid parsing.  Diagrams that the library
-derives from a valid parent (crossing switches, smoothings, mirrors,
-triangle slides, and the moves that rebuild through `_assemble`)
-already know their components and strand directions, and are built
-from them without a second validation pass.
+user-built `Diagram` and PD parsing.  Braid parsing checks the strand
+count and every letter, then builds the closure through `_assemble`,
+which traces its strands and so knows its components and directions.
+Diagrams that the library derives from a valid parent (crossing
+switches, smoothings, mirrors, triangle slides, and the moves that
+rebuild through `_assemble`) know them too.  None of these is
+validated a second time.
 
 One genuine ambiguity exists in this encoding: a component with at most
 two edges that never passes under anything admits two direction
@@ -524,7 +526,9 @@ def braid_to_diagram(n: int, letters) -> Diagram:
     A letter i stands for the positive generator at positions |i|, |i|+1,
     negative i for its inverse.  Strands are oriented downward; the braid
     axis closure joins each bottom end back to its own top end.  The
-    diagram records `(n, letters)` as its `braid`.
+    diagram records `(n, letters)` as its `braid`.  The strand count and
+    the letters are checked here; the closure is built by `_assemble`
+    and not validated again.
     """
     if n < 1:
         raise DiagramError(f"braid needs at least one strand, got {n}")
@@ -551,7 +555,6 @@ def braid_to_diagram(n: int, letters) -> Diagram:
         pos[m], pos[m + 1] = u, y
     glues = [(pos[i], i) for i in range(1, n + 1)]
     d = _assemble(slotted, glues, 0)[0]
-    d = Diagram(d.crossings, d.free_loops)
     object.__setattr__(d, "braid", (n, letters))
     return d
 

@@ -224,7 +224,7 @@ def _root_bases(d: Diagram, marking: Marking | None):
     return marking.bases
 
 
-def _resolve(d: Diagram, bases, memo, tag, leaf, branch):
+def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     """The skein recursion behind both `evaluate` and `trace`.
 
     `d` is resolved under the marking with base edges `bases`, or under
@@ -235,6 +235,12 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch):
     keeps the marking, which termination needs; the smoothed child is
     resolved under its default marking.  Results are memoised in `memo`
     under `(tag, d, bases)`.
+
+    `bad` yields the bad crossings of `d` under `bases` not yet taken,
+    in walk order; it is walked afresh when None.  Switching the first
+    bad crossing keeps the walk and every other crossing, so the
+    switched child's bad crossings are the rest of its parent's, and it
+    is handed the parent's walk to go on with.
     """
     heads = None
     if bases is None:
@@ -244,16 +250,18 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if heads is None:
-        heads = _head_maps(d)
-    ci = next((ci for ci, slot in _first_visits(d, bases, heads)
-               if slot == 0), None)
+    if bad is None:
+        if heads is None:
+            heads = _head_maps(d)
+        bad = (ci for ci, slot in _first_visits(d, bases, heads) if slot == 0)
+    ci = next(bad, None)
     if ci is None:
         node = leaf(d.component_count)
     else:
         node = branch(
             ci, d.signs[ci], d.classify(ci),
-            _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch),
+            _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch,
+                     bad),
             _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch),
         )
     memo[key] = node
@@ -280,7 +288,7 @@ def _one_component(t: list[int], rest, a: int, b: int) -> bool:
 
 def _resolve_braid(s: int, m: int, q: tuple[int, ...],
                    rest: tuple[int, ...], f: int, memo,
-                   algebra: ConwayAlgebraSpec):
+                   algebra: ConwayAlgebraSpec, ops):
     """Value of the closure of P(q)·rest beside f split circles.
 
     P(q) is the permutation braid of sign s on m strands whose strand at
@@ -291,7 +299,8 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
     yet (q[i-1] < q[i]), or one of sign -s whose strands have.  At the
     first letter that breaks this, the crossing it makes is switched
     (P(q) absorbs the switched letter) and smoothed (the letter is
-    dropped), and the two values are combined as in `_resolve`.  With
+    dropped), and the two values are combined as in `_resolve`, with
+    the operation `ops[letter > 0][same component]`.  With
     no letters left, P(q) is the identity (the unit), has an untouched
     last strand (a split circle), or has its last strand removed by
     Markov destabilisation, which leaves the letters that strand crossed.
@@ -318,11 +327,10 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
         here = tuple(t)
         a, b = t[i - 1], t[i]
         t[i - 1], t[i] = b, a
-        kind = "self" if _one_component(t, after, a, b) else "mixed"
         node = algebra.apply(
-            _branch_ops(1 if letter > 0 else -1, kind),
-            _resolve_braid(s, m, tuple(t), after, f, memo, algebra),
-            _resolve_braid(s, m, here, after, f, memo, algebra))
+            ops[letter > 0][_one_component(t, after, a, b)],
+            _resolve_braid(s, m, tuple(t), after, f, memo, algebra, ops),
+            _resolve_braid(s, m, here, after, f, memo, algebra, ops))
     elif t == list(range(m)):
         node = algebra.unit(m + f)
     else:
@@ -332,7 +340,7 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
         j = t.index(m - 1)
         node = _resolve_braid(s, m - 1, tuple(t[:j] + t[j + 1:]),
                               tuple(s * i for i in range(m - 2, j, -1)),
-                              f + (j == m - 1), memo, algebra)
+                              f + (j == m - 1), memo, algebra, ops)
     memo[key] = node
     return node
 
@@ -362,8 +370,10 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         # else, so switching it is an isotopy, and it takes the sign s
         letters = tuple(x if uses[abs(x)] > 1 else s * abs(x)
                         for x in letters)
+        ops = tuple((_branch_ops(sign, "mixed"), _branch_ops(sign, "self"))
+                    for sign in (-1, 1))
         return _resolve_braid(s, n, tuple(range(n)), letters, 0, memo,
-                              algebra)
+                              algebra, ops)
 
     def branch(ci, sign, kind, left, right):
         return algebra.apply(_branch_ops(sign, kind), left, right)

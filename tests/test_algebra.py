@@ -75,6 +75,80 @@ class TestApply:
             gc.apply(C, one, LaurentPoly.const(gc.table, 1))
 
 
+def _random_poly(rng, table, max_terms=8):
+    """Up to `max_terms` terms with small exponents, so that results of
+    an operation often merge and cancel terms."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(-2 if table.can_negate(i) else 0, 2)
+                     for i in range(len(table.names)))
+        terms[exps] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return LaurentPoly(table, terms)
+
+
+def _custom_specs():
+    """Specs with two-term alpha and beta, coefficients other than +-1,
+    a constant term among them, and gamma != 0, over 3 and 1 variables."""
+    t = VarTable(("s", "t", "u"), frozenset({"s"}))
+    s, tt, u = (LaurentPoly.var(t, n) for n in t.names)
+    one = LaurentPoly.const(t, 1)
+    wide = AffineOp(s + tt * tt.scale(2), one.scale(3) - s.inverse() * u,
+                    tt.scale(5) - one)
+    x = VarTable(("x",), frozenset({"x"}))
+    xv, xo = LaurentPoly.var(x, "x"), LaurentPoly.const(x, 1)
+    narrow = AffineOp(xv, xo.scale(2) - xv.inverse(), xo.scale(-3))
+    return [ConwayAlgebraSpec(name, table, dict.fromkeys(OpKind, op),
+                              lambda prev: prev)
+            for name, table, op in (("wide", t, wide), ("narrow", x, narrow))]
+
+
+class TestKernels:
+    """`apply` runs compiled kernels; the resolver, `replay`, the word
+    path and the oracles all go through it, so it is checked here
+    against alpha*a + beta*b + gamma in LaurentPoly's checked ring
+    operations."""
+
+    def check(self, alg, table, rng, pairs=40):
+        for kind, op in alg.ops.items():
+            op = op.remap(table)
+            for _ in range(pairs):
+                a, b = _random_poly(rng, table), _random_poly(rng, table)
+                want = op.alpha * a + op.beta * b + op.gamma
+                got = alg.apply(kind, a, b)
+                assert got.table is table
+                assert got == want, (alg.key, kind, a, b)
+                # alpha*(beta*c) - beta*(alpha*c) cancels every term
+                c = _random_poly(rng, table)
+                assert alg.apply(kind, op.beta * c, -(op.alpha * c)) \
+                    == op.gamma, (alg.key, kind, c)
+
+    def test_every_algebra_on_its_own_table(self, algebras):
+        rng = random.Random(7)
+        for alg in algebras:
+            self.check(alg, alg.table, rng)
+
+    def test_every_algebra_on_five_variables(self, algebras):
+        rng = random.Random(8)
+        for alg in algebras:
+            names = ("a", "b", "c", "d", "e")[:5 - len(alg.table.names)]
+            self.check(alg, alg.table.extend(names), rng)
+
+    def test_custom_multi_term_ops(self):
+        rng = random.Random(9)
+        for alg in _custom_specs():
+            self.check(alg, alg.table, rng)
+            self.check(alg, alg.table.extend(("a",)), rng)
+
+    def test_int_operands(self):
+        for alg in _custom_specs():
+            one = LaurentPoly.const(alg.table, 1)
+            op = alg.ops[C]
+            assert alg.apply(C, 2, 0) == op.alpha.scale(2) + op.gamma
+            assert alg.apply(C, 0, -1) == op.gamma - op.beta
+            assert alg.apply(C, one, 3) == op.alpha + op.beta.scale(3) \
+                + op.gamma
+
+
 class TestAxioms:
     def test_all_instances_pass(self, algebras):
         extra = [make_algebra("nonlinear", 4)]

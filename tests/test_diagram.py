@@ -178,6 +178,38 @@ class TestLibraryBuiltDiagrams:
                         slides += 1
         assert slides
 
+    def test_braid_closures_match_validation(self, recheck_builds):
+        # braid parsing builds through `_assemble` alone; seeded words on
+        # 1-6 strands, some strands left untouched, some words negative
+        rng = random.Random(5)
+        free = negative = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [i for i in range(1, n) if rng.random() < 0.7]
+            signs = rng.choice(((1,), (-1,), (1, -1)))
+            letters = [rng.choice(signs) * rng.choice(gens)
+                       for _ in range(rng.randint(0, 20) if gens else 0)]
+            d = braid_to_diagram(n, letters)
+            ref = Diagram(d.crossings, d.free_loops)
+            for name in ("crossings", "free_loops", "components", "succ",
+                         "comp_of", "over_in", "signs"):
+                assert getattr(d, name) == getattr(ref, name), (n, letters)
+            assert d.braid == (n, tuple(letters)) and ref.braid is None
+            free += d.free_loops > 0
+            negative += bool(letters) and max(letters) < 0
+        assert free and negative
+
+    def test_only_pd_parsing_validates(self, monkeypatch):
+        calls = []
+        derive = Diagram._derive
+        monkeypatch.setattr(Diagram, "_derive",
+                            lambda self: calls.append(self) or derive(self))
+        parse_diagram("braid(5; 1 -2 3 3 -1 2 -4)")
+        braid_to_diagram(3, [-1, -1])
+        assert calls == []
+        parse_diagram(HOPF_PD)
+        assert len(calls) == 1
+
 
 class TestBraids:
     def test_trefoil_closure(self):

@@ -154,15 +154,25 @@ class TestBadCrossings:
         d = braid_to_diagram(2, [1, 1, 1])
         assert bad_crossings(d, first_edges(d)) == [0, 2]
 
-    def test_switching_first_bad_pops_it(self, diagrams):
-        # the traversal never changes, so the rest of the list survives
-        for d in diagrams.values():
+    def test_switching_first_bad_pops_it(self, marking_set):
+        # the traversal never changes, so the rest of the list survives:
+        # `_resolve` hands each switched child the rest of its parent's
+        # walk.  Followed down every switch chain, from every diagram of
+        # the set and seeded braid closures (whose two-edge circles can
+        # turn into free circles as they are switched)
+        rng = random.Random(3)
+        closures = [braid_to_diagram(n, [rng.choice((1, -1)) *
+                                         rng.randint(1, n - 1)
+                                         for _ in range(rng.randint(1, 12))])
+                    for n in (2, 3, 4, 5) for _ in range(40)]
+        for d in list(marking_set.values()) + closures:
             m = default_marking(d)
             bad = bad_crossings(d, m)
-            if not bad:
-                continue
-            flipped = d.crossing_change(bad[0])
-            assert bad_crossings(flipped, m) == bad[1:]
+            while bad:
+                d = d.crossing_change(bad[0])
+                rest = bad_crossings(d, m)
+                assert rest == bad[1:]
+                bad = rest
 
 
 class TestMarkingRule:
