@@ -15,11 +15,13 @@ the over-strand directions must consume each label-successor transition
 exactly once across the whole diagram.  That holds at the boundary: a
 user-built `Diagram` and PD parsing.  Braid parsing checks the strand
 count and every letter, then builds the closure through `_assemble`,
-which traces its strands and so knows its components and directions.
-Diagrams that the library derives from a valid parent (crossing
-switches, smoothings, mirrors, triangle slides, and the moves that
-rebuild through `_assemble`) know them too.  None of these is
-validated a second time.
+which traces every strand and so knows its components and directions.
+Diagrams that the library derives from a valid parent know them too:
+crossing switches, mirrors and triangle slides keep the parent's
+strands; a smoothing walks again only the one or two components through
+its crossing and renumbers the rest; the moves that add or remove
+crossings rebuild through `_assemble`.  None of these is validated a
+second time.
 
 One genuine ambiguity exists in this encoding: a component with at most
 two edges that never passes under anything admits two direction
@@ -31,6 +33,9 @@ deterministically (enter along the smaller label first).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import itemgetter
+
 # Test-only switch: when true, every diagram built inside the library is
 # rebuilt through the validating constructor and compared field by field.
 RECHECK_BUILDS = False
@@ -39,6 +44,9 @@ RECHECK_BUILDS = False
 # strands with L letters closes to at least n - L components, so braid
 # parsing refuses a strand count past this bound before building anything.
 _MAX_COMPONENTS = 64
+
+# crossing sign by the slot its over-strand enters at
+_SIGN = (0, -1, 0, 1)
 
 
 class DiagramError(ValueError):
@@ -87,15 +95,18 @@ class Diagram:
         direction for every crossing.  Circles whose direction the labels
         leave open get the reading of `_fix_free_circles`.
         """
-        over_in = _fix_free_circles(crossings, components, list(over_in))
+        over_in = _fix_free_circles(crossings, components, over_in)
         d = object.__new__(cls)
-        for name, value in (
-            ("crossings", crossings), ("free_loops", free_loops),
-            ("braid", None), ("_hash", None), ("components", components),
-            ("succ", succ), ("comp_of", comp_of), ("over_in", over_in),
-            ("signs", tuple(1 if oi == 3 else -1 for oi in over_in)),
-        ):
-            object.__setattr__(d, name, value)
+        _set = object.__setattr__
+        _set(d, "crossings", crossings)
+        _set(d, "free_loops", free_loops)
+        _set(d, "braid", None)
+        _set(d, "_hash", None)
+        _set(d, "components", components)
+        _set(d, "succ", succ)
+        _set(d, "comp_of", comp_of)
+        _set(d, "over_in", over_in)
+        _set(d, "signs", tuple(map(_SIGN.__getitem__, over_in)))
         if RECHECK_BUILDS:
             _recheck(d)
         return d
@@ -197,7 +208,7 @@ class Diagram:
             raise DiagramError(f"transitions never realized by any crossing: {leftover}")
 
         over_in = _fix_free_circles(self.crossings, components, over_in)
-        signs = tuple(1 if oi == 3 else -1 for oi in over_in)
+        signs = tuple(map(_SIGN.__getitem__, over_in))
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "comp_of", comp_of)
         object.__setattr__(self, "succ", succ)
@@ -254,31 +265,94 @@ class Diagram:
         """Swap over and under at one crossing; labels stay put."""
         if not 0 <= ci < len(self.crossings):
             raise DiagramError(f"no crossing {ci}")
-        a, b, c, d = self.crossings[ci]
-        rotated = (d, a, b, c) if self.signs[ci] > 0 else (b, c, d, a)
-        crs = list(self.crossings)
-        crs[ci] = rotated
-        over_in = list(self.over_in)
-        over_in[ci] = 4 - over_in[ci]
-        return Diagram._trusted(tuple(crs), self.free_loops, self.components,
-                                self.succ, self.comp_of, over_in)
+        crs, over_in = self.crossings, self.over_in
+        a, b, c, d = crs[ci]
+        oi = over_in[ci]
+        rotated = (d, a, b, c) if oi == 3 else (b, c, d, a)
+        return Diagram._trusted(
+            crs[:ci] + (rotated,) + crs[ci + 1:], self.free_loops,
+            self.components, self.succ, self.comp_of,
+            over_in[:ci] + (4 - oi,) + over_in[ci + 1:])
 
     def smooth_with_map(self, ci: int) -> tuple["Diagram", dict[int, int | None]]:
         """Orientation-respecting smoothing of one crossing.
 
         Returns the relabeled diagram and the old-label -> new-label map
         (None for labels absorbed into a detached crossingless circle).
+        The strand that arrives on the under-strand leaves on the
+        over-strand's out-edge, and the one that arrives on the
+        over-strand leaves on the under-strand's out-edge; each such pair
+        of edges becomes one edge.  The labels are those `_assemble`
+        gives: components in order of their smallest old label (a glued
+        pair counts as its smaller one), each numbered along its
+        orientation from there.  Only the runs of the one or two
+        components through the crossing, from its out-edges to its
+        in-edges, are walked again; every other component keeps its edges
+        in order and is only renumbered.
         """
-        if not 0 <= ci < len(self.crossings):
+        crossings = self.crossings
+        if not 0 <= ci < len(crossings):
             raise DiagramError(f"no crossing {ci}")
-        a, b, c, d = self.crossings[ci]
-        glues = [(a, b), (d, c)] if self.signs[ci] > 0 else [(a, d), (b, c)]
-        rest = [
-            (cr, self.over_in[j])
-            for j, cr in enumerate(self.crossings)
-            if j != ci
-        ]
-        return _assemble(rest, glues, self.free_loops)
+        a, b, c, d = crossings[ci]
+        o_in, o_out = (d, b) if self.over_in[ci] == 3 else (b, d)
+        comps = self.components
+        ku, ko = self.comp_of[a], self.comp_of[o_in]
+        # the new cycles through the crossing, as runs of old labels from
+        # an out-edge (c or o_out) to an in-edge (a or o_in)
+        if ku == ko:
+            comp = comps[ku]
+            pc, pi = comp.index(c), comp.index(o_in)
+            cycles = [[_run(comp, pc, pi)], [_run(comp, pi + 1, pc - 1)]]
+        else:
+            cu, co = comps[ku], comps[ko]
+            pc, po = cu.index(c), co.index(o_out)
+            cycles = [[cu[pc:] + cu[:pc], co[po:] + co[:po]]]
+        # each glued pair is one edge, named after its smaller label; the
+        # pairs are one edge when they share a label
+        if c == a or o_in == o_out:
+            rep = dict.fromkeys((a, c, o_in, o_out), min(a, c, o_in, o_out))
+        else:
+            rep = dict.fromkeys((c, o_in), min(c, o_in))
+            rep.update(dict.fromkeys((a, o_out), min(a, o_out)))
+
+        pieces = [comp for k, comp in enumerate(comps) if k != ku and k != ko]
+        freed = set()
+        for runs in cycles:
+            if sum(map(len, runs)) == len(runs):
+                # no crossing left on the cycle: a crossingless circle
+                freed.add(rep[runs[0][0]])
+                continue
+            # a run opens with the glued edge it starts on, then its inner
+            # edges; where both pairs are one edge, that edge is written
+            # once, even when it both ends and starts the cycle
+            seq = []
+            for run in runs:
+                if not seq or seq[-1] != rep[run[0]]:
+                    seq.append(rep[run[0]])
+                seq += run[1:-1]
+            if seq[-1] == seq[0] and len(seq) > 1:
+                seq.pop()
+            k = seq.index(min(seq))
+            pieces.append(tuple(seq[k:] + seq[:k]))
+        pieces.sort()
+
+        labmap: dict[int, int | None] = {}
+        lengths = []
+        for seq in pieces:
+            first = len(labmap) + 1
+            labmap.update(zip(seq, range(first, first + len(seq))))
+            lengths.append(len(seq))
+        for lab, r in rep.items():
+            labmap[lab] = None if r in freed else labmap[r]
+        lm = labmap
+        new_crossings = tuple([(lm[w], lm[x], lm[y], lm[z]) for w, x, y, z
+                               in crossings[:ci] + crossings[ci + 1:]])
+        components, succ, comp_of = _numbered(tuple(lengths))
+        child = Diagram._trusted(
+            new_crossings, self.free_loops + len(freed),
+            components, succ, comp_of,
+            self.over_in[:ci] + self.over_in[ci + 1:])
+        return child, labmap
 
     def mirror(self) -> "Diagram":
         """Swap slots b and d everywhere; negates every crossing sign.
@@ -411,19 +485,21 @@ def _fix_free_circles(crossings, components, over_in) -> tuple[int, ...]:
     left as given there.  Both `_derive` and `Diagram._trusted` end here."""
     small = [comp for comp in components if len(comp) <= 2]
     if small:
-        unders = {cr[0] for cr in crossings}
-        for comp in small:
-            if any(lab in unders for lab in comp):
-                continue
-            spots = [ci for ci, cr in enumerate(crossings) if cr[1] in comp]
-            if len(comp) == 1:
-                over_in[spots[0]] = 3
-                continue
-            # the first crossing enters along the smaller label
-            lo, hi = comp
-            for ci in spots:
-                enter = lo if ci == spots[0] else hi
-                over_in[ci] = 1 if crossings[ci][1] == enter else 3
+        unders = set(map(itemgetter(0), crossings))
+        small = [comp for comp in small if unders.isdisjoint(comp)]
+    if not small:
+        return tuple(over_in)
+    over_in = list(over_in)
+    for comp in small:
+        spots = [ci for ci, cr in enumerate(crossings) if cr[1] in comp]
+        if len(comp) == 1:
+            over_in[spots[0]] = 3
+            continue
+        # the first crossing enters along the smaller label
+        lo, hi = comp
+        for ci in spots:
+            enter = lo if ci == spots[0] else hi
+            over_in[ci] = 1 if crossings[ci][1] == enter else 3
     return tuple(over_in)
 
 
@@ -438,6 +514,34 @@ def _recheck(d: Diagram) -> None:
 
 
 # -- assembling mutated diagrams ------------------------------------------
+
+
+def _run(comp, i: int, j: int) -> tuple[int, ...]:
+    """The labels of `comp` from position i to position j, both
+    included, along the orientation (positions taken modulo its length)."""
+    n = len(comp)
+    i, j = i % n, j % n
+    return comp[i:j + 1] if i <= j else comp[i:] + comp[:j + 1]
+
+
+@lru_cache(maxsize=1024)
+def _numbered(lengths: tuple[int, ...]):
+    """`components`, `succ` and `comp_of` of components of the given
+    lengths labeled 1, 2, ... in turn, each along its orientation.  The
+    maps are shared by every diagram with these lengths, and like the
+    rest of a diagram they are never changed."""
+    total = sum(lengths)
+    succ = dict(zip(range(1, total + 1), range(2, total + 2)))
+    components = []
+    comp_of: dict[int, int] = {}
+    first = 1
+    for k, n in enumerate(lengths):
+        labs = range(first, first + n)
+        components.append(tuple(labs))
+        comp_of.update(dict.fromkeys(labs, k))
+        first += n
+        succ[first - 1] = labs[0]
+    return tuple(components), succ, comp_of
 
 
 def _assemble(slotted, glues, free_loops: int):

@@ -4,7 +4,15 @@ Faces come from the combinatorial map of the diagram: darts are
 (crossing, slot) pairs, the involution swaps the two occurrences of an
 edge label, and face orbits follow "arrive along an edge, leave along
 the next slot counterclockwise".  A dart therefore walks its edge away
-from its crossing with the face on the walker's right.
+from its crossing with the face on the walker's right.  `faces` walks
+the darts as the integers 4 * crossing + slot and returns the pairs.
+
+Each step of `random_perturb` computes the faces once.  Its census of
+moves (curls, removable bigons, slideable triangles and the edge pairs a
+finger push can join) is read from those faces and from one over-count
+per edge, and only the event drawn is built.  Switches and triangle
+slides keep the diagram's strands and build through `Diagram._trusted`;
+the moves that add or remove crossings rebuild through `_assemble`.
 
 Move events are small strings:
 
@@ -26,7 +34,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, permutations
 
 from .diagram import Diagram, DiagramError, _assemble
 
@@ -41,51 +52,66 @@ Dart = tuple[int, int]
 # -- faces -------------------------------------------------------------------
 
 
-def _edge_slots(d: Diagram) -> dict[int, list[Dart]]:
-    occ: dict[int, list[Dart]] = {}
-    for ci, cr in enumerate(d.crossings):
-        for s, lab in enumerate(cr):
-            occ.setdefault(lab, []).append((ci, s))
-    return occ
+@lru_cache(maxsize=64)
+def _dart_tables(m: int) -> tuple[tuple[Dart, ...], tuple[int, ...]]:
+    """For each integer dart 4 * crossing + slot below m: its (crossing,
+    slot) pair, and the dart one slot counterclockwise from it."""
+    return (tuple(divmod(x, 4) for x in range(m)),
+            tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m)))
+
+
+def _flat(d: Diagram) -> list[int]:
+    """The labels of `d.crossings` in order, so that the integer dart x
+    carries the label at position x."""
+    return list(chain.from_iterable(d.crossings))
 
 
 def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
     """Face orbits in canonical order (each rotated to start at its
-    smallest dart, then sorted)."""
-    alpha: dict[Dart, Dart] = {}
-    for pair in _edge_slots(d).values():
-        alpha[pair[0]] = pair[1]
-        alpha[pair[1]] = pair[0]
+    smallest dart, then sorted).
 
-    def phi(dart: Dart) -> Dart:
-        c, s = alpha[dart]
-        return (c, (s + 1) % 4)
-
+    Darts are walked as the integers 4 * crossing + slot, whose order is
+    that of the (crossing, slot) pairs.  Taken in increasing order, the
+    first dart of each new orbit is its smallest, so the orbits come out
+    rotated and sorted as they are found."""
+    flat = _flat(d)
+    m = len(flat)
+    pair, ccw = _dart_tables(m)
+    # phi: arrive along the edge at its other end, leave by the next slot
+    # counterclockwise
+    phi = [0] * m
+    first: dict[int, int] = {}
+    for x, lab in enumerate(flat):
+        y = first.pop(lab, -1)
+        if y < 0:
+            first[lab] = x
+        else:
+            phi[x] = ccw[y]
+            phi[y] = ccw[x]
+    seen = bytearray(m)
     out = []
-    seen: set[Dart] = set()
-    for ci in range(len(d.crossings)):
-        for s in range(4):
-            dart = (ci, s)
-            if dart in seen:
-                continue
-            orbit = []
-            x = dart
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = phi(x)
-            k = orbit.index(min(orbit))
-            out.append(tuple(orbit[k:] + orbit[:k]))
-    out.sort()
+    for x0 in range(m):
+        if seen[x0]:
+            continue
+        seen[x0] = 1
+        orbit = [pair[x0]]
+        x = phi[x0]
+        while x != x0:
+            seen[x] = 1
+            orbit.append(pair[x])
+            x = phi[x]
+        out.append(tuple(orbit))
     return tuple(out)
 
 
 def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
-    return tuple(d.crossings[c][s] for c, s in face)
+    crs = d.crossings
+    return tuple([crs[c][s] for c, s in face])
 
 
-def _over_both(d: Diagram, occ, lab: int) -> bool:
-    return all(s % 2 == 1 for _, s in occ[lab])
+def _over_counts(d: Diagram) -> Counter:
+    """edge -> how many of its two ends are over-strand slots (1 or 3)."""
+    return Counter(_flat(d)[1::2])
 
 
 def euler_ok(d: Diagram) -> bool:
@@ -180,7 +206,8 @@ def parse_event(text: str) -> MoveEvent:
 
 
 def _curl_at(cr) -> bool:
-    return any(cr[i] == cr[(i + 1) % 4] for i in range(4))
+    a, b, c, d = cr
+    return a == b or b == c or c == d or d == a
 
 
 def _is_bigon(d: Diagram, face) -> bool:
@@ -189,61 +216,55 @@ def _is_bigon(d: Diagram, face) -> bool:
             and len(set(face_edges(d, face))) == 2)
 
 
-def _bigon_ok(d: Diagram, occ, face) -> bool:
-    """A bigon that R2- can remove: one strand is over at both corners."""
+def _bigon_ok(d: Diagram, overs, face) -> bool:
+    """A bigon that R2- can remove: one strand is over at both corners.
+    `overs` is `_over_counts(d)`."""
     return _is_bigon(d, face) and any(
-        _over_both(d, occ, e) for e in face_edges(d, face))
+        overs[e] == 2 for e in face_edges(d, face))
 
 
-def _trigon_flags(d: Diagram, occ, face):
-    """Per face edge: is its strand over at both corner crossings."""
-    cs = {c for c, _ in face}
+def _trigon_ok(d: Diagram, overs, face) -> bool:
+    """A triangle that R3 can slide: three distinct corners and edges,
+    one edge over at both its corners, one under at both, one mixed.
+    `overs` is `_over_counts(d)`."""
     es = face_edges(d, face)
-    if len(cs) != 3 or len(set(es)) != 3:
-        return None
-    flags = []
-    for e in es:
-        overs = [s % 2 == 1 for _, s in occ[e]]
-        flags.append((overs[0], overs[1]))
-    return flags
-
-
-def _trigon_orderable(flags) -> bool:
-    kinds = sorted(
-        ("TT" if a and b else "FF" if not (a or b) else "TF") for a, b in flags
-    )
-    return kinds == ["FF", "TF", "TT"]
+    return (len({c for c, _ in face}) == 3 and len(set(es)) == 3
+            and sorted(overs[e] for e in es) == [0, 1, 2])
 
 
 def find_moves(d: Diagram) -> list[MoveEvent]:
     """Applicable R1-, R2-, R3 and RLT events, deterministically ordered."""
-    return _find_moves(d, faces(d))
+    return [_event(kind, at) for kind, at in _find_moves(d, faces(d))]
 
 
-def _find_moves(d: Diagram, fs) -> list[MoveEvent]:
-    """`find_moves` over the already computed `faces(d)`."""
-    out: list[MoveEvent] = []
-    for ci, cr in enumerate(d.crossings):
-        if _curl_at(cr):
-            out.append(MoveEvent("R1-", crossing=ci))
-    occ = _edge_slots(d)
-    seen_pairs: set[frozenset] = set()
+# the MoveEvent field that holds the place of each kind _find_moves finds
+_PLACE = {"R1-": "crossing", "R2-": "face", "R3": "face", "RLT": "comp"}
+
+
+def _event(kind: str, at: int) -> MoveEvent:
+    return MoveEvent(kind, **{_PLACE[kind]: at})
+
+
+def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
+    """`find_moves` over the already computed `faces(d)`, each event as
+    its (kind, place) pair; `_event` builds it."""
+    crs = d.crossings
+    out = [("R1-", ci) for ci, cr in enumerate(crs) if _curl_at(cr)]
+    overs = _over_counts(d)
+    slides = []
+    seen_pairs: set[tuple[int, int]] = set()
     for fi, face in enumerate(fs):
-        if not _bigon_ok(d, occ, face):
-            continue
-        pair = frozenset(c for c, _ in face)
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        out.append(MoveEvent("R2-", face=fi))
-    for fi, face in enumerate(fs):
-        if len(face) != 3:
-            continue
-        flags = _trigon_flags(d, occ, face)
-        if flags is not None and _trigon_orderable(flags):
-            out.append(MoveEvent("R3", face=fi))
-    for i in range(d.free_loops):
-        out.append(MoveEvent("RLT", comp=i + 1))
+        if len(face) == 2:
+            if not _bigon_ok(d, overs, face):
+                continue
+            pair = tuple(sorted(c for c, _ in face))
+            if pair not in seen_pairs:
+                seen_pairs.add(pair)
+                out.append(("R2-", fi))
+        elif len(face) == 3 and _trigon_ok(d, overs, face):
+            slides.append(("R3", fi))
+    out += slides
+    out += [("RLT", i + 1) for i in range(d.free_loops)]
     return out
 
 
@@ -263,18 +284,22 @@ def _remove_crossings(d: Diagram, which: set[int]):
     return _assemble(rest, glues, d.free_loops)
 
 
-def _heads_tails(d: Diagram):
-    """edge -> (crossing, slot) where it ends / where it starts."""
-    heads: dict[int, Dart] = {}
-    tails: dict[int, Dart] = {}
-    for ci, cr in enumerate(d.crossings):
-        oi = d.over_in[ci]
-        oo = 4 - oi
-        heads[cr[0]] = (ci, 0)
-        heads[cr[oi]] = (ci, oi)
-        tails[cr[2]] = (ci, 2)
-        tails[cr[oo]] = (ci, oo)
-    return heads, tails
+def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
+    """The darts at which edge `e` starts and ends; `flat` is
+    `_flat(d)`."""
+    i = flat.index(e)
+    first, second = divmod(i, 4), divmod(flat.index(e, i + 1), 4)
+    ci, s = first
+    if s == 0 or s == d.over_in[ci]:
+        return second, first
+    return first, second
+
+
+def _relabeled(slotted, dart: Dart, lab: int) -> None:
+    """Put label `lab` at `dart` of a list of (crossing, over-in slot)."""
+    ci, s = dart
+    cr, oi = slotted[ci]
+    slotted[ci] = (cr[:s] + (lab,) + cr[s + 1:], oi)
 
 
 def _partner_in_slot(oi: int, out_slot: int) -> int:
@@ -286,11 +311,9 @@ def _partner_out_slot(oi: int, in_slot: int) -> int:
 
 
 def _apply_r3(d: Diagram, face) -> Diagram:
-    occ = _edge_slots(d)
-    flags = _trigon_flags(d, occ, face)
-    if flags is None or not _trigon_orderable(flags):
+    if not _trigon_ok(d, _over_counts(d), face):
         raise MoveError("face is not a slideable triangle")
-    heads, tails = _heads_tails(d)
+    flat = _flat(d)
     writes: dict[Dart, int] = {}
 
     def put(dart: Dart, lab: int) -> None:
@@ -300,8 +323,7 @@ def _apply_r3(d: Diagram, face) -> Diagram:
 
     for e in set(face_edges(d, face)):
         s1, s2 = d.pred(e), d.succ[e]
-        fc, f_slot = tails[e]
-        gc, g_slot = heads[e]
+        (fc, f_slot), (gc, g_slot) = _ends(d, flat, e)
         put((fc, _partner_in_slot(d.over_in[fc], f_slot)), e)
         put((fc, f_slot), s2)
         put((gc, g_slot), s1)
@@ -327,8 +349,8 @@ def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
 
 
 def _apply_r1plus(d: Diagram, ev: MoveEvent):
-    base = max((lab for cr in d.crossings for lab in cr), default=0)
-    slotted = [(cr, d.over_in[j]) for j, cr in enumerate(d.crossings)]
+    base = max(map(max, d.crossings), default=0)
+    slotted = list(zip(d.crossings, d.over_in))
     if ev.loop:
         if d.free_loops < 1:
             raise MoveError("no crossingless circle to curl")
@@ -340,12 +362,7 @@ def _apply_r1plus(d: Diagram, ev: MoveEvent):
     if e not in d.comp_of:
         raise MoveError(f"no edge {e} to curl")
     loop_lab, n1 = base + 1, base + 2
-    heads, _ = _heads_tails(d)
-    hc, hs = heads[e]
-    slotted[hc] = (
-        tuple(n1 if s == hs else lab for s, lab in enumerate(slotted[hc][0])),
-        slotted[hc][1],
-    )
+    _relabeled(slotted, _ends(d, _flat(d), e)[1], n1)
     cr, oi = _r1plus_template(e, loop_lab, n1, ev.sign, ev.flavor)
     slotted.append((cr, oi))
     return _assemble(slotted, [], d.free_loops)[0]
@@ -372,32 +389,27 @@ def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
     for e in (x, y):
         if e not in d.comp_of:
             raise MoveError(f"no edge {e}")
-    dart_x = dart_y = None
     for face in fs:
-        dx = next((dd for dd in face if d.crossings[dd[0]][dd[1]] == x), None)
-        dy = next((dd for dd in face if d.crossings[dd[0]][dd[1]] == y), None)
-        if dx is not None and dy is not None:
-            dart_x, dart_y = dx, dy
+        labs = face_edges(d, face)
+        if x in labs and y in labs:
+            dart_x, dart_y = face[labs.index(x)], face[labs.index(y)]
             break
-    if dart_x is None:
+    else:
         raise MoveError(f"edges {x} and {y} do not border a common face")
 
     def walked_with(dart: Dart) -> bool:
         ci, s = dart
         return s == 2 or s == 4 - d.over_in[ci]
 
-    base = max(lab for cr in d.crossings for lab in cr)
+    base = max(map(max, d.crossings))
     x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
-    heads, _ = _heads_tails(d)
-    slotted = [[list(cr), d.over_in[j]] for j, cr in enumerate(d.crossings)]
-    hcx, hsx = heads[x]
-    slotted[hcx][0][hsx] = x3
-    hcy, hsy = heads[y]
-    slotted[hcy][0][hsy] = y3
-    new = _r2plus_crossings(x, x2, x3, y, y2, y3,
-                            walked_with(dart_x), walked_with(dart_y))
-    out = [(tuple(cr), oi) for cr, oi in slotted] + new
-    return _assemble(out, [], d.free_loops)[0]
+    flat = _flat(d)
+    slotted = list(zip(d.crossings, d.over_in))
+    _relabeled(slotted, _ends(d, flat, x)[1], x3)
+    _relabeled(slotted, _ends(d, flat, y)[1], y3)
+    slotted += _r2plus_crossings(x, x2, x3, y, y2, y3,
+                                 walked_with(dart_x), walked_with(dart_y))
+    return _assemble(slotted, [], d.free_loops)[0]
 
 
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
@@ -428,7 +440,7 @@ def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
         if not 0 <= ev.face < len(fs):
             raise MoveError(f"no face {ev.face}")
         face = fs[ev.face]
-        if not _bigon_ok(d, _edge_slots(d), face):
+        if not _bigon_ok(d, _over_counts(d), face):
             raise MoveError(f"face {ev.face} is not a removable clasp")
         return _remove_crossings(d, {c for c, _ in face})[0]
     if ev.kind == "R3":
@@ -461,14 +473,10 @@ def _growth_candidates(d: Diagram, cap: int, fs):
             curls.append(None)
     pushes: list[tuple[int, int]] = []
     if n + 2 <= cap and n:
-        seen: set[tuple[int, int]] = set()
-        for face in fs:
-            es = list(dict.fromkeys(face_edges(d, face)))
-            for x in es:
-                for y in es:
-                    if x != y and (x, y) not in seen:
-                        seen.add((x, y))
-                        pushes.append((x, y))
+        # ordered pairs of distinct edges of each face, first sighting kept
+        pushes = list(dict.fromkeys(chain.from_iterable(
+            permutations(dict.fromkeys(face_edges(d, face)), 2)
+            for face in fs)))
     return curls, pushes
 
 
@@ -513,7 +521,7 @@ def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
         if not total:
             continue
         i = rng.randrange(total)
-        ev = (found[i] if i < len(found)
+        ev = (_event(*found[i]) if i < len(found)
               else _growth_event(curls, pushes, i - len(found)))
         cur = _apply_move(cur, ev, fs)
         events.append(ev)
@@ -539,14 +547,13 @@ def _reducing_event(d: Diagram) -> MoveEvent | None:
 
 def _bigon_fix(d: Diagram) -> MoveEvent | None:
     """A crossing switch that turns some bigon face into a removable clasp."""
-    occ = _edge_slots(d)
     for face in faces(d):
         if not _is_bigon(d, face):
             continue
         # switch the corner where the smaller edge runs under
-        corners = {c for c, _ in face}
-        for c, s in occ[min(face_edges(d, face))]:
-            if c in corners and s % 2 == 0:
+        e = min(face_edges(d, face))
+        for c in sorted(c for c, _ in face):
+            if e in d.crossings[c][0::2]:
                 return MoveEvent("CC", crossing=c)
     return None
 
@@ -569,7 +576,8 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
         if expanded > _SEARCH_LIMIT:
             break
         fs = faces(cur)
-        candidates = [ev for ev in _find_moves(cur, fs) if ev.kind == "R3"]
+        candidates = [_event(kind, at) for kind, at in _find_moves(cur, fs)
+                      if kind == "R3"]
         candidates += [MoveEvent("CC", crossing=ci) for ci in range(cur.n_crossings)]
         for ev in candidates:
             nxt = _apply_move(cur, ev, fs)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import ConwayAlgebraSpec, OpKind
 from .diagram import _MAX_COMPONENTS, Diagram
@@ -76,11 +77,17 @@ def default_marking(d: Diagram) -> Marking:
     crossings than the first edges in label order, and keeps them when
     they are already best.
     """
-    return Marking(_fewest_bad(d, _head_maps(d)))
+    return Marking(_fewest_bad(d, _in_edges(d)))
 
 
-def _fewest_bad(d: Diagram, heads) -> tuple[int, ...]:
-    """Bases of `default_marking(d)`; `heads` is `_head_maps(d)`.
+def _in_edges(d: Diagram) -> list[tuple[int, int]]:
+    """Per crossing, its under-in and its over-in edge: where the walk
+    reaches it along either strand."""
+    return [(cr[0], cr[oi]) for cr, oi in zip(d.crossings, d.over_in)]
+
+
+def _fewest_bad(d: Diagram, ins) -> tuple[int, ...]:
+    """Bases of `default_marking(d)`; `ins` is `_in_edges(d)`.
 
     A self crossing is bad exactly when the base lies after its
     over-visit and no later than its under-visit along the component, so
@@ -89,40 +96,33 @@ def _fewest_bad(d: Diagram, heads) -> tuple[int, ...]:
     under-strand comes first.  The greedy order can lose to label order,
     so it is kept only when it has fewer bad mixed crossings.
     """
-    comps = d.components
-    first: dict[int, tuple[int, int, int]] = {}  # crossing -> first visit
+    comps, comp_of = d.components, d.comp_of
+    pos: dict[int, int] = {}  # edge -> its position along its component
+    for comp in comps:
+        pos.update(zip(comp, range(len(comp))))
+    diffs: list[list[int] | None] = [None] * len(comps)
     mixed: list[tuple[int, int]] = []  # (under, over) component pairs
+    for eu, eo in ins:
+        cu, co = comp_of[eu], comp_of[eo]
+        if cu != co:
+            mixed.append((cu, co))
+            continue
+        diff = diffs[cu]
+        if diff is None:
+            diff = diffs[cu] = [0] * (len(comps[cu]) + 1)
+        u, o = pos[eu], pos[eo]
+        # bases o+1 .. u, wrapping round the end when u < o
+        diff[o + 1] += 1
+        diff[u + 1] -= 1
+        if u < o:
+            diff[0] += 1
     bases = []
-    for c, comp in enumerate(comps):
-        diff = None
-        for i, e in enumerate(comp):
-            ci, slot = heads[e]
-            seen = first.pop(ci, None)
-            if seen is None:
-                first[ci] = (c, i, slot)
-                continue
-            c0, i0, slot0 = seen
-            if c0 != c:
-                mixed.append((c0, c) if slot0 == 0 else (c, c0))
-                continue
-            u, o = (i0, i) if slot0 == 0 else (i, i0)
-            if diff is None:
-                diff = [0] * (len(comp) + 1)
-            # bases o+1 .. u, wrapping round the end when u < o
-            diff[o + 1] += 1
-            diff[u + 1] -= 1
-            if u < o:
-                diff[0] += 1
+    for comp, diff in zip(comps, diffs):
         if diff is None:
             bases.append(comp[0])
             continue
-        run = best = diff[0]
-        at = 0
-        for i in range(1, len(comp)):
-            run += diff[i]
-            if run < best:
-                best, at = run, i
-        bases.append(comp[at])
+        run = list(accumulate(diff[:-1]))
+        bases.append(comp[run.index(min(run))])
     if not mixed:
         return tuple(bases)
     # score: times under minus times over the components left
@@ -147,6 +147,25 @@ def _fewest_bad(d: Diagram, heads) -> tuple[int, ...]:
     return tuple(b for _, b in sorted(zip(rank, bases)))
 
 
+def _bad_order(d: Diagram, bases, ins) -> list[int]:
+    """The bad crossings under `bases`, in the order the walk meets them.
+
+    The walk goes round each component from its base, the components in
+    the order of `bases`.  It meets each crossing at whichever of its
+    in-edges comes first; a crossing is bad when that is its under-in
+    edge.  `ins` is `_in_edges(d)`."""
+    comps, comp_of = d.components, d.comp_of
+    time: dict[int, int] = {}  # edge -> when the walk reaches its head
+    for b in bases:
+        comp = comps[comp_of[b]]
+        i = comp.index(b)
+        t = len(time)
+        time.update(zip(comp[i:] + comp[:i], range(t, t + len(comp))))
+    bad = sorted([(time[eu], ci) for ci, (eu, eo) in enumerate(ins)
+                  if time[eu] < time[eo]])
+    return [ci for _, ci in bad]
+
+
 def _check_marking(d: Diagram, marking: Marking) -> None:
     seen = set()
     for b in marking.bases:
@@ -165,39 +184,13 @@ def _check_marking(d: Diagram, marking: Marking) -> None:
 def bad_crossings(d: Diagram, marking: Marking | None = None) -> list[int]:
     """Crossings first reached on their under-strand, in first-visit order,
     under `marking` or else under `default_marking(d)`."""
-    heads = _head_maps(d)
+    ins = _in_edges(d)
     if marking is None:
-        bases = _fewest_bad(d, heads)
+        bases = _fewest_bad(d, ins)
     else:
         _check_marking(d, marking)
         bases = marking.bases
-    return [ci for ci, slot in _first_visits(d, bases, heads) if slot == 0]
-
-
-def _head_maps(d: Diagram) -> dict[int, tuple[int, int]]:
-    """edge -> (crossing, in-slot) at which the edge terminates."""
-    heads: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        heads[cr[0]] = (ci, 0)
-        oi = d.over_in[ci]
-        heads[cr[oi]] = (ci, oi)
-    return heads
-
-
-def _first_visits(d: Diagram, bases, heads):
-    """Yield (crossing, in-slot) for each first visit, in traversal order."""
-    succ = d.succ
-    visited: set[int] = set()
-    for base in bases:
-        e = base
-        while True:
-            ci, slot = heads[e]
-            if ci not in visited:
-                visited.add(ci)
-                yield ci, slot
-            e = succ[e]
-            if e == base:
-                break
+    return _bad_order(d, bases, ins)
 
 
 def _branch_ops(sign: int, kind: str) -> OpKind:
@@ -208,7 +201,11 @@ def _branch_ops(sign: int, kind: str) -> OpKind:
 
 def _root_bases(d: Diagram, marking: Marking | None):
     """The bases to resolve `d` under, None for its default marking,
-    after the crossing-limit, component-limit and marking checks."""
+    after the crossing-limit, component-count and marking checks.  An
+    empty diagram has no value: the algebra's units start at one
+    component."""
+    if not d.component_count:
+        raise SkeinError("diagram has no components")
     if d.n_crossings > MAX_CROSSINGS:
         raise SkeinError(
             f"diagram has {d.n_crossings} crossings; limit is {MAX_CROSSINGS}"
@@ -237,23 +234,22 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     under `(tag, d, bases)`.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
-    in walk order; it is walked afresh when None.  Switching the first
-    bad crossing keeps the walk and every other crossing, so the
-    switched child's bad crossings are the rest of its parent's, and it
-    is handed the parent's walk to go on with.
+    in walk order; `_bad_order` finds them when it is None.  Switching
+    the first bad crossing keeps the walk and every other crossing, so
+    the switched child's bad crossings are the rest of its parent's, and
+    it is handed the parent's iterator to go on with.
     """
-    heads = None
+    ins = None
     if bases is None:
-        heads = _head_maps(d)
-        bases = _fewest_bad(d, heads)
+        ins = _in_edges(d)
+        bases = _fewest_bad(d, ins)
     key = (tag, d, bases)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if bad is None:
-        if heads is None:
-            heads = _head_maps(d)
-        bad = (ci for ci, slot in _first_visits(d, bases, heads) if slot == 0)
+        bad = iter(_bad_order(d, bases,
+                              _in_edges(d) if ins is None else ins))
     ci = next(bad, None)
     if ci is None:
         node = leaf(d.component_count)
@@ -353,9 +349,9 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     `_resolve_braid`, at a cost polynomial in the word length and
     growing with the factorial of the strand count; any other diagram
     goes through the resolver, at a cost exponential in its crossings.
-    The crossing limit, the component limit and the marking are checked
-    first either way.  Memo keys carry the algebra, so one `memo` can
-    serve several.
+    The crossing limit, the component count (at least one, at most the
+    limit) and the marking are checked first either way.  Memo keys
+    carry the algebra, so one `memo` can serve several.
     """
     bases = _root_bases(d, marking)
     memo = {} if memo is None else memo

@@ -173,6 +173,14 @@ class TestComputeCommand:
         assert rc == 2
         assert "65 components; limit is 64" in capsys.readouterr().err
 
+    def test_empty_diagram_is_input_error(self, capsys):
+        # refused before the algebra is asked for a unit of 0 circles
+        rc = main(["compute", "--pd", "PD[]", "--algebra", "gen-conway"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "diagram has no components" in err
+        assert "unit index" not in err
+
     def test_oversized_strand_count_is_input_error(self, capsys):
         t0 = time.perf_counter()
         rc = main(["compute", "--braid", "braid(1000000; 1)",
@@ -287,6 +295,19 @@ class TestTableCommand:
         assert all(line.endswith('"') for line in lines[1:])
         # 33 entries but 32 records: two entries share one canonical code
         assert len(list(cache.iterdir())) == 32
+
+    def test_empty_row_refused_like_an_oversized_one(self, tmp_path,
+                                                     capsys):
+        codes = []
+        for row in ('empty,0,0,0,"PD[]",\n', 'many,0,65,0,"PD[]+O^65",\n'):
+            p = tmp_path / "c.csv"
+            p.write_text(HEADER + row)
+            codes.append(main(["table", "--algebra", "gen-conway",
+                               "--input", str(p)]))
+            codes.append(capsys.readouterr().err)
+        assert codes[0] == codes[2] == 3
+        assert "diagram has no components" in codes[1]
+        assert "65 components; limit is 64" in codes[3]
 
     def test_row_order_follows_corpus(self, corpus, tmp_path):
         out = tmp_path / "t.csv"

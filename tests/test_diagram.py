@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import braid_components, exhaustive_encode
 from skeinalg.diagram import (Diagram, DiagramError, PDSyntaxError,
-                              braid_to_diagram, canonical_encode,
+                              _assemble, braid_to_diagram, canonical_encode,
                               parse_diagram, parse_pd)
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -198,6 +198,93 @@ class TestLibraryBuiltDiagrams:
             free += d.free_loops > 0
             negative += bool(letters) and max(letters) < 0
         assert free and negative
+
+    def test_spliced_smoothing_matches_assemble(self, recheck_builds,
+                                                corpus):
+        # `smooth_with_map` re-walks only the components through the
+        # crossing; rebuilding the whole child through `_assemble` must
+        # give the same diagram, field by field, and the same label map
+        from skeinalg.moves import apply_move, random_perturb
+
+        def rebuilt(d, ci):
+            a, b, c, e = d.crossings[ci]
+            glues = [(a, b), (e, c)] if d.signs[ci] > 0 else [(a, e), (b, c)]
+            rest = [(cr, oi) for j, (cr, oi)
+                    in enumerate(zip(d.crossings, d.over_in)) if j != ci]
+            return _assemble(rest, glues, d.free_loops)
+
+        def check_every_crossing(d):
+            for ci in range(d.n_crossings):
+                got, got_map = d.smooth_with_map(ci)
+                want, want_map = rebuilt(d, ci)
+                for name in ("crossings", "free_loops", "components", "succ",
+                             "comp_of", "over_in", "signs", "braid"):
+                    assert getattr(got, name) == getattr(want, name), \
+                        (d, ci, name)
+                assert got_map == want_map, (d, ci)
+            return d.n_crossings
+
+        def interleaved(d):
+            # the same diagram with each component's labels spread out, so
+            # that the components' labels interleave
+            k = len(d.components)
+            new = {lab: i * k + c + 1 for c, comp in enumerate(d.components)
+                   for i, lab in enumerate(comp)}
+            return Diagram([[new[x] for x in cr] for cr in d.crossings],
+                           d.free_loops)
+
+        inputs = []
+        for entry in corpus:
+            d = entry.diagram()
+            inputs += [d, interleaved(d)]
+            inputs += [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                       for s in range(3)]
+        # braid closures, some with untouched strands, some all negative
+        rng = random.Random(11)
+        free = negative = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [i for i in range(1, n) if rng.random() < 0.7]
+            signs = rng.choice(((1,), (-1,), (1, -1)))
+            letters = [rng.choice(signs) * rng.choice(gens)
+                       for _ in range(rng.randint(0, 20) if gens else 0)]
+            inputs.append(braid_to_diagram(n, letters))
+            free += inputs[-1].free_loops > 0
+            negative += bool(letters) and max(letters) < 0
+        assert free and negative
+        trefoil = parse_pd(TREFOIL_PD)
+        # curls: an over-out edge that is the under-in edge, or an
+        # under-out edge that is the over-in edge
+        curls = [parse_pd("PD[X[1,1,2,2]]"), parse_pd("PD[X[1,2,2,1]]"),
+                 apply_move(trefoil, "R1+@e1/-o"),
+                 apply_move(trefoil, "R1+@e4/+u")]
+        assert any(d.smooth_with_map(d.n_crossings - 1)[0].free_loops
+                   > d.free_loops for d in curls)
+        inputs += curls + [
+            # one-edge components passing over, then under
+            parse_pd("PD[X[1,3,2,3],X[2,4,1,4]]"),
+            parse_pd("PD[X[1,3,1,4],X[2,4,2,3]]"), parse_pd("PD[X[1,2,1,2]]"),
+            # labels that are not consecutive along a component
+            parse_pd("PD[X[1,2,3,4],X[3,4,1,2]]"),
+            parse_pd("PD[X[10,40,20,50],X[30,60,40,10],X[50,20,60,30]]"),
+        ]
+        assert any(comp[-1] - comp[0] >= len(comp)
+                   for d in inputs for comp in d.components)
+        smoothings = sum(map(check_every_crossing, inputs))
+        # chains of switches and smoothings, six or more deep
+        chained = 0
+        for i, d in enumerate(inputs[::4]):
+            rng = random.Random(i)
+            depth = 0
+            while d.n_crossings and depth < 8:
+                ci = rng.randrange(d.n_crossings)
+                d = (d.crossing_change(ci) if rng.random() < 0.4
+                     else d.smooth_with_map(ci)[0])
+                depth += 1
+                smoothings += check_every_crossing(d)
+            chained += depth >= 6
+        assert chained >= 20
+        assert smoothings > 9_000
 
     def test_only_pd_parsing_validates(self, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ from skeinalg.diagram import braid_to_diagram, parse_pd
 from skeinalg.moves import (MoveError, MoveEvent, apply_move, euler_ok,
                             face_edges, faces, find_moves, parse_event,
                             random_perturb, replay_events, trivialize,
+                            _event, _find_moves, _growth_candidates,
                             _growth_events, _reducing_event, _search_unlock)
 from skeinalg.skein import evaluate
 
@@ -53,6 +54,117 @@ class TestFaces:
 
     def test_nonplanar_code_flagged(self):
         assert not euler_ok(parse_pd("PD[X[1,2,1,2]]"))
+
+
+# Reference versions of the census, written for clarity over darts as
+# (crossing, slot) pairs and dicts of edge occurrences; the engine's
+# census must give exactly what these give.
+
+
+def _ref_labels(d, face):
+    return tuple(d.crossings[c][s] for c, s in face)
+
+
+def _ref_edge_slots(d):
+    occ = {}
+    for ci, cr in enumerate(d.crossings):
+        for s, lab in enumerate(cr):
+            occ.setdefault(lab, []).append((ci, s))
+    return occ
+
+
+def _ref_faces(d):
+    alpha = {}
+    for first, second in _ref_edge_slots(d).values():
+        alpha[first], alpha[second] = second, first
+    out = []
+    seen = set()
+    for dart in sorted(alpha):
+        if dart in seen:
+            continue
+        orbit = []
+        x = dart
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            c, s = alpha[x]
+            x = (c, (s + 1) % 4)
+        k = orbit.index(min(orbit))
+        out.append(tuple(orbit[k:] + orbit[:k]))
+    return tuple(sorted(out))
+
+
+def _ref_find_moves(d, fs):
+    occ = _ref_edge_slots(d)
+
+    def overs(e):
+        return [s % 2 == 1 for _, s in occ[e]]
+
+    out = [f"R1-@c{ci}" for ci, cr in enumerate(d.crossings)
+           if any(cr[i] == cr[(i + 1) % 4] for i in range(4))]
+    pairs = set()
+    for fi, face in enumerate(fs):
+        es = _ref_labels(d, face)
+        if (len(face) == 2 and face[0][0] != face[1][0] and len(set(es)) == 2
+                and any(all(overs(e)) for e in es)
+                and frozenset(c for c, _ in face) not in pairs):
+            pairs.add(frozenset(c for c, _ in face))
+            out.append(f"R2-@f{fi}")
+    for fi, face in enumerate(fs):
+        es = _ref_labels(d, face)
+        if len(face) != 3 or len({c for c, _ in face}) != 3 or len(set(es)) != 3:
+            continue
+        kinds = sorted("TT" if all(overs(e)) else "TF" if any(overs(e))
+                       else "FF" for e in es)
+        if kinds == ["FF", "TF", "TT"]:
+            out.append(f"R3@f{fi}")
+    return out + [f"RLT@comp{i + 1}" for i in range(d.free_loops)]
+
+
+def _ref_growth_candidates(d, cap, fs):
+    n = d.n_crossings
+    curls = []
+    if n + 1 <= cap:
+        curls = sorted(d.comp_of) + ([None] if d.free_loops else [])
+    pushes = []
+    if n + 2 <= cap and n:
+        for face in fs:
+            es = list(dict.fromkeys(_ref_labels(d, face)))
+            for x in es:
+                for y in es:
+                    if x != y and (x, y) not in pushes:
+                        pushes.append((x, y))
+    return curls, pushes
+
+
+class TestCensusReference:
+    def _diagrams(self, corpus):
+        out = [parse_pd(t) for t in (
+            "PD[]", "PD[]+O^2", "PD[X[1,1,2,2]]", "PD[X[1,2,2,1]]+O^1",
+            "PD[X[1,2,3,4],X[3,4,1,2]]")]
+        for entry in corpus:
+            d = entry.diagram()
+            out.append(d)
+            out += [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                    for s in range(3)]
+        return out
+
+    def test_faces_match_reference(self, corpus):
+        for d in self._diagrams(corpus):
+            assert faces(d) == _ref_faces(d), d
+
+    def test_moves_match_reference(self, corpus):
+        kinds = set()
+        for d in self._diagrams(corpus):
+            fs = faces(d)
+            got = [str(ev) for ev in find_moves(d)]
+            assert got == _ref_find_moves(d, fs), d
+            assert [str(_event(*m)) for m in _find_moves(d, fs)] == got
+            kinds.update(ev.split("@")[0] for ev in got)
+            for cap in (d.n_crossings, d.n_crossings + 1, 14):
+                assert (_growth_candidates(d, cap, fs)
+                        == _ref_growth_candidates(d, cap, fs)), (d, cap)
+        assert kinds == {"R1-", "R2-", "R3", "RLT"}
 
 
 class TestEventGrammar:

@@ -500,6 +500,17 @@ class TestLimits:
             with pytest.raises(SkeinError, match="components; limit"):
                 trace(d)
 
+    def test_empty_diagram_refused(self, algebras):
+        # no value exists: the units start at one circle
+        gc = by_key(algebras, "gen-conway")
+        empty = parse_pd("PD[]")
+        for run in (lambda: evaluate(empty, gc), lambda: trace(empty),
+                    lambda: trace(empty, shared={})):
+            with pytest.raises(SkeinError, match="no components"):
+                run()
+        assert evaluate(parse_pd("PD[]+O^1"), gc) == gc.unit(1)
+        assert trace(parse_pd("PD[]+O^1")) == TraceLeaf(1)
+
     def test_braid_strand_count_refused_before_building(self):
         # 65 strands and one letter close to at least 64 components
         assert braid_to_diagram(65, [1]).component_count == 64
