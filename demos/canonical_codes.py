@@ -1,6 +1,6 @@
 """Canonical diagram encodings: one string per diagram presentation.
 
-canonical_encode quotients away edge-label shifts and crossing order,
+Diagram.canonical_encode quotients away edge-label shifts and crossing order,
 so two differently-written PD codes for the same presentation produce
 the same string.  It labels each piece of the diagram (components
 joined through crossings) by a rooted traversal: the root's component
@@ -13,17 +13,17 @@ isotopic but differently drawn diagrams still encode differently.  That
 makes it the right cache key for computed values.
 """
 
-from skeinalg import bundled_catalog, canonical_encode, lookup, parse_diagram
+from skeinalg import bundled_catalog, lookup, parse_diagram
 
 # The same crossing data written with shifted labels.
 a = parse_diagram("PD[X[1,3,2,4],X[3,1,4,2]]")
 b = parse_diagram("PD[X[11,13,12,14],X[13,11,14,12]]")
-assert canonical_encode(a) == canonical_encode(b)
+assert a.canonical_encode() == b.canonical_encode()
 print("label shift:     same code")
 
 # A mirror is a different diagram and must stay distinguishable.
 m = a.mirror()
-assert canonical_encode(m) != canonical_encode(a)
+assert m.canonical_encode() != a.canonical_encode()
 print("mirror image:    different code")
 
 # Two corpus entries arrive by different constructions: one as a braid
@@ -33,14 +33,14 @@ tref = lookup("trefoil-")
 plat = lookup("3_1")
 print("trefoil- from:  ", tref.comment)
 print("3_1 from:       ", plat.comment)
-same = canonical_encode(tref.diagram()) == canonical_encode(plat.diagram())
+same = tref.diagram().canonical_encode() == plat.diagram().canonical_encode()
 print("same canonical code:", same)
 print()
 
 # Across the corpus the encoding separates everything else.
 codes = {}
 for e in bundled_catalog():
-    codes.setdefault(canonical_encode(e.diagram()), []).append(e.name)
+    codes.setdefault(e.diagram().canonical_encode(), []).append(e.name)
 clashes = {tuple(v) for v in codes.values() if len(v) > 1}
 print("coinciding presentations:", clashes or "none")
 print(len(codes), "distinct codes for", sum(len(v) for v in codes.values()),

@@ -27,7 +27,7 @@ from .algebra import (ALGEBRA_NAMES, AlgebraError, AxiomCheck, AxiomReport,
 from .catalog import (CatalogError, CorpusEntry, bundled_catalog,
                       load_catalog, lookup)
 from .diagram import (Diagram, DiagramError, PDSyntaxError, braid_to_diagram,
-                      canonical_encode, parse_diagram, parse_pd)
+                      parse_diagram, parse_pd)
 from .laurent import LaurentError, LaurentPoly, VarTable
 from .moves import (MoveError, MoveEvent, apply_move, euler_ok, faces,
                     find_moves, parse_event, random_perturb, replay_events,
@@ -45,7 +45,7 @@ __all__ = [
     "Marking", "MoveError", "MoveEvent", "OpKind", "PDSyntaxError",
     "SkeinError", "TraceBranch", "TraceLeaf", "VarTable", "apply_move",
     "bad_crossings", "braid_to_diagram", "bundled_catalog",
-    "canonical_encode", "check_axioms", "default_marking", "euler_ok",
+    "check_axioms", "default_marking", "euler_ok",
     "evaluate", "faces", "find_moves", "load_catalog",
     "lookup", "make_algebra", "parse_diagram", "parse_event", "parse_pd",
     "random_perturb", "replay", "replay_events", "trace", "trivialize",

@@ -19,7 +19,7 @@ import tempfile
 from .algebra import (ALGEBRA_NAMES, AlgebraError, ConwayAlgebraSpec,
                       check_axioms, make_algebra)
 from .catalog import CatalogError, load_catalog, lookup
-from .diagram import Diagram, DiagramError, canonical_encode, parse_diagram
+from .diagram import Diagram, DiagramError, parse_diagram
 from .laurent import LaurentError
 from .moves import MoveError, parse_event, random_perturb, replay_events
 from .skein import SkeinError, evaluate
@@ -72,7 +72,7 @@ def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None,
     the caller already has it."""
     stored = evaluate(d, algebra, memo=memo)
     return {
-        "input": canonical_encode(d) if canon is None else canon,
+        "input": d.canonical_encode() if canon is None else canon,
         "algebra": algebra.key,
         "value": algebra.render(stored),
         "terms": stored.json_terms(),
@@ -202,7 +202,7 @@ def cmd_table(args) -> int:
     hits = 0
     for entry in entries:
         d = entry.diagram()
-        canon = canonical_encode(d)
+        canon = d.canonical_encode()
         record = None
         path = None
         if cache_dir is not None:

@@ -14,14 +14,16 @@ the under-strand of every crossing must agree with the label order, and
 the over-strand directions must consume each label-successor transition
 exactly once across the whole diagram.  That holds at the boundary: a
 user-built `Diagram` and PD parsing.  Braid parsing checks the strand
-count and every letter, then builds the closure through `_assemble`,
-which traces every strand and so knows its components and directions.
-Diagrams that the library derives from a valid parent know them too:
-crossing switches, mirrors and triangle slides keep the parent's
-strands; a smoothing walks again only the one or two components through
-its crossing and renumbers the rest; the moves that add or remove
-crossings rebuild through `_assemble`.  None of these is validated a
-second time.
+count and every letter, then builds the closure from the strands it
+traces, and so knows its components and directions.  Diagrams that the
+library derives from a valid parent know them too: crossing switches,
+mirrors and triangle slides keep the parent's strands and labels; a
+smoothing walks again only the components through its crossing; the
+moves that add or remove crossings splice or contract the parent's
+components.  Every build that adds, removes or reconnects crossings
+ends in `_rebuilt`, which numbers the new components in order of their
+smallest old label, each along its orientation from there.  None of
+these is validated a second time.
 
 One genuine ambiguity exists in this encoding: a component with at most
 two edges that never passes under anything admits two direction
@@ -282,13 +284,11 @@ class Diagram:
         The strand that arrives on the under-strand leaves on the
         over-strand's out-edge, and the one that arrives on the
         over-strand leaves on the under-strand's out-edge; each such pair
-        of edges becomes one edge.  The labels are those `_assemble`
-        gives: components in order of their smallest old label (a glued
-        pair counts as its smaller one), each numbered along its
-        orientation from there.  Only the runs of the one or two
-        components through the crossing, from its out-edges to its
-        in-edges, are walked again; every other component keeps its edges
-        in order and is only renumbered.
+        of edges becomes one edge, named after its smaller label.  Only
+        the runs of the one or two components through the crossing, from
+        its out-edges to its in-edges, are walked again; every other
+        component keeps its edges in order.  `_rebuilt` numbers the
+        result.
         """
         crossings = self.crossings
         if not 0 <= ci < len(crossings):
@@ -316,11 +316,12 @@ class Diagram:
             rep.update(dict.fromkeys((a, o_out), min(a, o_out)))
 
         pieces = [comp for k, comp in enumerate(comps) if k != ku and k != ko]
-        freed = set()
+        freed = 0
         for runs in cycles:
             if sum(map(len, runs)) == len(runs):
-                # no crossing left on the cycle: a crossingless circle
-                freed.add(rep[runs[0][0]])
+                # no crossing left on the cycle: a crossingless circle,
+                # whose glued labels map to None
+                freed += 1
                 continue
             # a run opens with the glued edge it starts on, then its inner
             # edges; where both pairs are one edge, that edge is written
@@ -334,25 +335,9 @@ class Diagram:
                 seq.pop()
             k = seq.index(min(seq))
             pieces.append(tuple(seq[k:] + seq[:k]))
-        pieces.sort()
-
-        labmap: dict[int, int | None] = {}
-        lengths = []
-        for seq in pieces:
-            first = len(labmap) + 1
-            labmap.update(zip(seq, range(first, first + len(seq))))
-            lengths.append(len(seq))
-        for lab, r in rep.items():
-            labmap[lab] = None if r in freed else labmap[r]
-        lm = labmap
-        new_crossings = tuple([(lm[w], lm[x], lm[y], lm[z]) for w, x, y, z
-                               in crossings[:ci] + crossings[ci + 1:]])
-        components, succ, comp_of = _numbered(tuple(lengths))
-        child = Diagram._trusted(
-            new_crossings, self.free_loops + len(freed),
-            components, succ, comp_of,
-            self.over_in[:ci] + self.over_in[ci + 1:])
-        return child, labmap
+        return _rebuilt(crossings[:ci] + crossings[ci + 1:],
+                        self.over_in[:ci] + self.over_in[ci + 1:], pieces,
+                        self.free_loops + freed, rep)
 
     def mirror(self) -> "Diagram":
         """Swap slots b and d everywhere; negates every crossing sign.
@@ -401,28 +386,13 @@ class Diagram:
         drifting = {lab for comp in self.components if len(comp) <= 2
                     and not unders.intersection(comp) for lab in comp}
 
-        # pieces: components joined through crossings
-        parent = list(range(len(self.components)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, _, _ in crossings:
-            parent[find(self.comp_of[a])] = find(self.comp_of[b])
-        pieces: dict[int, list[int]] = {}
-        for ci, cr in enumerate(crossings):
-            pieces.setdefault(find(self.comp_of[cr[0]]), []).append(ci)
-
         # a root that is not the incoming under-strand of some crossing
         # cannot give a row starting with 1, so only those roots compete
         piece_rows = [
             min(_rooted_rows(crossings, cis, self.succ, self.over_in, occ,
                              drifting, root)
                 for root in cis)
-            for cis in pieces.values()]
+            for cis in _crossing_pieces(self)]
         piece_rows.sort()
         rows = []
         for prows in piece_rows:
@@ -432,8 +402,24 @@ class Diagram:
         return f"PD[{body}]{suffix}"
 
 
-def canonical_encode(d: Diagram) -> str:
-    return d.canonical_encode()
+def _crossing_pieces(d: Diagram) -> list[list[int]]:
+    """The crossings of `d` by piece, components joined through
+    crossings; each piece lists its crossings in order."""
+    parent = list(range(len(d.components)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comp_of = d.comp_of
+    for a, b, _, _ in d.crossings:
+        parent[find(comp_of[a])] = find(comp_of[b])
+    pieces: dict[int, list[int]] = {}
+    for ci, cr in enumerate(d.crossings):
+        pieces.setdefault(find(comp_of[cr[0]]), []).append(ci)
+    return list(pieces.values())
 
 
 # where a strand entering a crossing at a slot leaves it
@@ -513,7 +499,7 @@ def _recheck(d: Diagram) -> None:
             )
 
 
-# -- assembling mutated diagrams ------------------------------------------
+# -- rebuilt diagrams -----------------------------------------------------
 
 
 def _run(comp, i: int, j: int) -> tuple[int, ...]:
@@ -544,80 +530,30 @@ def _numbered(lengths: tuple[int, ...]):
     return tuple(components), succ, comp_of
 
 
-def _assemble(slotted, glues, free_loops: int):
-    """Build a relabeled diagram from crossing stubs and gluing relations.
-
-    slotted: list of ((a,b,c,d), over_in_slot) in original labels.
-    glues: pairs of labels to be merged into one edge (direction-free).
-    Labels whose merged class no longer touches any crossing become free
-    loops.  Returns (diagram, old-label -> new-label-or-None).  The
-    diagram is assembled from the strands traced here, not re-validated.
+def _rebuilt(crossings, over_in, pieces, free_loops: int, rep):
+    """A diagram built by library surgery, and its old-label -> new-label
+    map.  `crossings` are in old labels; `pieces` are the components,
+    each a cycle of old labels along its orientation from its smallest;
+    `rep` maps each merged label to the edge it joins; where that edge
+    is in no piece, a crossingless circle, the label maps to None.  The
+    pieces are numbered in order of their smallest label, each along its
+    orientation from there.
     """
-    # union-find over glued labels only, rooted at each class's smallest
-    # label; every other label is its own class
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for x, y in glues:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    rep = {lab: find(lab) for pair in glues for lab in pair}
-
-    # nxt[e] is the edge leaving the crossing at which edge e arrives
-    nxt: dict[int, int] = {}
-    starts: set[int] = set()
-    for cr, oi in slotted:
-        for s_in, s_out in ((0, 2), (oi, 4 - oi)):
-            x, y = cr[s_in], cr[s_out]
-            e_in, e_out = rep.get(x, x), rep.get(y, y)
-            if e_in in nxt:
-                raise DiagramError("gluing gave an edge two incoming ends")
-            if e_out in starts:
-                raise DiagramError("gluing gave an edge two outgoing ends")
-            nxt[e_in] = e_out
-            starts.add(e_out)
-    if nxt.keys() != starts:
-        raise DiagramError("gluing left an edge with mismatched ends")
-    loop_roots = set(rep.values()) - starts
-
-    # follow strands to give compact labels in traversal order; walking
-    # from each unseen edge in label order starts every component at its
-    # smallest edge and meets the components in that order
-    assigned: dict[int, int] = {}
-    components = []
-    succ: dict[int, int] = {}
-    comp_of: dict[int, int] = {}
-    for root in sorted(nxt):
-        if root in assigned:
-            continue
-        first = len(succ) + 1
-        x = root
-        while x not in assigned:
-            lab = len(succ) + 1
-            assigned[x] = lab
-            succ[lab] = lab + 1
-            comp_of[lab] = len(components)
-            x = nxt[x]
-        succ[len(succ)] = first
-        components.append(tuple(range(first, len(succ) + 1)))
-
-    labmap = {lab: assigned.get(root) for lab, root in rep.items()}
-    for cr, _ in slotted:
-        for lab in cr:
-            if lab not in rep:
-                labmap[lab] = assigned[lab]
-    new_crossings = tuple(
-        (labmap[a], labmap[b], labmap[c], labmap[d])
-        for (a, b, c, d), _ in slotted
-    )
-    child = Diagram._trusted(new_crossings, free_loops + len(loop_roots),
-                             tuple(components), succ, comp_of,
-                             [oi for _, oi in slotted])
+    pieces.sort()
+    labmap: dict[int, int | None] = {}
+    lengths = []
+    for seq in pieces:
+        first = len(labmap) + 1
+        labmap.update(zip(seq, range(first, first + len(seq))))
+        lengths.append(len(seq))
+    for lab, r in rep.items():
+        labmap[lab] = labmap.get(r)
+    lm = labmap
+    new_crossings = tuple([(lm[w], lm[x], lm[y], lm[z])
+                           for w, x, y, z in crossings])
+    components, succ, comp_of = _numbered(tuple(lengths))
+    child = Diagram._trusted(new_crossings, free_loops, components, succ,
+                             comp_of, over_in)
     return child, labmap
 
 
@@ -631,8 +567,8 @@ def braid_to_diagram(n: int, letters) -> Diagram:
     negative i for its inverse.  Strands are oriented downward; the braid
     axis closure joins each bottom end back to its own top end.  The
     diagram records `(n, letters)` as its `braid`.  The strand count and
-    the letters are checked here; the closure is built by `_assemble`
-    and not validated again.
+    the letters are checked here; the closure is built from the strands
+    traced here and not validated again.
     """
     if n < 1:
         raise DiagramError(f"braid needs at least one strand, got {n}")
@@ -641,24 +577,40 @@ def braid_to_diagram(n: int, letters) -> Diagram:
         raise DiagramError(
             f"braid on {n} strands with {len(letters)} letters closes to "
             f"more than {_MAX_COMPONENTS} components")
-    pos = {i: i for i in range(1, n + 1)}
+    # strands[p]: the labels taken so far by the strand now at position
+    # p, starting with the top label of the position it started at
+    strands = {p: [p] for p in range(1, n + 1)}
     fresh = n + 1
-    slotted = []
+    crossings = []
+    over_in = []
     for L in letters:
         m = abs(L)
         if m == 0 or m >= n:
             raise DiagramError(f"braid letter {L} out of range for {n} strands")
-        x = pos[m]
-        w = pos[m + 1]
-        u, y = fresh, fresh + 1
+        left, right = strands[m], strands[m + 1]
+        x, w, u, y = left[-1], right[-1], fresh, fresh + 1
         fresh += 2
-        if L > 0:
-            slotted.append(((x, u, y, w), 3))
-        else:
-            slotted.append(((w, x, u, y), 1))
-        pos[m], pos[m + 1] = u, y
-    glues = [(pos[i], i) for i in range(1, n + 1)]
-    d = _assemble(slotted, glues, 0)[0]
+        crossings.append((x, u, y, w) if L > 0 else (w, x, u, y))
+        over_in.append(3 if L > 0 else 1)
+        left.append(y)
+        right.append(u)
+        strands[m], strands[m + 1] = right, left
+    # the closure merges the last edge of the strand at bottom position p
+    # into top label p, where the strand that started at p goes on; a
+    # strand with no letter closes to a free circle
+    rep = {s[-1]: p for p, s in strands.items()}
+    ends = {s[0]: p for p, s in strands.items()}
+    pieces = []
+    for k in range(1, n + 1):
+        seq = []
+        p = k
+        while p in ends:
+            p = ends.pop(p)
+            seq += strands[p][:-1]
+        if seq:
+            pieces.append(tuple(seq))
+    freed = sum(len(s) == 1 for s in strands.values())
+    d = _rebuilt(crossings, over_in, pieces, freed, rep)[0]
     object.__setattr__(d, "braid", (n, letters))
     return d
 

@@ -11,8 +11,10 @@ Each step of `random_perturb` computes the faces once.  Its census of
 moves (curls, removable bigons, slideable triangles and the edge pairs a
 finger push can join) is read from those faces and from one over-count
 per edge, and only the event drawn is built.  Switches and triangle
-slides keep the diagram's strands and build through `Diagram._trusted`;
-the moves that add or remove crossings rebuild through `_assemble`.
+slides keep the diagram's strands and labels and build through
+`Diagram._trusted`.  The moves that add or remove crossings change the
+parent's components where they act and hand them to `_rebuilt`: R1-
+and R2- contract runs of edges, R1+ and R2+ insert new edges.
 
 Move events are small strings:
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
 
-from .diagram import Diagram, DiagramError, _assemble
+from .diagram import Diagram, _crossing_pieces, _rebuilt, _run
 
 
 class MoveError(ValueError):
@@ -118,26 +120,10 @@ def euler_ok(d: Diagram) -> bool:
     """Genus-zero check: V - E + F == 2 per connected crossing piece."""
     if not d.crossings:
         return True
-    parent = list(range(len(d.crossings)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    head: dict[int, int] = {}
-    for ci, cr in enumerate(d.crossings):
-        for lab in cr:
-            if lab in head:
-                parent[find(head[lab])] = find(ci)
-            else:
-                head[lab] = ci
-    pieces = len({find(ci) for ci in range(len(d.crossings))})
     V = len(d.crossings)
     E = 2 * V
     F = len(faces(d))
-    return V - E + F == 2 * pieces
+    return V - E + F == 2 * len(_crossing_pieces(d))
 
 
 # -- events -------------------------------------------------------------------
@@ -237,8 +223,9 @@ def find_moves(d: Diagram) -> list[MoveEvent]:
     return [_event(kind, at) for kind, at in _find_moves(d, faces(d))]
 
 
-# the MoveEvent field that holds the place of each kind _find_moves finds
-_PLACE = {"R1-": "crossing", "R2-": "face", "R3": "face", "RLT": "comp"}
+# the MoveEvent field that holds the place of each kind that has one
+_PLACE = {"R1-": "crossing", "R2-": "face", "R3": "face", "RLT": "comp",
+          "CC": "crossing"}
 
 
 def _event(kind: str, at: int) -> MoveEvent:
@@ -272,16 +259,41 @@ def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
 
 
 def _remove_crossings(d: Diagram, which: set[int]):
-    glues = []
+    """Remove the crossings `which`; returns the child and the label map.
+
+    An in-edge of a removed crossing runs on into its successor, and
+    each run of edges so joined becomes one edge, named after its
+    smallest label.  A component made only of such edges becomes a
+    crossingless circle."""
+    runs_on = set()
     for ci in which:
-        a, b, c, dd = d.crossings[ci]
-        oi = d.over_in[ci]
-        over_in_edge = b if oi == 1 else dd
-        over_out_edge = dd if oi == 1 else b
-        glues.append((a, c))
-        glues.append((over_in_edge, over_out_edge))
-    rest = [(cr, d.over_in[j]) for j, cr in enumerate(d.crossings) if j not in which]
-    return _assemble(rest, glues, d.free_loops)
+        a, b, _, e = d.crossings[ci]
+        runs_on.update((a, b if d.over_in[ci] == 1 else e))
+    pieces = []
+    rep: dict[int, int | None] = {}
+    freed = 0
+    for comp in d.components:
+        if runs_on.isdisjoint(comp):
+            pieces.append(comp)
+            continue
+        # a run starts where the edge before does not run on
+        starts = [i for i in range(len(comp)) if comp[i - 1] not in runs_on]
+        if not starts:
+            freed += 1
+            rep.update(dict.fromkeys(comp))
+            continue
+        seq = []
+        for i, j in zip(starts, starts[1:] + [starts[0] + len(comp)]):
+            run = _run(comp, i, j - 1)
+            seq.append(min(run))
+            if len(run) > 1:
+                rep.update(dict.fromkeys(run, seq[-1]))
+        k = seq.index(min(seq))
+        pieces.append(tuple(seq[k:] + seq[:k]))
+    kept = [j for j in range(d.n_crossings) if j not in which]
+    return _rebuilt([d.crossings[j] for j in kept],
+                    [d.over_in[j] for j in kept], pieces,
+                    d.free_loops + freed, rep)
 
 
 def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
@@ -295,11 +307,20 @@ def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
     return first, second
 
 
-def _relabeled(slotted, dart: Dart, lab: int) -> None:
-    """Put label `lab` at `dart` of a list of (crossing, over-in slot)."""
-    ci, s = dart
-    cr, oi = slotted[ci]
-    slotted[ci] = (cr[:s] + (lab,) + cr[s + 1:], oi)
+def _grown(d: Diagram, heads: dict[int, tuple[int, ...]]):
+    """The crossings and components of `d` with new edges after some of
+    its edges: the last new label after edge e replaces e at the dart
+    where e ends, and all of them follow e in its component.  `heads`
+    maps each such edge to its new labels."""
+    flat = _flat(d)
+    pieces = list(d.components)
+    for e, new in heads.items():
+        ci, s = _ends(d, flat, e)[1]
+        flat[4 * ci + s] = new[-1]
+        k = d.comp_of[e]
+        i = pieces[k].index(e) + 1
+        pieces[k] = pieces[k][:i] + new + pieces[k][i:]
+    return list(zip(*[iter(flat)] * 4)), pieces
 
 
 def _partner_in_slot(oi: int, out_slot: int) -> int:
@@ -350,22 +371,22 @@ def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
 
 def _apply_r1plus(d: Diagram, ev: MoveEvent):
     base = max(map(max, d.crossings), default=0)
-    slotted = list(zip(d.crossings, d.over_in))
     if ev.loop:
         if d.free_loops < 1:
             raise MoveError("no crossingless circle to curl")
         x, loop_lab = base + 1, base + 2
         cr, oi = _r1plus_template(x, loop_lab, x, ev.sign, ev.flavor)
-        slotted.append((cr, oi))
-        return _assemble(slotted, [], d.free_loops - 1)[0]
+        return _rebuilt(d.crossings + (cr,), d.over_in + (oi,),
+                        [*d.components, (x, loop_lab)], d.free_loops - 1,
+                        {})[0]
     e = ev.edge
     if e not in d.comp_of:
         raise MoveError(f"no edge {e} to curl")
     loop_lab, n1 = base + 1, base + 2
-    _relabeled(slotted, _ends(d, _flat(d), e)[1], n1)
+    crossings, pieces = _grown(d, {e: (loop_lab, n1)})
     cr, oi = _r1plus_template(e, loop_lab, n1, ev.sign, ev.flavor)
-    slotted.append((cr, oi))
-    return _assemble(slotted, [], d.free_loops)[0]
+    return _rebuilt(crossings + [cr], d.over_in + (oi,), pieces,
+                    d.free_loops, {})[0]
 
 
 def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
@@ -403,13 +424,11 @@ def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
 
     base = max(map(max, d.crossings))
     x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
-    flat = _flat(d)
-    slotted = list(zip(d.crossings, d.over_in))
-    _relabeled(slotted, _ends(d, flat, x)[1], x3)
-    _relabeled(slotted, _ends(d, flat, y)[1], y3)
-    slotted += _r2plus_crossings(x, x2, x3, y, y2, y3,
-                                 walked_with(dart_x), walked_with(dart_y))
-    return _assemble(slotted, [], d.free_loops)[0]
+    crossings, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
+    new, ois = zip(*_r2plus_crossings(
+        x, x2, x3, y, y2, y3, walked_with(dart_x), walked_with(dart_y)))
+    return _rebuilt(crossings + list(new), d.over_in + ois, pieces,
+                    d.free_loops, {})[0]
 
 
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
@@ -421,14 +440,17 @@ def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
 def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
     """`apply_move` for a parsed event; `fs` is `faces(d)`, or None to
     compute it only if the move needs it."""
+    place = _PLACE.get(ev.kind)
+    if place and getattr(ev, place) is None:
+        raise MoveError(f"{ev.kind} event has no {place}")
     if ev.kind in ("R2-", "R3", "R2+") and fs is None:
         fs = faces(d)
     if ev.kind == "CC":
-        if not 0 <= (ev.crossing or 0) < d.n_crossings:
+        if not 0 <= ev.crossing < d.n_crossings:
             raise MoveError(f"no crossing {ev.crossing}")
         return d.crossing_change(ev.crossing)
     if ev.kind == "RLT":
-        if not 1 <= (ev.comp or 0) <= d.free_loops:
+        if not 1 <= ev.comp <= d.free_loops:
             raise MoveError(f"no crossingless circle number {ev.comp}")
         return d
     if ev.kind == "R1-":

@@ -14,7 +14,7 @@ from skeinalg.algebra import (ALGEBRA_NAMES, AffineOp, ConwayAlgebraSpec,
 from skeinalg.algebra import OpKind
 from skeinalg.catalog import CatalogError, load_catalog, lookup
 from skeinalg.cli import ENGINE, main
-from skeinalg.diagram import canonical_encode, parse_diagram
+from skeinalg.diagram import parse_diagram
 from skeinalg.moves import random_perturb, replay_events, trivialize
 
 HEADER = "name,crossings,components,writhe,pd,comment\n"
@@ -136,8 +136,8 @@ class TestComputeCommand:
         assert record["value"] == lines[0]
         assert record["engine"] == ENGINE
         assert record["algebra"] == "homflypt"
-        assert record["input"] == canonical_encode(
-            parse_diagram(lookup("trefoil+").pd))
+        assert record["input"] == \
+            parse_diagram(lookup("trefoil+").pd).canonical_encode()
         total = sum(t["coeff"] for t in record["terms"])
         assert total == 2  # writhe-normalized polynomials sum oddly; spot value
 
@@ -324,7 +324,7 @@ class TestTableCommand:
         base = ["table", "--algebra", "gen-conway", "--cache", str(cache),
                 "--output", str(tmp_path / "o.csv")]
         assert main(base) == 0
-        canon = canonical_encode(parse_diagram(lookup("unknot").pd))
+        canon = parse_diagram(lookup("unknot").pd).canonical_encode()
         victim = _cache_path(str(cache), canon, "gen-conway")
         record = json.loads(open(victim).read())
         record["value"] = "1*p^99"
@@ -345,7 +345,7 @@ class TestTableCommand:
         base = ["table", "--algebra", "gen-conway", "--cache", str(cache),
                 "--output", str(tmp_path / "o.csv")]
         assert main(base) == 0
-        canon = canonical_encode(parse_diagram(lookup("unknot").pd))
+        canon = parse_diagram(lookup("unknot").pd).canonical_encode()
         victim = _cache_path(str(cache), canon, "gen-conway")
         record = json.loads(open(victim).read())
         record["terms"][0]["coeff"] += 1

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,130 @@ from hypothesis import strategies as st
 
 from oracles import braid_components, exhaustive_encode
 from skeinalg.diagram import (Diagram, DiagramError, PDSyntaxError,
-                              _assemble, braid_to_diagram, canonical_encode,
-                              parse_diagram, parse_pd)
+                              braid_to_diagram, parse_diagram, parse_pd)
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
+
+
+def _assemble(slotted, glues, free_loops: int):
+    """Reference build: a relabeled diagram from crossing stubs and
+    gluing relations, the whole diagram traced again.
+
+    slotted: list of ((a,b,c,d), over_in_slot) in original labels.
+    glues: pairs of labels to be merged into one edge (direction-free).
+    Labels whose merged class no longer touches any crossing become free
+    loops.  Returns (diagram, old-label -> new-label-or-None)."""
+    # union-find over glued labels, rooted at each class's smallest label
+    parent: dict[int, int] = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for x, y in glues:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    rep = {lab: find(lab) for pair in glues for lab in pair}
+
+    # nxt[e] is the edge leaving the crossing at which edge e arrives
+    nxt: dict[int, int] = {}
+    for cr, oi in slotted:
+        for s_in, s_out in ((0, 2), (oi, 4 - oi)):
+            x, y = cr[s_in], cr[s_out]
+            e_in = rep.get(x, x)
+            assert e_in not in nxt
+            nxt[e_in] = rep.get(y, y)
+    assert sorted(nxt) == sorted(nxt.values())
+    loop_roots = set(rep.values()) - set(nxt)
+
+    # compact labels in traversal order, each component from its smallest
+    # edge, the components in that order
+    assigned: dict[int, int] = {}
+    components = []
+    for root in sorted(nxt):
+        if root in assigned:
+            continue
+        first = len(assigned) + 1
+        x = root
+        while x not in assigned:
+            assigned[x] = len(assigned) + 1
+            x = nxt[x]
+        components.append(tuple(range(first, len(assigned) + 1)))
+    succ = {comp[i - 1]: lab for comp in components
+            for i, lab in enumerate(comp)}
+    comp_of = {lab: k for k, comp in enumerate(components) for lab in comp}
+
+    labmap = {lab: assigned.get(root) for lab, root in rep.items()}
+    for cr, _ in slotted:
+        for lab in cr:
+            if lab not in rep:
+                labmap[lab] = assigned[lab]
+    new_crossings = tuple(tuple(labmap[x] for x in cr) for cr, _ in slotted)
+    child = Diagram._trusted(new_crossings, free_loops + len(loop_roots),
+                             tuple(components), succ, comp_of,
+                             [oi for _, oi in slotted])
+    return child, labmap
+
+
+def _reference_closure(n, letters):
+    """`braid_to_diagram` through `_assemble`: each bottom end glued to
+    its own top end."""
+    pos = list(range(n + 1))
+    fresh = n + 1
+    slotted = []
+    for L in letters:
+        m = abs(L)
+        x, w, u, y = pos[m], pos[m + 1], fresh, fresh + 1
+        fresh += 2
+        slotted.append(((x, u, y, w), 3) if L > 0 else ((w, x, u, y), 1))
+        pos[m], pos[m + 1] = u, y
+    return _assemble(slotted, [(pos[i], i) for i in range(1, n + 1)], 0)
+
+
+def _reference_move(d, ev, fs):
+    """An R1-, R2-, R1+ or R2+ event rebuilt through `_assemble`; `fs` is
+    `faces(d)`."""
+    from skeinalg.moves import (_ends, _flat, _r1plus_template,
+                                _r2plus_crossings, face_edges)
+
+    crs, ois = list(d.crossings), list(d.over_in)
+    if ev.kind in ("R1-", "R2-"):
+        which = ({ev.crossing} if ev.kind == "R1-"
+                 else {c for c, _ in fs[ev.face]})
+        glues = [pair for ci in which
+                 for pair in (crs[ci][0::2], crs[ci][1::2])]
+        rest = [(cr, oi) for j, (cr, oi) in enumerate(zip(crs, ois))
+                if j not in which]
+        return _assemble(rest, glues, d.free_loops)
+    base = max(map(max, crs), default=0)
+    if ev.loop:
+        x = base + 1
+        new = [_r1plus_template(x, x + 1, x, ev.sign, ev.flavor)]
+        return _assemble(list(zip(crs, ois)) + new, [], d.free_loops - 1)
+    flat = _flat(d)
+
+    def relabel(e, lab):
+        ci, s = _ends(d, flat, e)[1]
+        crs[ci] = crs[ci][:s] + (lab,) + crs[ci][s + 1:]
+
+    if ev.kind == "R1+":
+        relabel(ev.edge, base + 2)
+        new = [_r1plus_template(ev.edge, base + 1, base + 2, ev.sign,
+                                ev.flavor)]
+    else:
+        x, y = ev.edge, ev.edge2
+        face = next(f for f in fs if {x, y} <= set(face_edges(d, f)))
+        labs = face_edges(d, face)
+        walked = [s == 2 or s == 4 - d.over_in[ci]
+                  for ci, s in (face[labs.index(x)], face[labs.index(y)])]
+        relabel(x, base + 2)
+        relabel(y, base + 4)
+        new = _r2plus_crossings(x, base + 1, base + 2, y, base + 3,
+                                base + 4, *walked)
+    return _assemble(list(zip(crs, ois)) + new, [], d.free_loops)
 
 
 class TestParsePD:
@@ -179,8 +299,9 @@ class TestLibraryBuiltDiagrams:
         assert slides
 
     def test_braid_closures_match_validation(self, recheck_builds):
-        # braid parsing builds through `_assemble` alone; seeded words on
-        # 1-6 strands, some strands left untouched, some words negative
+        # braid parsing builds from the strands it traces, through
+        # `_rebuilt` alone; seeded words on 1-6 strands, some strands left
+        # untouched, some words negative
         rng = random.Random(5)
         free = negative = 0
         for _ in range(300):
@@ -200,11 +321,29 @@ class TestLibraryBuiltDiagrams:
         assert free and negative
 
     def test_spliced_smoothing_matches_assemble(self, recheck_builds,
-                                                corpus):
-        # `smooth_with_map` re-walks only the components through the
-        # crossing; rebuilding the whole child through `_assemble` must
-        # give the same diagram, field by field, and the same label map
-        from skeinalg.moves import apply_move, random_perturb
+                                                corpus, monkeypatch):
+        # smoothings, braid closures and the moves that add or remove
+        # crossings all end in `_rebuilt`, which numbers only the new
+        # components; rebuilding the whole child through the test-local
+        # `_assemble` must give the same diagram, field by field, and the
+        # same label map
+        import skeinalg.moves
+        from skeinalg.moves import (_apply_move, _event, _find_moves,
+                                    _growth_events, apply_move, faces,
+                                    random_perturb)
+
+        def same(got, reference, *where):
+            # the library build has been re-checked against validation, so
+            # its reference is built without a second re-check
+            monkeypatch.setattr(skeinalg.diagram, "RECHECK_BUILDS", False)
+            want, want_map = reference(*where)
+            monkeypatch.setattr(skeinalg.diagram, "RECHECK_BUILDS", True)
+            got, got_map = got
+            for name in ("crossings", "free_loops", "components", "succ",
+                         "comp_of", "over_in", "signs"):
+                assert getattr(got, name) == getattr(want, name), \
+                    (where, name)
+            assert got_map == want_map, where
 
         def rebuilt(d, ci):
             a, b, c, e = d.crossings[ci]
@@ -215,14 +354,32 @@ class TestLibraryBuiltDiagrams:
 
         def check_every_crossing(d):
             for ci in range(d.n_crossings):
-                got, got_map = d.smooth_with_map(ci)
-                want, want_map = rebuilt(d, ci)
-                for name in ("crossings", "free_loops", "components", "succ",
-                             "comp_of", "over_in", "signs", "braid"):
-                    assert getattr(got, name) == getattr(want, name), \
-                        (d, ci, name)
-                assert got_map == want_map, (d, ci)
+                got = d.smooth_with_map(ci)
+                assert got[0].braid is None
+                same(got, rebuilt, d, ci)
             return d.n_crossings
+
+        # the builds of braid closures and moves, as `_rebuilt` returns them
+        built = []
+        real = skeinalg.diagram._rebuilt
+        for module in (skeinalg.diagram, skeinalg.moves):
+            monkeypatch.setattr(module, "_rebuilt",
+                                lambda *args: built.append(real(*args))
+                                or built[-1])
+
+        def check_every_move(d, grow):
+            fs = faces(d)
+            events = [_event(kind, at) for kind, at in _find_moves(d, fs)
+                      if kind in ("R1-", "R2-")]
+            if grow:
+                events += _growth_events(d, d.n_crossings + 2, fs)
+            for ev in events:
+                built.clear()
+                _apply_move(d, ev, fs)
+                assert len(built) == 1, (d, str(ev))
+                same(built[0], _reference_move, d, ev, fs)
+                kinds[ev.kind, ev.loop] += 1
+            return len(events)
 
         def interleaved(d):
             # the same diagram with each component's labels spread out, so
@@ -248,7 +405,9 @@ class TestLibraryBuiltDiagrams:
             signs = rng.choice(((1,), (-1,), (1, -1)))
             letters = [rng.choice(signs) * rng.choice(gens)
                        for _ in range(rng.randint(0, 20) if gens else 0)]
+            built.clear()
             inputs.append(braid_to_diagram(n, letters))
+            same(built[0], _reference_closure, n, letters)
             free += inputs[-1].free_loops > 0
             negative += bool(letters) and max(letters) < 0
         assert free and negative
@@ -271,6 +430,11 @@ class TestLibraryBuiltDiagrams:
         assert any(comp[-1] - comp[0] >= len(comp)
                    for d in inputs for comp in d.components)
         smoothings = sum(map(check_every_crossing, inputs))
+        kinds = Counter()
+        # removals at every place of every input, growth at every place
+        # of every twelfth
+        moves = sum(check_every_move(d, i % 12 == 0)
+                    for i, d in enumerate(inputs))
         # chains of switches and smoothings, six or more deep
         chained = 0
         for i, d in enumerate(inputs[::4]):
@@ -285,6 +449,7 @@ class TestLibraryBuiltDiagrams:
             chained += depth >= 6
         assert chained >= 20
         assert smoothings > 9_000
+        assert moves > 8_000 and len(kinds) == 5, kinds
 
     def test_only_pd_parsing_validates(self, monkeypatch):
         calls = []
@@ -305,7 +470,7 @@ class TestBraids:
 
     def test_hopf_closure_matches_pd(self):
         d = braid_to_diagram(2, [1, 1])
-        assert canonical_encode(d) == canonical_encode(parse_pd(HOPF_PD))
+        assert d.canonical_encode() == parse_pd(HOPF_PD).canonical_encode()
 
     def test_empty_braid_is_unknot(self):
         d = braid_to_diagram(1, [])
@@ -334,27 +499,27 @@ class TestBraids:
 
 class TestCanonicalEncode:
     def test_unknot(self):
-        assert canonical_encode(parse_pd("PD[]+O^1")) == "PD[]+O^1"
+        assert parse_pd("PD[]+O^1").canonical_encode() == "PD[]+O^1"
 
     def test_label_shift_quotiented(self):
         shifted = "PD[X[2,5,3,6],X[4,1,5,2],X[6,3,1,4]]"
-        assert canonical_encode(parse_pd(shifted)) == \
-            canonical_encode(parse_pd(TREFOIL_PD))
+        assert parse_pd(shifted).canonical_encode() == \
+            parse_pd(TREFOIL_PD).canonical_encode()
 
     def test_mirror_distinguished(self):
         d = parse_pd(TREFOIL_PD)
-        assert canonical_encode(d) != canonical_encode(d.mirror())
+        assert d.canonical_encode() != d.mirror().canonical_encode()
 
     def test_reparse_idempotent(self, corpus, diagrams):
         for entry in corpus:
-            canon = canonical_encode(diagrams[entry.name])
-            assert canonical_encode(parse_diagram(canon)) == canon
+            canon = diagrams[entry.name].canonical_encode()
+            assert parse_diagram(canon).canonical_encode() == canon
 
     def test_construction_paths_converge(self, diagrams):
         # a plat closure and a braid closure of the same knot landed on
         # the identical labeled diagram; the encoder must agree
-        assert canonical_encode(diagrams["3_1"]) == \
-            canonical_encode(diagrams["trefoil-"])
+        assert diagrams["3_1"].canonical_encode() == \
+            diagrams["trefoil-"].canonical_encode()
 
 
 def _relabeled(d, rng):
@@ -405,19 +570,19 @@ class TestRootedSignature:
         ds = [braid_to_diagram(n, letters) for n, letters in words]
         # a relabeled copy, so every draw has a pair that must coincide
         ds.append(_relabeled(ds[0], rng))
-        assert _same_partition([canonical_encode(d) for d in ds],
+        assert _same_partition([d.canonical_encode() for d in ds],
                                [exhaustive_encode(d) for d in ds])
 
     def test_corpus_equivalence_matches_oracle(self, corpus, diagrams):
         ds = [diagrams[e.name] for e in corpus]
-        assert _same_partition([canonical_encode(d) for d in ds],
+        assert _same_partition([d.canonical_encode() for d in ds],
                                [exhaustive_encode(d) for d in ds])
 
     @given(braid_words, st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_relabeling(self, word, rng):
         d = braid_to_diagram(*word)
-        assert canonical_encode(_relabeled(d, rng)) == canonical_encode(d)
+        assert _relabeled(d, rng).canonical_encode() == d.canonical_encode()
 
     def test_circle_of_free_direction_read_either_way(self):
         # a two-edge circle lying over an unknot: which crossing it
@@ -425,7 +590,7 @@ class TestRootedSignature:
         a = parse_pd("PD[X[1,3,2,4],X[2,4,1,3]]")
         b = parse_pd("PD[X[1,4,2,3],X[2,3,1,4]]")
         assert a.over_in != b.over_in
-        assert canonical_encode(a) == canonical_encode(b)
+        assert a.canonical_encode() == b.canonical_encode()
         assert exhaustive_encode(a) == exhaustive_encode(b)
 
     def test_split_diagram_any_piece_first(self):
@@ -434,21 +599,21 @@ class TestRootedSignature:
         ab = _disjoint_union(trefoil, hopf)
         ba = _disjoint_union(hopf, trefoil)
         assert ab.component_count == 3
-        code = canonical_encode(ab)
-        assert canonical_encode(ba) == code
-        assert canonical_encode(parse_pd(code)) == code
-        assert code != canonical_encode(_disjoint_union(trefoil,
-                                                        hopf.mirror()))
+        code = ab.canonical_encode()
+        assert ba.canonical_encode() == code
+        assert parse_pd(code).canonical_encode() == code
+        assert code != \
+            _disjoint_union(trefoil, hopf.mirror()).canonical_encode()
 
     def test_eight_ring_chain_is_fast(self):
         d = parse_diagram(
             "braid(8; " + " ".join(f"{i} {i}" for i in range(1, 8)) + ")")
         assert d.component_count == 8
         t0 = time.perf_counter()
-        code = canonical_encode(d)
+        code = d.canonical_encode()
         assert time.perf_counter() - t0 < 0.25
-        assert canonical_encode(parse_pd(code)) == code
-        assert canonical_encode(_relabeled(d, random.Random(8))) == code
+        assert parse_pd(code).canonical_encode() == code
+        assert _relabeled(d, random.Random(8)).canonical_encode() == code
 
 
 class TestValidation:

@@ -242,6 +242,14 @@ class TestApplyValidation:
         with pytest.raises(MoveError, match="no crossingless circle"):
             apply_move(parse_pd(HOPF_PD), "R1+@O/+o")
 
+    @pytest.mark.parametrize("kind, place", [
+        ("R1-", "crossing"), ("R2-", "face"), ("R3", "face"),
+        ("CC", "crossing"), ("RLT", "comp")])
+    def test_event_without_a_place(self, kind, place):
+        d = parse_pd("PD[X[1,1,2,2]]+O^1")
+        with pytest.raises(MoveError, match=f"{kind} event has no {place}"):
+            apply_move(d, MoveEvent(kind))
+
 
 class TestDetection:
     def test_hopf_offers_nothing(self):

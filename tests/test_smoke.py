@@ -21,7 +21,7 @@ PUBLIC = {
     "Marking", "MoveError", "MoveEvent", "OpKind", "PDSyntaxError",
     "SkeinError", "TraceBranch", "TraceLeaf", "VarTable", "apply_move",
     "bad_crossings", "braid_to_diagram", "bundled_catalog",
-    "canonical_encode", "check_axioms", "default_marking", "euler_ok",
+    "check_axioms", "default_marking", "euler_ok",
     "evaluate", "faces", "find_moves", "load_catalog", "lookup",
     "make_algebra", "parse_diagram", "parse_event", "parse_pd",
     "random_perturb", "replay", "replay_events", "trace", "trivialize",
