@@ -9,6 +9,24 @@ rule determines the direction of every over-strand and hence every
 crossing sign.  Circles with no crossings at all cannot be expressed by
 crossing lists, so a diagram carries an explicit free-loop counter.
 
+A diagram stores:
+- `flat`, the 4·n edge labels of its n crossings in crossing order, so
+  that slot s of crossing i holds `flat[4 * i + s]`;
+- `over_in`, per crossing, the slot (1 or 3) its over-strand enters by;
+- `free_loops`, the number of crossingless circles;
+- per-label tables of its strands: `components` (each component's labels
+  along its orientation, from its smallest), `comp_of` (label -> index
+  of its component) and `pos` (label -> position in its component).
+Diagrams that the library builds share these tables with every diagram
+whose components have the same lengths (`_numbered`); validated
+construction computes them once.  `crossings` (a tuple of 4-tuples),
+`signs` and `succ` (label -> next label along its component) are views:
+each is derived from the stored fields the first time it is read, and
+kept.  A user-built diagram is handed its crossings and finds `succ`
+while it validates, so both are set from the start; the library's own
+hot paths read only the stored fields.  Equality and hashing read
+`(flat, free_loops)`.
+
 Construction validates everything: each label must occur exactly twice,
 the under-strand of every crossing must agree with the label order, and
 the over-strand directions must consume each label-successor transition
@@ -36,7 +54,7 @@ deterministically (enter along the smaller label first).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain, count
 
 # Test-only switch: when true, every diagram built inside the library is
 # rebuilt through the validating constructor and compared field by field.
@@ -61,15 +79,22 @@ class PDSyntaxError(DiagramError):
         self.col = col
 
 
+def _quads(flat):
+    """The crossings of a flat label sequence, as 4-tuples."""
+    return zip(*[iter(flat)] * 4)
+
+
 class Diagram:
-    """Immutable validated diagram.
+    """Immutable validated diagram; see the module docstring for what it
+    stores and which views it derives.
 
     `braid` is the `(strands, letters)` a braid closure was built from,
     and None for every other diagram, derived ones included.  It takes
     no part in equality or hashing."""
 
-    __slots__ = ("crossings", "free_loops", "succ", "components",
-                 "signs", "over_in", "comp_of", "braid", "_hash")
+    __slots__ = ("flat", "over_in", "free_loops", "components", "comp_of",
+                 "pos", "_shape", "_hash", "braid", "crossings", "signs",
+                 "succ")
 
     def __init__(self, crossings, free_loops: int = 0):
         crossings = tuple(tuple(int(x) for x in cr) for cr in crossings)
@@ -83,38 +108,48 @@ class Diagram:
                     raise DiagramError(f"crossing {ci}: labels must be positive, got {lab}")
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", int(free_loops))
-        object.__setattr__(self, "braid", None)
         object.__setattr__(self, "_hash", None)
         self._derive()
 
     @classmethod
-    def _trusted(cls, crossings, free_loops, components, succ, comp_of,
-                 over_in) -> "Diagram":
+    def _trusted(cls, flat, over_in, free_loops, shape) -> "Diagram":
         """A diagram derived inside the library from known-good parts.
 
-        `components`, `succ` and `comp_of` must be what `_derive` would
-        compute for `crossings`; `over_in` must be a consistent strand
-        direction for every crossing.  Circles whose direction the labels
-        leave open get the reading of `_fix_free_circles`.
+        `flat` and `over_in` are tuples, `over_in` a consistent strand
+        direction for every crossing.  `shape` is `(components, comp_of,
+        pos, small)`: the tables `_derive` would compute for `flat`, and
+        the components of at most two edges.  Where there are such
+        components, circles whose direction the labels leave open get
+        the reading of `_fix_free_circles`.
         """
-        over_in = _fix_free_circles(crossings, components, over_in)
+        if shape[3]:
+            over_in = _fix_free_circles(flat, shape[3], over_in)
         d = object.__new__(cls)
         _set = object.__setattr__
-        _set(d, "crossings", crossings)
-        _set(d, "free_loops", free_loops)
-        _set(d, "braid", None)
-        _set(d, "_hash", None)
-        _set(d, "components", components)
-        _set(d, "succ", succ)
-        _set(d, "comp_of", comp_of)
+        _set(d, "flat", flat)
         _set(d, "over_in", over_in)
-        _set(d, "signs", tuple(map(_SIGN.__getitem__, over_in)))
+        _set(d, "free_loops", free_loops)
+        _set(d, "_shape", shape)
+        _set(d, "components", shape[0])
+        _set(d, "comp_of", shape[1])
+        _set(d, "pos", shape[2])
+        _set(d, "_hash", None)
         if RECHECK_BUILDS:
             _recheck(d)
         return d
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Diagram is immutable")
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: derive a view and keep it
+        build = _VIEWS.get(name)
+        if build is None:
+            raise AttributeError(
+                f"'Diagram' object has no attribute {name!r}")
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
 
     # -- construction-time analysis ---------------------------------------
 
@@ -148,11 +183,12 @@ class Diagram:
             (tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0]
         ))
         comp_of = {}
+        pos = {}
         succ = {}
         for idx, comp in enumerate(components):
-            for i, lab in enumerate(comp):
-                comp_of[lab] = idx
-                succ[lab] = comp[(i + 1) % len(comp)]
+            comp_of.update(dict.fromkeys(comp, idx))
+            pos.update(zip(comp, range(len(comp))))
+            succ.update(zip(comp, comp[1:] + comp[:1]))
 
         # orientation accounting: every transition lab -> succ[lab] is
         # consumed by exactly one crossing transit
@@ -209,19 +245,25 @@ class Diagram:
         if leftover:
             raise DiagramError(f"transitions never realized by any crossing: {leftover}")
 
-        over_in = _fix_free_circles(self.crossings, components, over_in)
-        signs = tuple(map(_SIGN.__getitem__, over_in))
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "comp_of", comp_of)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "over_in", over_in)
-        object.__setattr__(self, "signs", signs)
+        flat = tuple(chain.from_iterable(self.crossings))
+        small = tuple(comp for comp in components if len(comp) <= 2)
+        over_in = tuple(over_in)
+        if small:
+            over_in = _fix_free_circles(flat, small, over_in)
+        _set = object.__setattr__
+        _set(self, "flat", flat)
+        _set(self, "over_in", over_in)
+        _set(self, "_shape", (components, comp_of, pos, small))
+        _set(self, "components", components)
+        _set(self, "comp_of", comp_of)
+        _set(self, "pos", pos)
+        _set(self, "succ", succ)
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def n_crossings(self) -> int:
-        return len(self.crossings)
+        return len(self.over_in)
 
     @property
     def component_count(self) -> int:
@@ -229,32 +271,26 @@ class Diagram:
 
     @property
     def writhe(self) -> int:
-        return sum(self.signs)
+        return sum(map(_SIGN.__getitem__, self.over_in))
 
     def classify(self, ci: int) -> str:
         """'self' when both strands of the crossing lie on one component."""
-        a, b, _, _ = self.crossings[ci]
-        return "self" if self.comp_of[a] == self.comp_of[b] else "mixed"
+        flat, comp_of = self.flat, self.comp_of
+        return ("self" if comp_of[flat[4 * ci]] == comp_of[flat[4 * ci + 1]]
+                else "mixed")
 
     def pred(self, edge: int) -> int:
-        comp = self.components[self.comp_of[edge]]
-        i = comp.index(edge)
-        return comp[i - 1]
-
-    @property
-    def key(self):
-        """Exact-labeled identity, usable as a dict key."""
-        return (self.crossings, self.free_loops)
+        return self.components[self.comp_of[edge]][self.pos[edge] - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self.key == other.key
+        return self.flat == other.flat and self.free_loops == other.free_loops
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
-            h = hash(self.key)
+            h = hash((self.flat, self.free_loops))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -265,16 +301,17 @@ class Diagram:
 
     def crossing_change(self, ci: int) -> "Diagram":
         """Swap over and under at one crossing; labels stay put."""
-        if not 0 <= ci < len(self.crossings):
+        flat, over_in = self.flat, self.over_in
+        if not 0 <= ci < len(over_in):
             raise DiagramError(f"no crossing {ci}")
-        crs, over_in = self.crossings, self.over_in
-        a, b, c, d = crs[ci]
+        i = 4 * ci
+        a, b, c, d = flat[i:i + 4]
         oi = over_in[ci]
         rotated = (d, a, b, c) if oi == 3 else (b, c, d, a)
         return Diagram._trusted(
-            crs[:ci] + (rotated,) + crs[ci + 1:], self.free_loops,
-            self.components, self.succ, self.comp_of,
-            over_in[:ci] + (4 - oi,) + over_in[ci + 1:])
+            flat[:i] + rotated + flat[i + 4:],
+            over_in[:ci] + (4 - oi,) + over_in[ci + 1:], self.free_loops,
+            self._shape)
 
     def smooth_with_map(self, ci: int) -> tuple["Diagram", dict[int, int | None]]:
         """Orientation-respecting smoothing of one crossing.
@@ -290,30 +327,33 @@ class Diagram:
         component keeps its edges in order.  `_rebuilt` numbers the
         result.
         """
-        crossings = self.crossings
-        if not 0 <= ci < len(crossings):
+        flat, over_in = self.flat, self.over_in
+        if not 0 <= ci < len(over_in):
             raise DiagramError(f"no crossing {ci}")
-        a, b, c, d = crossings[ci]
-        o_in, o_out = (d, b) if self.over_in[ci] == 3 else (b, d)
-        comps = self.components
-        ku, ko = self.comp_of[a], self.comp_of[o_in]
+        i = 4 * ci
+        a, b, c, d = flat[i:i + 4]
+        o_in, o_out = (d, b) if over_in[ci] == 3 else (b, d)
+        comps, comp_of, pos = self.components, self.comp_of, self.pos
+        ku, ko = comp_of[a], comp_of[o_in]
         # the new cycles through the crossing, as runs of old labels from
         # an out-edge (c or o_out) to an in-edge (a or o_in)
         if ku == ko:
             comp = comps[ku]
-            pc, pi = comp.index(c), comp.index(o_in)
+            pc, pi = pos[c], pos[o_in]
             cycles = [[_run(comp, pc, pi)], [_run(comp, pi + 1, pc - 1)]]
         else:
             cu, co = comps[ku], comps[ko]
-            pc, po = cu.index(c), co.index(o_out)
+            pc, po = pos[c], pos[o_out]
             cycles = [[cu[pc:] + cu[:pc], co[po:] + co[:po]]]
         # each glued pair is one edge, named after its smaller label; the
         # pairs are one edge when they share a label
         if c == a or o_in == o_out:
             rep = dict.fromkeys((a, c, o_in, o_out), min(a, c, o_in, o_out))
         else:
-            rep = dict.fromkeys((c, o_in), min(c, o_in))
-            rep.update(dict.fromkeys((a, o_out), min(a, o_out)))
+            m = c if c < o_in else o_in
+            rep = {c: m, o_in: m}
+            m = a if a < o_out else o_out
+            rep[a] = rep[o_out] = m
 
         pieces = [comp for k, comp in enumerate(comps) if k != ku and k != ko]
         freed = 0
@@ -335,8 +375,8 @@ class Diagram:
                 seq.pop()
             k = seq.index(min(seq))
             pieces.append(tuple(seq[k:] + seq[:k]))
-        return _rebuilt(crossings[:ci] + crossings[ci + 1:],
-                        self.over_in[:ci] + self.over_in[ci + 1:], pieces,
+        return _rebuilt(flat[:i] + flat[i + 4:],
+                        over_in[:ci] + over_in[ci + 1:], pieces,
                         self.free_loops + freed, rep)
 
     def mirror(self) -> "Diagram":
@@ -344,16 +384,18 @@ class Diagram:
 
         The strands keep their labels, so components are unchanged, and
         each over-strand now enters at the other slot."""
+        flat = self.flat
+        swapped = list(flat)
+        swapped[1::4], swapped[3::4] = flat[3::4], flat[1::4]
         return Diagram._trusted(
-            tuple((a, d, c, b) for (a, b, c, d) in self.crossings),
-            self.free_loops, self.components, self.succ, self.comp_of,
-            [4 - oi for oi in self.over_in],
-        )
+            tuple(swapped), tuple([4 - oi for oi in self.over_in]),
+            self.free_loops, self._shape)
 
     # -- text forms -----------------------------------------------------------
 
     def pd_text(self) -> str:
-        body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in self.crossings)
+        body = ",".join(f"X[{a},{b},{c},{d}]"
+                        for a, b, c, d in _quads(self.flat))
         suffix = f"+O^{self.free_loops}" if self.free_loops else ""
         return f"PD[{body}]{suffix}"
 
@@ -382,9 +424,9 @@ class Diagram:
                 occ.setdefault(lab, []).append((ci, s))
         # circles of at most two edges that run under nothing: the labels
         # leave their direction open, so `_rooted_rows` fixes it
-        unders = {cr[0] for cr in crossings}
-        drifting = {lab for comp in self.components if len(comp) <= 2
-                    and not unders.intersection(comp) for lab in comp}
+        unders = set(self.flat[0::4])
+        drifting = {lab for comp in self._shape[3]
+                    if unders.isdisjoint(comp) for lab in comp}
 
         # a root that is not the incoming under-strand of some crossing
         # cannot give a row starting with 1, so only those roots compete
@@ -402,6 +444,26 @@ class Diagram:
         return f"PD[{body}]{suffix}"
 
 
+def _crossings_view(d: Diagram) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(_quads(d.flat))
+
+
+def _signs_view(d: Diagram) -> tuple[int, ...]:
+    return tuple(map(_SIGN.__getitem__, d.over_in))
+
+
+def _succ_view(d: Diagram) -> dict[int, int]:
+    succ: dict[int, int] = {}
+    for comp in d.components:
+        succ.update(zip(comp, comp[1:] + comp[:1]))
+    return succ
+
+
+# the builder of each view that `Diagram.__getattr__` derives on first use
+_VIEWS = {"crossings": _crossings_view, "signs": _signs_view,
+          "succ": _succ_view, "braid": lambda d: None}
+
+
 def _crossing_pieces(d: Diagram) -> list[list[int]]:
     """The crossings of `d` by piece, components joined through
     crossings; each piece lists its crossings in order."""
@@ -413,12 +475,12 @@ def _crossing_pieces(d: Diagram) -> list[list[int]]:
             x = parent[x]
         return x
 
-    comp_of = d.comp_of
-    for a, b, _, _ in d.crossings:
+    comp_of, flat = d.comp_of, d.flat
+    for a, b in zip(flat[0::4], flat[1::4]):
         parent[find(comp_of[a])] = find(comp_of[b])
     pieces: dict[int, list[int]] = {}
-    for ci, cr in enumerate(d.crossings):
-        pieces.setdefault(find(comp_of[cr[0]]), []).append(ci)
+    for ci, a in enumerate(flat[0::4]):
+        pieces.setdefault(find(comp_of[a]), []).append(ci)
     return list(pieces.values())
 
 
@@ -464,20 +526,20 @@ def _rooted_rows(crossings, cis, succ, over_in, occ, drifting, root):
     return sorted(tuple(label[x] for x in crossings[ci]) for ci in cis)
 
 
-def _fix_free_circles(crossings, components, over_in) -> tuple[int, ...]:
-    """Fix the reading of circles of one or two edges that never run under
-    anything: the first crossing enters along the smaller label.  Every
-    other strand direction is settled by the labels, and `over_in` is
-    left as given there.  Both `_derive` and `Diagram._trusted` end here."""
-    small = [comp for comp in components if len(comp) <= 2]
-    if small:
-        unders = set(map(itemgetter(0), crossings))
-        small = [comp for comp in small if unders.isdisjoint(comp)]
+def _fix_free_circles(flat, small, over_in) -> tuple[int, ...]:
+    """Fix the reading of circles of one or two edges (among the
+    components `small`) that never run under anything: the first
+    crossing enters along the smaller label.  Every other strand
+    direction is settled by the labels, and `over_in` is returned as
+    given there.  Both `_derive` and `Diagram._trusted` end here."""
+    unders = set(flat[0::4])
+    small = [comp for comp in small if unders.isdisjoint(comp)]
     if not small:
-        return tuple(over_in)
+        return over_in
     over_in = list(over_in)
+    overs = flat[1::4]
     for comp in small:
-        spots = [ci for ci, cr in enumerate(crossings) if cr[1] in comp]
+        spots = [ci for ci, b in enumerate(overs) if b in comp]
         if len(comp) == 1:
             over_in[spots[0]] = 3
             continue
@@ -485,18 +547,23 @@ def _fix_free_circles(crossings, components, over_in) -> tuple[int, ...]:
         lo, hi = comp
         for ci in spots:
             enter = lo if ci == spots[0] else hi
-            over_in[ci] = 1 if crossings[ci][1] == enter else 3
+            over_in[ci] = 1 if overs[ci] == enter else 3
     return tuple(over_in)
 
 
 def _recheck(d: Diagram) -> None:
     ref = Diagram(d.crossings, d.free_loops)
-    for name in ("components", "succ", "comp_of", "over_in", "signs"):
+    for name in ("flat", "crossings", "over_in", "components", "comp_of",
+                 "pos", "succ", "signs"):
         if getattr(d, name) != getattr(ref, name):
             raise AssertionError(
                 f"library-built {d!r} disagrees with validation on {name}: "
                 f"{getattr(d, name)} != {getattr(ref, name)}"
             )
+    if d != ref or hash(d) != hash(ref):
+        raise AssertionError(
+            f"library-built {d!r} differs from its validated copy in "
+            f"equality or hash")
 
 
 # -- rebuilt diagrams -----------------------------------------------------
@@ -512,48 +579,42 @@ def _run(comp, i: int, j: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1024)
 def _numbered(lengths: tuple[int, ...]):
-    """`components`, `succ` and `comp_of` of components of the given
-    lengths labeled 1, 2, ... in turn, each along its orientation.  The
-    maps are shared by every diagram with these lengths, and like the
-    rest of a diagram they are never changed."""
-    total = sum(lengths)
-    succ = dict(zip(range(1, total + 1), range(2, total + 2)))
+    """The shape `(components, comp_of, pos, small)` of components of the
+    given lengths labeled 1, 2, ... in turn, each along its orientation,
+    as `Diagram._trusted` takes it.  The tables are shared by every
+    diagram with these lengths, and like the rest of a diagram they are
+    never changed."""
     components = []
     comp_of: dict[int, int] = {}
+    pos: dict[int, int] = {}
     first = 1
     for k, n in enumerate(lengths):
         labs = range(first, first + n)
         components.append(tuple(labs))
         comp_of.update(dict.fromkeys(labs, k))
+        pos.update(zip(labs, range(n)))
         first += n
-        succ[first - 1] = labs[0]
-    return tuple(components), succ, comp_of
+    small = tuple(comp for comp in components if len(comp) <= 2)
+    return tuple(components), comp_of, pos, small
 
 
-def _rebuilt(crossings, over_in, pieces, free_loops: int, rep):
+def _rebuilt(flat, over_in, pieces, free_loops: int, rep):
     """A diagram built by library surgery, and its old-label -> new-label
-    map.  `crossings` are in old labels; `pieces` are the components,
-    each a cycle of old labels along its orientation from its smallest;
-    `rep` maps each merged label to the edge it joins; where that edge
-    is in no piece, a crossingless circle, the label maps to None.  The
-    pieces are numbered in order of their smallest label, each along its
-    orientation from there.
+    map.  `flat` holds the crossings' labels in old labels and
+    `over_in` their over-in slots, as a tuple; `pieces` are the
+    components, each a cycle of old labels along its orientation from
+    its smallest; `rep` maps each merged label to the edge it joins;
+    where that edge is in no piece, a crossingless circle, the label
+    maps to None.  The pieces are numbered in order of their smallest
+    label, each along its orientation from there.
     """
     pieces.sort()
-    labmap: dict[int, int | None] = {}
-    lengths = []
-    for seq in pieces:
-        first = len(labmap) + 1
-        labmap.update(zip(seq, range(first, first + len(seq))))
-        lengths.append(len(seq))
+    labmap: dict[int, int | None] = dict(
+        zip(chain.from_iterable(pieces), count(1)))
     for lab, r in rep.items():
         labmap[lab] = labmap.get(r)
-    lm = labmap
-    new_crossings = tuple([(lm[w], lm[x], lm[y], lm[z])
-                           for w, x, y, z in crossings])
-    components, succ, comp_of = _numbered(tuple(lengths))
-    child = Diagram._trusted(new_crossings, free_loops, components, succ,
-                             comp_of, over_in)
+    child = Diagram._trusted(tuple(map(labmap.__getitem__, flat)), over_in,
+                             free_loops, _numbered(tuple(map(len, pieces))))
     return child, labmap
 
 
@@ -581,7 +642,7 @@ def braid_to_diagram(n: int, letters) -> Diagram:
     # p, starting with the top label of the position it started at
     strands = {p: [p] for p in range(1, n + 1)}
     fresh = n + 1
-    crossings = []
+    flat: list[int] = []
     over_in = []
     for L in letters:
         m = abs(L)
@@ -590,7 +651,7 @@ def braid_to_diagram(n: int, letters) -> Diagram:
         left, right = strands[m], strands[m + 1]
         x, w, u, y = left[-1], right[-1], fresh, fresh + 1
         fresh += 2
-        crossings.append((x, u, y, w) if L > 0 else (w, x, u, y))
+        flat += (x, u, y, w) if L > 0 else (w, x, u, y)
         over_in.append(3 if L > 0 else 1)
         left.append(y)
         right.append(u)
@@ -610,7 +671,7 @@ def braid_to_diagram(n: int, letters) -> Diagram:
         if seq:
             pieces.append(tuple(seq))
     freed = sum(len(s) == 1 for s in strands.values())
-    d = _rebuilt(crossings, over_in, pieces, freed, rep)[0]
+    d = _rebuilt(flat, tuple(over_in), pieces, freed, rep)[0]
     object.__setattr__(d, "braid", (n, letters))
     return d
 

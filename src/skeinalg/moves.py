@@ -5,7 +5,10 @@ Faces come from the combinatorial map of the diagram: darts are
 edge label, and face orbits follow "arrive along an edge, leave along
 the next slot counterclockwise".  A dart therefore walks its edge away
 from its crossing with the face on the walker's right.  `faces` walks
-the darts as the integers 4 * crossing + slot and returns the pairs.
+the darts as the integers 4 * crossing + slot, which index the
+diagram's flat label tuple `d.flat` directly, and returns the pairs.
+Every move reads and writes labels in `d.flat`; none builds the
+diagram's `crossings` view.
 
 Each step of `random_perturb` computes the faces once.  Its census of
 moves (curls, removable bigons, slideable triangles and the edge pairs a
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
 
-from .diagram import Diagram, _crossing_pieces, _rebuilt, _run
+from .diagram import Diagram, _crossing_pieces, _quads, _rebuilt, _run
 
 
 class MoveError(ValueError):
@@ -62,12 +65,6 @@ def _dart_tables(m: int) -> tuple[tuple[Dart, ...], tuple[int, ...]]:
             tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m)))
 
 
-def _flat(d: Diagram) -> list[int]:
-    """The labels of `d.crossings` in order, so that the integer dart x
-    carries the label at position x."""
-    return list(chain.from_iterable(d.crossings))
-
-
 def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
     """Face orbits in canonical order (each rotated to start at its
     smallest dart, then sorted).
@@ -76,7 +73,7 @@ def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
     that of the (crossing, slot) pairs.  Taken in increasing order, the
     first dart of each new orbit is its smallest, so the orbits come out
     rotated and sorted as they are found."""
-    flat = _flat(d)
+    flat = d.flat
     m = len(flat)
     pair, ccw = _dart_tables(m)
     # phi: arrive along the edge at its other end, leave by the next slot
@@ -107,20 +104,20 @@ def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
 
 
 def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
-    crs = d.crossings
-    return tuple([crs[c][s] for c, s in face])
+    flat = d.flat
+    return tuple([flat[4 * c + s] for c, s in face])
 
 
 def _over_counts(d: Diagram) -> Counter:
     """edge -> how many of its two ends are over-strand slots (1 or 3)."""
-    return Counter(_flat(d)[1::2])
+    return Counter(d.flat[1::2])
 
 
 def euler_ok(d: Diagram) -> bool:
     """Genus-zero check: V - E + F == 2 per connected crossing piece."""
-    if not d.crossings:
+    if not d.flat:
         return True
-    V = len(d.crossings)
+    V = d.n_crossings
     E = 2 * V
     F = len(faces(d))
     return V - E + F == 2 * len(_crossing_pieces(d))
@@ -196,26 +193,24 @@ def _curl_at(cr) -> bool:
     return a == b or b == c or c == d or d == a
 
 
-def _is_bigon(d: Diagram, face) -> bool:
-    """A face with two distinct crossings and two distinct edges."""
-    return (len(face) == 2 and face[0][0] != face[1][0]
-            and len(set(face_edges(d, face))) == 2)
+def _is_bigon(face, es) -> bool:
+    """A face with two distinct crossings and two distinct edges; `es`
+    is `face_edges` of the face."""
+    return len(face) == 2 and face[0][0] != face[1][0] and es[0] != es[1]
 
 
-def _bigon_ok(d: Diagram, overs, face) -> bool:
+def _bigon_ok(face, es, overs) -> bool:
     """A bigon that R2- can remove: one strand is over at both corners.
-    `overs` is `_over_counts(d)`."""
-    return _is_bigon(d, face) and any(
-        overs[e] == 2 for e in face_edges(d, face))
+    `es` is `face_edges` of the face and `overs` is `_over_counts(d)`."""
+    return _is_bigon(face, es) and (overs[es[0]] == 2 or overs[es[1]] == 2)
 
 
-def _trigon_ok(d: Diagram, overs, face) -> bool:
+def _trigon_ok(face, es, overs) -> bool:
     """A triangle that R3 can slide: three distinct corners and edges,
     one edge over at both its corners, one under at both, one mixed.
-    `overs` is `_over_counts(d)`."""
-    es = face_edges(d, face)
+    `es` is `face_edges` of the face and `overs` is `_over_counts(d)`."""
     return (len({c for c, _ in face}) == 3 and len(set(es)) == 3
-            and sorted(overs[e] for e in es) == [0, 1, 2])
+            and sorted(map(overs.__getitem__, es)) == [0, 1, 2])
 
 
 def find_moves(d: Diagram) -> list[MoveEvent]:
@@ -234,22 +229,31 @@ def _event(kind: str, at: int) -> MoveEvent:
 
 def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
     """`find_moves` over the already computed `faces(d)`, each event as
-    its (kind, place) pair; `_event` builds it."""
-    crs = d.crossings
-    out = [("R1-", ci) for ci, cr in enumerate(crs) if _curl_at(cr)]
+    its (kind, place) pair; `_event` builds it.  The tests of `_curl_at`,
+    `_bigon_ok` and `_trigon_ok` are written out on the flat labels:
+    this census runs on every step of `random_perturb`."""
+    flat = d.flat
+    out = [("R1-", ci) for ci, (a, b, c, e) in enumerate(_quads(flat))
+           if a == b or b == c or c == e or e == a]
     overs = _over_counts(d)
     slides = []
     seen_pairs: set[tuple[int, int]] = set()
     for fi, face in enumerate(fs):
         if len(face) == 2:
-            if not _bigon_ok(d, overs, face):
+            (c0, s0), (c1, s1) = face
+            e0, e1 = flat[4 * c0 + s0], flat[4 * c1 + s1]
+            if c0 == c1 or e0 == e1 or (overs[e0] != 2 and overs[e1] != 2):
                 continue
-            pair = tuple(sorted(c for c, _ in face))
+            pair = (c0, c1) if c0 < c1 else (c1, c0)
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 out.append(("R2-", fi))
-        elif len(face) == 3 and _trigon_ok(d, overs, face):
-            slides.append(("R3", fi))
+        elif len(face) == 3:
+            (c0, s0), (c1, s1), (c2, s2) = face
+            es = (flat[4 * c0 + s0], flat[4 * c1 + s1], flat[4 * c2 + s2])
+            if (c0 != c1 and c1 != c2 and c0 != c2 and len(set(es)) == 3
+                    and sorted(map(overs.__getitem__, es)) == [0, 1, 2]):
+                slides.append(("R3", fi))
     out += slides
     out += [("RLT", i + 1) for i in range(d.free_loops)]
     return out
@@ -265,40 +269,53 @@ def _remove_crossings(d: Diagram, which: set[int]):
     each run of edges so joined becomes one edge, named after its
     smallest label.  A component made only of such edges becomes a
     crossingless circle."""
+    flat, over_in = d.flat, d.over_in
+    comps, comp_of, pos = d.components, d.comp_of, d.pos
     runs_on = set()
     for ci in which:
-        a, b, _, e = d.crossings[ci]
-        runs_on.update((a, b if d.over_in[ci] == 1 else e))
+        a, b, _, e = flat[4 * ci:4 * ci + 4]
+        runs_on.update((a, b if over_in[ci] == 1 else e))
+    touched: dict[int, list[int]] = {}
+    for e in runs_on:
+        touched.setdefault(comp_of[e], []).append(e)
     pieces = []
     rep: dict[int, int | None] = {}
     freed = 0
-    for comp in d.components:
-        if runs_on.isdisjoint(comp):
+    for k, comp in enumerate(comps):
+        ons = touched.get(k)
+        if ons is None:
             pieces.append(comp)
             continue
-        # a run starts where the edge before does not run on
-        starts = [i for i in range(len(comp)) if comp[i - 1] not in runs_on]
-        if not starts:
+        n = len(comp)
+        if len(ons) == n:
             freed += 1
             rep.update(dict.fromkeys(comp))
             continue
-        seq = []
-        for i, j in zip(starts, starts[1:] + [starts[0] + len(comp)]):
-            run = _run(comp, i, j - 1)
-            seq.append(min(run))
-            if len(run) > 1:
-                rep.update(dict.fromkeys(run, seq[-1]))
-        k = seq.index(min(seq))
-        pieces.append(tuple(seq[k:] + seq[:k]))
-    kept = [j for j in range(d.n_crossings) if j not in which]
-    return _rebuilt([d.crossings[j] for j in kept],
-                    [d.over_in[j] for j in kept], pieces,
-                    d.free_loops + freed, rep)
+        # each run ends at an edge that does not run on: the run's name
+        # takes that edge's place
+        named = {}
+        for e in ons:
+            i = pos[e]
+            if comp[i - 1] in runs_on:
+                continue  # not where its run starts
+            j = i + 1
+            while comp[j % n] in runs_on:
+                j += 1
+            run = _run(comp, i, j)
+            named[run[-1]] = m = min(run)
+            rep.update(dict.fromkeys(run, m))
+        seq = [named.get(e, e) for e in comp if e not in runs_on]
+        i = seq.index(min(seq))
+        pieces.append(tuple(seq[i:] + seq[:i]))
+    kept, kept_in = list(flat), list(over_in)
+    for ci in sorted(which, reverse=True):
+        del kept[4 * ci:4 * ci + 4], kept_in[ci]
+    return _rebuilt(kept, tuple(kept_in), pieces, d.free_loops + freed, rep)
 
 
 def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
-    """The darts at which edge `e` starts and ends; `flat` is
-    `_flat(d)`."""
+    """The darts at which edge `e` starts and ends; `flat` is `d.flat`
+    or a copy of it."""
     i = flat.index(e)
     first, second = divmod(i, 4), divmod(flat.index(e, i + 1), 4)
     ci, s = first
@@ -308,11 +325,11 @@ def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
 
 
 def _grown(d: Diagram, heads: dict[int, tuple[int, ...]]):
-    """The crossings and components of `d` with new edges after some of
+    """The flat labels and components of `d` with new edges after some of
     its edges: the last new label after edge e replaces e at the dart
     where e ends, and all of them follow e in its component.  `heads`
     maps each such edge to its new labels."""
-    flat = _flat(d)
+    flat = list(d.flat)
     pieces = list(d.components)
     for e, new in heads.items():
         ci, s = _ends(d, flat, e)[1]
@@ -320,7 +337,7 @@ def _grown(d: Diagram, heads: dict[int, tuple[int, ...]]):
         k = d.comp_of[e]
         i = pieces[k].index(e) + 1
         pieces[k] = pieces[k][:i] + new + pieces[k][i:]
-    return list(zip(*[iter(flat)] * 4)), pieces
+    return flat, pieces
 
 
 def _partner_in_slot(oi: int, out_slot: int) -> int:
@@ -332,9 +349,10 @@ def _partner_out_slot(oi: int, in_slot: int) -> int:
 
 
 def _apply_r3(d: Diagram, face) -> Diagram:
-    if not _trigon_ok(d, _over_counts(d), face):
+    if not _trigon_ok(face, face_edges(d, face), _over_counts(d)):
         raise MoveError("face is not a slideable triangle")
-    flat = _flat(d)
+    flat = d.flat
+    comps, comp_of, pos = d.components, d.comp_of, d.pos
     writes: dict[Dart, int] = {}
 
     def put(dart: Dart, lab: int) -> None:
@@ -343,19 +361,20 @@ def _apply_r3(d: Diagram, face) -> Diagram:
         writes[dart] = lab
 
     for e in set(face_edges(d, face)):
-        s1, s2 = d.pred(e), d.succ[e]
+        comp, p = comps[comp_of[e]], pos[e]
+        s1, s2 = comp[p - 1], comp[(p + 1) % len(comp)]
         (fc, f_slot), (gc, g_slot) = _ends(d, flat, e)
         put((fc, _partner_in_slot(d.over_in[fc], f_slot)), e)
         put((fc, f_slot), s2)
         put((gc, g_slot), s1)
         put((gc, _partner_out_slot(d.over_in[gc], g_slot)), e)
-    crs = [list(cr) for cr in d.crossings]
+    slid = list(flat)
     for (ci, s), lab in writes.items():
-        crs[ci][s] = lab
+        slid[4 * ci + s] = lab
     # the slide moves strands past each other without relabeling them or
     # changing which slot each over-strand enters by
-    return Diagram._trusted(tuple(tuple(cr) for cr in crs), d.free_loops,
-                            d.components, d.succ, d.comp_of, d.over_in)
+    return Diagram._trusted(tuple(slid), d.over_in, d.free_loops,
+                            d._shape)
 
 
 def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
@@ -370,22 +389,22 @@ def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
 
 
 def _apply_r1plus(d: Diagram, ev: MoveEvent):
-    base = max(map(max, d.crossings), default=0)
+    base = max(d.flat, default=0)
     if ev.loop:
         if d.free_loops < 1:
             raise MoveError("no crossingless circle to curl")
         x, loop_lab = base + 1, base + 2
         cr, oi = _r1plus_template(x, loop_lab, x, ev.sign, ev.flavor)
-        return _rebuilt(d.crossings + (cr,), d.over_in + (oi,),
+        return _rebuilt(d.flat + cr, d.over_in + (oi,),
                         [*d.components, (x, loop_lab)], d.free_loops - 1,
                         {})[0]
     e = ev.edge
     if e not in d.comp_of:
         raise MoveError(f"no edge {e} to curl")
     loop_lab, n1 = base + 1, base + 2
-    crossings, pieces = _grown(d, {e: (loop_lab, n1)})
+    flat, pieces = _grown(d, {e: (loop_lab, n1)})
     cr, oi = _r1plus_template(e, loop_lab, n1, ev.sign, ev.flavor)
-    return _rebuilt(crossings + [cr], d.over_in + (oi,), pieces,
+    return _rebuilt(flat + list(cr), d.over_in + (oi,), pieces,
                     d.free_loops, {})[0]
 
 
@@ -422,13 +441,13 @@ def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
         ci, s = dart
         return s == 2 or s == 4 - d.over_in[ci]
 
-    base = max(map(max, d.crossings))
+    base = max(d.flat)
     x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
-    crossings, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
+    flat, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
     new, ois = zip(*_r2plus_crossings(
         x, x2, x3, y, y2, y3, walked_with(dart_x), walked_with(dart_y)))
-    return _rebuilt(crossings + list(new), d.over_in + ois, pieces,
-                    d.free_loops, {})[0]
+    return _rebuilt(flat + list(chain.from_iterable(new)), d.over_in + ois,
+                    pieces, d.free_loops, {})[0]
 
 
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
@@ -455,14 +474,15 @@ def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
         return d
     if ev.kind == "R1-":
         ci = ev.crossing
-        if not 0 <= ci < d.n_crossings or not _curl_at(d.crossings[ci]):
+        if not 0 <= ci < d.n_crossings or not _curl_at(
+                d.flat[4 * ci:4 * ci + 4]):
             raise MoveError(f"crossing {ci} is not a curl")
         return _remove_crossings(d, {ci})[0]
     if ev.kind == "R2-":
         if not 0 <= ev.face < len(fs):
             raise MoveError(f"no face {ev.face}")
         face = fs[ev.face]
-        if not _bigon_ok(d, _over_counts(d), face):
+        if not _bigon_ok(face, face_edges(d, face), _over_counts(d)):
             raise MoveError(f"face {ev.face} is not a removable clasp")
         return _remove_crossings(d, {c for c, _ in face})[0]
     if ev.kind == "R3":
@@ -470,6 +490,10 @@ def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
             raise MoveError(f"no face {ev.face}")
         return _apply_r3(d, fs[ev.face])
     if ev.kind == "R1+":
+        if ev.sign not in (1, -1) or ev.flavor not in ("o", "u"):
+            raise MoveError(
+                f"R1+ event needs sign +1 or -1 and flavor o or u, got "
+                f"sign {ev.sign!r} and flavor {ev.flavor!r}")
         return _apply_r1plus(d, ev)
     if ev.kind == "R2+":
         return _apply_r2plus(d, ev, fs)
@@ -570,12 +594,13 @@ def _reducing_event(d: Diagram) -> MoveEvent | None:
 def _bigon_fix(d: Diagram) -> MoveEvent | None:
     """A crossing switch that turns some bigon face into a removable clasp."""
     for face in faces(d):
-        if not _is_bigon(d, face):
+        es = face_edges(d, face)
+        if not _is_bigon(face, es):
             continue
         # switch the corner where the smaller edge runs under
-        e = min(face_edges(d, face))
+        e = min(es)
         for c in sorted(c for c, _ in face):
-            if e in d.crossings[c][0::2]:
+            if e in d.flat[4 * c:4 * c + 4:2]:
                 return MoveEvent("CC", crossing=c)
     return None
 
@@ -608,8 +633,8 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
                 continue
             seen.add(key)
             npath = path + [ev]
-            if any(_curl_at(cr) for cr in nxt.crossings) or any(
-                    _is_bigon(nxt, f) for f in faces(nxt)):
+            if any(map(_curl_at, _quads(nxt.flat))) or any(
+                    _is_bigon(f, face_edges(nxt, f)) for f in faces(nxt)):
                 return npath
             queue.append((nxt, npath))
     raise MoveError(

@@ -19,7 +19,10 @@ default marking keeps bad crossings few: on each component the base
 edge at which the fewest of its self crossings are bad, and the
 components in a greedy order that puts first those that run over the
 others, kept only when it beats label order.  It never has more bad
-crossings than the first edges in label order.
+crossings than the first edges in label order.  One pass over the
+crossings' in-edges, read from the diagram's flat labels and looked up
+in its shared position tables, finds the default marking and the order
+in which the walk meets the bad crossings (`_walk`).
 
 One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
@@ -44,9 +47,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from .algebra import ConwayAlgebraSpec, OpKind
-from .diagram import _MAX_COMPONENTS, Diagram
+from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
 
 MAX_CROSSINGS = 64
 
@@ -75,19 +79,90 @@ def default_marking(d: Diagram) -> Marking:
     index on a tie.  That order is kept only when it has fewer bad mixed
     crossings than label order, so the marking never has more bad
     crossings than the first edges in label order, and keeps them when
-    they are already best.
+    they are already best.  `_walk` finds it.
     """
-    return Marking(_fewest_bad(d, _in_edges(d)))
+    return Marking(_walk(d, None)[0])
 
 
-def _in_edges(d: Diagram) -> list[tuple[int, int]]:
-    """Per crossing, its under-in and its over-in edge: where the walk
-    reaches it along either strand."""
-    return [(cr[0], cr[oi]) for cr, oi in zip(d.crossings, d.over_in)]
+def _walk(d: Diagram, bases) -> tuple[tuple[int, ...], list[int]]:
+    """The base edges of a marking of `d` and its bad crossings, in the
+    order the walk meets them.
+
+    `bases` are the marking's base edges, or None for
+    `default_marking(d)`.  One pass over the crossings reads each one's
+    under-in and over-in edge from `d.flat`, where the walk reaches it
+    along either strand, and looks up their components and positions
+    in `d.comp_of` and `d.pos`.  `_fewest_bad` finds the default marking
+    from these.  The walk goes round each component from its base, the
+    components in the order of the bases, so an edge is reached at its
+    component's offset plus its distance from the base.  A crossing is
+    bad when the walk reaches its under-in edge first.  A diagram with
+    one component goes to `_walk_knot`.
+    """
+    if len(d.components) == 1:
+        return _walk_knot(d, bases)
+    flat, comps, comp_of, pos = d.flat, d.components, d.comp_of, d.pos
+    ins = []  # per crossing: (component, position) of under-in, over-in
+    for i, oi in enumerate(d.over_in):
+        eu, eo = flat[4 * i], flat[4 * i + oi]
+        ins.append((comp_of[eu], pos[eu], comp_of[eo], pos[eo]))
+    if bases is None:
+        at, order = _fewest_bad(comps, ins)
+        bases = tuple([comps[k][at[k]] for k in order])
+    else:
+        order = [comp_of[b] for b in bases]
+        at = [0] * len(comps)
+        for k, b in zip(order, bases):
+            at[k] = pos[b]
+    lens = list(map(len, comps))
+    start = [0] * len(comps)  # when the walk reaches each component
+    t = 0
+    for k in order:
+        start[k] = t
+        t += lens[k]
+    bad = []
+    for ci, (cu, pu, co, po) in enumerate(ins):
+        tu = start[cu] + (pu - at[cu]) % lens[cu]
+        if tu < start[co] + (po - at[co]) % lens[co]:
+            bad.append((tu, ci))
+    bad.sort()
+    return bases, [ci for _, ci in bad]
 
 
-def _fewest_bad(d: Diagram, ins) -> tuple[int, ...]:
-    """Bases of `default_marking(d)`; `ins` is `_in_edges(d)`.
+def _walk_knot(d: Diagram, bases) -> tuple[tuple[int, ...], list[int]]:
+    """`_walk` for a diagram with one component, where every crossing is
+    a self crossing: the same rule on positions alone, with no
+    component lookups and no component order to choose."""
+    flat, pos = d.flat, d.pos
+    comp = d.components[0]
+    n = len(comp)
+    pu = list(map(pos.__getitem__, flat[0::4]))
+    po = [pos[flat[i]] for i in map(add, range(0, len(flat), 4), d.over_in)]
+    if bases is None:
+        # `_fewest_bad`'s difference array, less its wrap-round count,
+        # which adds the same to every base
+        diff = [0] * (n + 1)
+        for u, o in zip(pu, po):
+            diff[o + 1] += 1
+            diff[u + 1] -= 1
+        run = list(accumulate(diff))
+        b = run.index(min(run))
+        bases = (comp[b],)
+    else:
+        b = pos[bases[0]]
+    bad = []
+    for ci, (u, o) in enumerate(zip(pu, po)):
+        tu = (u - b) % n
+        if tu < (o - b) % n:
+            bad.append((tu, ci))
+    bad.sort()
+    return bases, [ci for _, ci in bad]
+
+
+def _fewest_bad(comps, ins):
+    """The default marking, as the base position on each component and
+    the order of the components; `ins` is what `_walk` reads per
+    crossing.
 
     A self crossing is bad exactly when the base lies after its
     over-visit and no later than its under-visit along the component, so
@@ -96,46 +171,43 @@ def _fewest_bad(d: Diagram, ins) -> tuple[int, ...]:
     under-strand comes first.  The greedy order can lose to label order,
     so it is kept only when it has fewer bad mixed crossings.
     """
-    comps, comp_of = d.components, d.comp_of
-    pos: dict[int, int] = {}  # edge -> its position along its component
-    for comp in comps:
-        pos.update(zip(comp, range(len(comp))))
     diffs: list[list[int] | None] = [None] * len(comps)
     mixed: list[tuple[int, int]] = []  # (under, over) component pairs
-    for eu, eo in ins:
-        cu, co = comp_of[eu], comp_of[eo]
+    for cu, u, co, o in ins:
         if cu != co:
             mixed.append((cu, co))
             continue
         diff = diffs[cu]
         if diff is None:
             diff = diffs[cu] = [0] * (len(comps[cu]) + 1)
-        u, o = pos[eu], pos[eo]
         # bases o+1 .. u, wrapping round the end when u < o
         diff[o + 1] += 1
         diff[u + 1] -= 1
         if u < o:
             diff[0] += 1
-    bases = []
-    for comp, diff in zip(comps, diffs):
+    at = []
+    for diff in diffs:
         if diff is None:
-            bases.append(comp[0])
+            at.append(0)
             continue
         run = list(accumulate(diff[:-1]))
-        bases.append(comp[run.index(min(run))])
+        at.append(run.index(min(run)))
+    label_order = range(len(comps))
     if not mixed:
-        return tuple(bases)
+        return at, label_order
     # score: times under minus times over the components left
     score = [0] * len(comps)
     for u, o in mixed:
         score[u] += 1
         score[o] -= 1
-    left = list(range(len(comps)))
+    left = list(label_order)
     rank = [0] * len(comps)
-    for r in range(len(comps)):
+    order = []
+    for r in label_order:
         k = min(left, key=score.__getitem__)
         left.remove(k)
         rank[k] = r
+        order.append(k)
         for u, o in mixed:
             if u == k:
                 score[o] += 1
@@ -143,27 +215,8 @@ def _fewest_bad(d: Diagram, ins) -> tuple[int, ...]:
                 score[u] -= 1
     greedy_bad = sum(rank[u] < rank[o] for u, o in mixed)
     if greedy_bad >= sum(u < o for u, o in mixed):
-        return tuple(bases)
-    return tuple(b for _, b in sorted(zip(rank, bases)))
-
-
-def _bad_order(d: Diagram, bases, ins) -> list[int]:
-    """The bad crossings under `bases`, in the order the walk meets them.
-
-    The walk goes round each component from its base, the components in
-    the order of `bases`.  It meets each crossing at whichever of its
-    in-edges comes first; a crossing is bad when that is its under-in
-    edge.  `ins` is `_in_edges(d)`."""
-    comps, comp_of = d.components, d.comp_of
-    time: dict[int, int] = {}  # edge -> when the walk reaches its head
-    for b in bases:
-        comp = comps[comp_of[b]]
-        i = comp.index(b)
-        t = len(time)
-        time.update(zip(comp[i:] + comp[:i], range(t, t + len(comp))))
-    bad = sorted([(time[eu], ci) for ci, (eu, eo) in enumerate(ins)
-                  if time[eu] < time[eo]])
-    return [ci for _, ci in bad]
+        return at, label_order
+    return at, order
 
 
 def _check_marking(d: Diagram, marking: Marking) -> None:
@@ -184,13 +237,10 @@ def _check_marking(d: Diagram, marking: Marking) -> None:
 def bad_crossings(d: Diagram, marking: Marking | None = None) -> list[int]:
     """Crossings first reached on their under-strand, in first-visit order,
     under `marking` or else under `default_marking(d)`."""
-    ins = _in_edges(d)
     if marking is None:
-        bases = _fewest_bad(d, ins)
-    else:
-        _check_marking(d, marking)
-        bases = marking.bases
-    return _bad_order(d, bases, ins)
+        return _walk(d, None)[1]
+    _check_marking(d, marking)
+    return _walk(d, marking.bases)[1]
 
 
 def _branch_ops(sign: int, kind: str) -> OpKind:
@@ -234,28 +284,25 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     under `(tag, d, bases)`.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
-    in walk order; `_bad_order` finds them when it is None.  Switching
-    the first bad crossing keeps the walk and every other crossing, so
-    the switched child's bad crossings are the rest of its parent's, and
-    it is handed the parent's iterator to go on with.
+    in walk order; when it is None, `_walk` finds them, and the default
+    marking with them.  Switching the first bad crossing keeps the walk
+    and every other crossing, so the switched child's bad crossings are
+    the rest of its parent's, and it is handed the parent's iterator to
+    go on with.
     """
-    ins = None
-    if bases is None:
-        ins = _in_edges(d)
-        bases = _fewest_bad(d, ins)
+    if bad is None:
+        bases, order = _walk(d, bases)
+        bad = iter(order)
     key = (tag, d, bases)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if bad is None:
-        bad = iter(_bad_order(d, bases,
-                              _in_edges(d) if ins is None else ins))
     ci = next(bad, None)
     if ci is None:
         node = leaf(d.component_count)
     else:
         node = branch(
-            ci, d.signs[ci], d.classify(ci),
+            ci, _SIGN[d.over_in[ci]], d.classify(ci),
             _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch,
                      bad),
             _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch),

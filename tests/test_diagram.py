@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import braid_components, exhaustive_encode
+import skeinalg.diagram
 from skeinalg.diagram import (Diagram, DiagramError, PDSyntaxError,
                               braid_to_diagram, parse_diagram, parse_pd)
 
@@ -60,19 +61,19 @@ def _assemble(slotted, glues, free_loops: int):
             assigned[x] = len(assigned) + 1
             x = nxt[x]
         components.append(tuple(range(first, len(assigned) + 1)))
-    succ = {comp[i - 1]: lab for comp in components
-            for i, lab in enumerate(comp)}
     comp_of = {lab: k for k, comp in enumerate(components) for lab in comp}
+    pos = {lab: i for comp in components for i, lab in enumerate(comp)}
+    small = tuple(comp for comp in components if len(comp) <= 2)
 
     labmap = {lab: assigned.get(root) for lab, root in rep.items()}
     for cr, _ in slotted:
         for lab in cr:
             if lab not in rep:
                 labmap[lab] = assigned[lab]
-    new_crossings = tuple(tuple(labmap[x] for x in cr) for cr, _ in slotted)
-    child = Diagram._trusted(new_crossings, free_loops + len(loop_roots),
-                             tuple(components), succ, comp_of,
-                             [oi for _, oi in slotted])
+    flat = tuple(labmap[x] for cr, _ in slotted for x in cr)
+    child = Diagram._trusted(flat, tuple(oi for _, oi in slotted),
+                             free_loops + len(loop_roots),
+                             (tuple(components), comp_of, pos, small))
     return child, labmap
 
 
@@ -94,8 +95,8 @@ def _reference_closure(n, letters):
 def _reference_move(d, ev, fs):
     """An R1-, R2-, R1+ or R2+ event rebuilt through `_assemble`; `fs` is
     `faces(d)`."""
-    from skeinalg.moves import (_ends, _flat, _r1plus_template,
-                                _r2plus_crossings, face_edges)
+    from skeinalg.moves import (_ends, _r1plus_template, _r2plus_crossings,
+                                face_edges)
 
     crs, ois = list(d.crossings), list(d.over_in)
     if ev.kind in ("R1-", "R2-"):
@@ -111,7 +112,7 @@ def _reference_move(d, ev, fs):
         x = base + 1
         new = [_r1plus_template(x, x + 1, x, ev.sign, ev.flavor)]
         return _assemble(list(zip(crs, ois)) + new, [], d.free_loops - 1)
-    flat = _flat(d)
+    flat = d.flat
 
     def relabel(e, lab):
         ci, s = _ends(d, flat, e)[1]
@@ -264,11 +265,30 @@ class TestLibraryBuiltDiagrams:
     """Switches, smoothings and move rewrites skip validation; with the
     re-check switch on they must agree with it field by field."""
 
+    # every table and view a diagram has, stored or derived
+    FIELDS = ("flat", "crossings", "free_loops", "over_in", "components",
+              "comp_of", "pos", "succ", "signs")
+
     def test_switch_catches_a_wrong_build(self, recheck_builds):
         d = parse_pd(HOPF_PD)
         with pytest.raises(AssertionError, match="over_in"):
-            Diagram._trusted(d.crossings, 0, d.components, d.succ,
-                             d.comp_of, [1, 1])
+            Diagram._trusted(d.flat, (1, 1), 0, d._shape)
+        # the shape of a two-component diagram whose components have one
+        # and three edges
+        with pytest.raises(AssertionError, match="components"):
+            Diagram._trusted(d.flat, d.over_in, 0,
+                             skeinalg.diagram._numbered((1, 3)))
+        assert Diagram._trusted(d.flat, d.over_in, 0, d._shape) == d
+
+    def test_views_are_derived_once_and_kept(self):
+        d = braid_to_diagram(3, [1, -2, 1, -2]).crossing_change(1)
+        ref = Diagram(d.crossings, d.free_loops)
+        for name in ("crossings", "signs", "succ"):
+            assert getattr(d, name) is getattr(d, name)
+            assert getattr(d, name) == getattr(ref, name)
+        assert type(d.crossings[0]) is tuple and type(d.succ) is dict
+        with pytest.raises(AttributeError):
+            d.no_such_view
 
     def test_corpus_recursion_and_perturbations(self, recheck_builds,
                                                 corpus):
@@ -282,6 +302,28 @@ class TestLibraryBuiltDiagrams:
             for seed in range(2):
                 perturbed, _ = random_perturb(d, seed=seed, steps=15, cap=14)
                 trace(perturbed)
+
+    def test_hot_paths_never_build_the_crossings_view(self, corpus,
+                                                      monkeypatch):
+        # tracing and perturbing read `flat`; a node that fell back to
+        # the 4-tuples would build the view, and be counted here
+        from skeinalg.moves import random_perturb
+        from skeinalg.skein import trace
+
+        built = []
+        real = skeinalg.diagram._VIEWS["crossings"]
+        monkeypatch.setitem(skeinalg.diagram._VIEWS, "crossings",
+                            lambda d: built.append(d) or real(d))
+        nodes = 0
+        for entry in corpus:
+            d = entry.diagram()
+            for x in [d] + [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                            for s in range(2)]:
+                shared = {}
+                trace(x, shared=shared)
+                nodes += len(shared)
+        assert nodes > 5_000 and built == []
+        assert x.crossings and built == [x]
 
     def test_mirrors_and_triangle_slides(self, recheck_builds, corpus):
         from skeinalg.moves import apply_move, find_moves, random_perturb
@@ -312,9 +354,9 @@ class TestLibraryBuiltDiagrams:
                        for _ in range(rng.randint(0, 20) if gens else 0)]
             d = braid_to_diagram(n, letters)
             ref = Diagram(d.crossings, d.free_loops)
-            for name in ("crossings", "free_loops", "components", "succ",
-                         "comp_of", "over_in", "signs"):
+            for name in self.FIELDS:
                 assert getattr(d, name) == getattr(ref, name), (n, letters)
+            assert d == ref and hash(d) == hash(ref), (n, letters)
             assert d.braid == (n, tuple(letters)) and ref.braid is None
             free += d.free_loops > 0
             negative += bool(letters) and max(letters) < 0
@@ -339,10 +381,10 @@ class TestLibraryBuiltDiagrams:
             want, want_map = reference(*where)
             monkeypatch.setattr(skeinalg.diagram, "RECHECK_BUILDS", True)
             got, got_map = got
-            for name in ("crossings", "free_loops", "components", "succ",
-                         "comp_of", "over_in", "signs"):
+            for name in self.FIELDS:
                 assert getattr(got, name) == getattr(want, name), \
                     (where, name)
+            assert got == want and hash(got) == hash(want), where
             assert got_map == want_map, where
 
         def rebuilt(d, ci):

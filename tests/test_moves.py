@@ -250,6 +250,19 @@ class TestApplyValidation:
         with pytest.raises(MoveError, match=f"{kind} event has no {place}"):
             apply_move(d, MoveEvent(kind))
 
+    @pytest.mark.parametrize("event", [
+        MoveEvent("R1+", edge=1),
+        MoveEvent("R1+", edge=1, sign=1),
+        MoveEvent("R1+", edge=1, flavor="o"),
+        MoveEvent("R1+", edge=1, sign=2, flavor="o"),
+        MoveEvent("R1+", edge=1, sign=-1, flavor="x"),
+        MoveEvent("R1+", loop=True, sign=1)])
+    def test_r1_plus_needs_a_sign_and_a_flavor(self, event):
+        # an event that applied would print as text `parse_event` refuses
+        d = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]+O^1")
+        with pytest.raises(MoveError, match="R1\\+ event needs sign"):
+            apply_move(d, event)
+
 
 class TestDetection:
     def test_hopf_offers_nothing(self):
