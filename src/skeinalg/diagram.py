@@ -93,7 +93,7 @@ class Diagram:
     no part in equality or hashing."""
 
     __slots__ = ("flat", "over_in", "free_loops", "components", "comp_of",
-                 "pos", "_shape", "_hash", "braid", "crossings", "signs",
+                 "pos", "_small", "_hash", "braid", "crossings", "signs",
                  "succ")
 
     def __init__(self, crossings, free_loops: int = 0):
@@ -109,31 +109,34 @@ class Diagram:
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", int(free_loops))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "braid", None)
         self._derive()
 
     @classmethod
-    def _trusted(cls, flat, over_in, free_loops, shape) -> "Diagram":
+    def _trusted(cls, flat, over_in, free_loops, components, comp_of, pos,
+                 small) -> "Diagram":
         """A diagram derived inside the library from known-good parts.
 
         `flat` and `over_in` are tuples, `over_in` a consistent strand
-        direction for every crossing.  `shape` is `(components, comp_of,
-        pos, small)`: the tables `_derive` would compute for `flat`, and
+        direction for every crossing.  `components`, `comp_of` and `pos`
+        are the tables `_derive` would compute for `flat`, and `small`
         the components of at most two edges.  Where there are such
         components, circles whose direction the labels leave open get
         the reading of `_fix_free_circles`.
         """
-        if shape[3]:
-            over_in = _fix_free_circles(flat, shape[3], over_in)
+        if small:
+            over_in = _fix_free_circles(flat, small, over_in)
         d = object.__new__(cls)
         _set = object.__setattr__
         _set(d, "flat", flat)
         _set(d, "over_in", over_in)
         _set(d, "free_loops", free_loops)
-        _set(d, "_shape", shape)
-        _set(d, "components", shape[0])
-        _set(d, "comp_of", shape[1])
-        _set(d, "pos", shape[2])
+        _set(d, "components", components)
+        _set(d, "comp_of", comp_of)
+        _set(d, "pos", pos)
+        _set(d, "_small", small)
         _set(d, "_hash", None)
+        _set(d, "braid", None)
         if RECHECK_BUILDS:
             _recheck(d)
         return d
@@ -253,7 +256,7 @@ class Diagram:
         _set = object.__setattr__
         _set(self, "flat", flat)
         _set(self, "over_in", over_in)
-        _set(self, "_shape", (components, comp_of, pos, small))
+        _set(self, "_small", small)
         _set(self, "components", components)
         _set(self, "comp_of", comp_of)
         _set(self, "pos", pos)
@@ -311,7 +314,7 @@ class Diagram:
         return Diagram._trusted(
             flat[:i] + rotated + flat[i + 4:],
             over_in[:ci] + (4 - oi,) + over_in[ci + 1:], self.free_loops,
-            self._shape)
+            self.components, self.comp_of, self.pos, self._small)
 
     def smooth_with_map(self, ci: int) -> tuple["Diagram", dict[int, int | None]]:
         """Orientation-respecting smoothing of one crossing.
@@ -389,7 +392,8 @@ class Diagram:
         swapped[1::4], swapped[3::4] = flat[3::4], flat[1::4]
         return Diagram._trusted(
             tuple(swapped), tuple([4 - oi for oi in self.over_in]),
-            self.free_loops, self._shape)
+            self.free_loops, self.components, self.comp_of, self.pos,
+            self._small)
 
     # -- text forms -----------------------------------------------------------
 
@@ -425,7 +429,7 @@ class Diagram:
         # circles of at most two edges that run under nothing: the labels
         # leave their direction open, so `_rooted_rows` fixes it
         unders = set(self.flat[0::4])
-        drifting = {lab for comp in self._shape[3]
+        drifting = {lab for comp in self._small
                     if unders.isdisjoint(comp) for lab in comp}
 
         # a root that is not the incoming under-strand of some crossing
@@ -461,7 +465,7 @@ def _succ_view(d: Diagram) -> dict[int, int]:
 
 # the builder of each view that `Diagram.__getattr__` derives on first use
 _VIEWS = {"crossings": _crossings_view, "signs": _signs_view,
-          "succ": _succ_view, "braid": lambda d: None}
+          "succ": _succ_view}
 
 
 def _crossing_pieces(d: Diagram) -> list[list[int]]:
@@ -579,11 +583,11 @@ def _run(comp, i: int, j: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1024)
 def _numbered(lengths: tuple[int, ...]):
-    """The shape `(components, comp_of, pos, small)` of components of the
-    given lengths labeled 1, 2, ... in turn, each along its orientation,
-    as `Diagram._trusted` takes it.  The tables are shared by every
-    diagram with these lengths, and like the rest of a diagram they are
-    never changed."""
+    """The tables `(components, comp_of, pos, small)` of components of
+    the given lengths labeled 1, 2, ... in turn, each along its
+    orientation, as `Diagram._trusted` takes them.  The tables are
+    shared by every diagram with these lengths, and like the rest of a
+    diagram they are never changed."""
     components = []
     comp_of: dict[int, int] = {}
     pos: dict[int, int] = {}
@@ -614,7 +618,7 @@ def _rebuilt(flat, over_in, pieces, free_loops: int, rep):
     for lab, r in rep.items():
         labmap[lab] = labmap.get(r)
     child = Diagram._trusted(tuple(map(labmap.__getitem__, flat)), over_in,
-                             free_loops, _numbered(tuple(map(len, pieces))))
+                             free_loops, *_numbered(tuple(map(len, pieces))))
     return child, labmap
 
 

@@ -229,31 +229,22 @@ def _event(kind: str, at: int) -> MoveEvent:
 
 def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
     """`find_moves` over the already computed `faces(d)`, each event as
-    its (kind, place) pair; `_event` builds it.  The tests of `_curl_at`,
-    `_bigon_ok` and `_trigon_ok` are written out on the flat labels:
-    this census runs on every step of `random_perturb`."""
+    its (kind, place) pair; `_event` builds it."""
     flat = d.flat
-    out = [("R1-", ci) for ci, (a, b, c, e) in enumerate(_quads(flat))
-           if a == b or b == c or c == e or e == a]
+    out = [("R1-", ci) for ci, cr in enumerate(_quads(flat)) if _curl_at(cr)]
     overs = _over_counts(d)
     slides = []
     seen_pairs: set[tuple[int, int]] = set()
     for fi, face in enumerate(fs):
         if len(face) == 2:
-            (c0, s0), (c1, s1) = face
-            e0, e1 = flat[4 * c0 + s0], flat[4 * c1 + s1]
-            if c0 == c1 or e0 == e1 or (overs[e0] != 2 and overs[e1] != 2):
+            if not _bigon_ok(face, face_edges(d, face), overs):
                 continue
-            pair = (c0, c1) if c0 < c1 else (c1, c0)
+            pair = tuple(sorted(c for c, _ in face))
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 out.append(("R2-", fi))
-        elif len(face) == 3:
-            (c0, s0), (c1, s1), (c2, s2) = face
-            es = (flat[4 * c0 + s0], flat[4 * c1 + s1], flat[4 * c2 + s2])
-            if (c0 != c1 and c1 != c2 and c0 != c2 and len(set(es)) == 3
-                    and sorted(map(overs.__getitem__, es)) == [0, 1, 2]):
-                slides.append(("R3", fi))
+        elif len(face) == 3 and _trigon_ok(face, face_edges(d, face), overs):
+            slides.append(("R3", fi))
     out += slides
     out += [("RLT", i + 1) for i in range(d.free_loops)]
     return out
@@ -270,47 +261,35 @@ def _remove_crossings(d: Diagram, which: set[int]):
     smallest label.  A component made only of such edges becomes a
     crossingless circle."""
     flat, over_in = d.flat, d.over_in
-    comps, comp_of, pos = d.components, d.comp_of, d.pos
     runs_on = set()
     for ci in which:
         a, b, _, e = flat[4 * ci:4 * ci + 4]
         runs_on.update((a, b if over_in[ci] == 1 else e))
-    touched: dict[int, list[int]] = {}
-    for e in runs_on:
-        touched.setdefault(comp_of[e], []).append(e)
     pieces = []
     rep: dict[int, int | None] = {}
     freed = 0
-    for k, comp in enumerate(comps):
-        ons = touched.get(k)
-        if ons is None:
+    for comp in d.components:
+        if runs_on.isdisjoint(comp):
             pieces.append(comp)
             continue
-        n = len(comp)
-        if len(ons) == n:
+        # a run starts where the edge before does not run on
+        starts = [i for i in range(len(comp)) if comp[i - 1] not in runs_on]
+        if not starts:
             freed += 1
             rep.update(dict.fromkeys(comp))
             continue
-        # each run ends at an edge that does not run on: the run's name
-        # takes that edge's place
-        named = {}
-        for e in ons:
-            i = pos[e]
-            if comp[i - 1] in runs_on:
-                continue  # not where its run starts
-            j = i + 1
-            while comp[j % n] in runs_on:
-                j += 1
-            run = _run(comp, i, j)
-            named[run[-1]] = m = min(run)
-            rep.update(dict.fromkeys(run, m))
-        seq = [named.get(e, e) for e in comp if e not in runs_on]
-        i = seq.index(min(seq))
-        pieces.append(tuple(seq[i:] + seq[:i]))
-    kept, kept_in = list(flat), list(over_in)
-    for ci in sorted(which, reverse=True):
-        del kept[4 * ci:4 * ci + 4], kept_in[ci]
-    return _rebuilt(kept, tuple(kept_in), pieces, d.free_loops + freed, rep)
+        seq = []
+        for i, j in zip(starts, starts[1:] + [starts[0] + len(comp)]):
+            run = _run(comp, i, j - 1)
+            seq.append(min(run))
+            if len(run) > 1:
+                rep.update(dict.fromkeys(run, seq[-1]))
+        k = seq.index(min(seq))
+        pieces.append(tuple(seq[k:] + seq[:k]))
+    kept = [j for j in range(d.n_crossings) if j not in which]
+    return _rebuilt([x for j in kept for x in flat[4 * j:4 * j + 4]],
+                    tuple([over_in[j] for j in kept]), pieces,
+                    d.free_loops + freed, rep)
 
 
 def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
@@ -374,7 +353,7 @@ def _apply_r3(d: Diagram, face) -> Diagram:
     # the slide moves strands past each other without relabeling them or
     # changing which slot each over-strand enters by
     return Diagram._trusted(tuple(slid), d.over_in, d.free_loops,
-                            d._shape)
+                            d.components, d.comp_of, d.pos, d._small)
 
 
 def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):

@@ -47,7 +47,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 
 from .algebra import ConwayAlgebraSpec, OpKind
 from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
@@ -96,11 +95,8 @@ def _walk(d: Diagram, bases) -> tuple[tuple[int, ...], list[int]]:
     from these.  The walk goes round each component from its base, the
     components in the order of the bases, so an edge is reached at its
     component's offset plus its distance from the base.  A crossing is
-    bad when the walk reaches its under-in edge first.  A diagram with
-    one component goes to `_walk_knot`.
+    bad when the walk reaches its under-in edge first.
     """
-    if len(d.components) == 1:
-        return _walk_knot(d, bases)
     flat, comps, comp_of, pos = d.flat, d.components, d.comp_of, d.pos
     ins = []  # per crossing: (component, position) of under-in, over-in
     for i, oi in enumerate(d.over_in):
@@ -129,36 +125,6 @@ def _walk(d: Diagram, bases) -> tuple[tuple[int, ...], list[int]]:
     return bases, [ci for _, ci in bad]
 
 
-def _walk_knot(d: Diagram, bases) -> tuple[tuple[int, ...], list[int]]:
-    """`_walk` for a diagram with one component, where every crossing is
-    a self crossing: the same rule on positions alone, with no
-    component lookups and no component order to choose."""
-    flat, pos = d.flat, d.pos
-    comp = d.components[0]
-    n = len(comp)
-    pu = list(map(pos.__getitem__, flat[0::4]))
-    po = [pos[flat[i]] for i in map(add, range(0, len(flat), 4), d.over_in)]
-    if bases is None:
-        # `_fewest_bad`'s difference array, less its wrap-round count,
-        # which adds the same to every base
-        diff = [0] * (n + 1)
-        for u, o in zip(pu, po):
-            diff[o + 1] += 1
-            diff[u + 1] -= 1
-        run = list(accumulate(diff))
-        b = run.index(min(run))
-        bases = (comp[b],)
-    else:
-        b = pos[bases[0]]
-    bad = []
-    for ci, (u, o) in enumerate(zip(pu, po)):
-        tu = (u - b) % n
-        if tu < (o - b) % n:
-            bad.append((tu, ci))
-    bad.sort()
-    return bases, [ci for _, ci in bad]
-
-
 def _fewest_bad(comps, ins):
     """The default marking, as the base position on each component and
     the order of the components; `ins` is what `_walk` reads per
@@ -171,25 +137,20 @@ def _fewest_bad(comps, ins):
     under-strand comes first.  The greedy order can lose to label order,
     so it is kept only when it has fewer bad mixed crossings.
     """
-    diffs: list[list[int] | None] = [None] * len(comps)
+    diffs = [[0] * (len(comp) + 1) for comp in comps]
     mixed: list[tuple[int, int]] = []  # (under, over) component pairs
     for cu, u, co, o in ins:
         if cu != co:
             mixed.append((cu, co))
             continue
+        # bases o+1 .. u; when u < o this interval wraps round the end,
+        # and is written as 1 less on every base outside it, which moves
+        # no minimum
         diff = diffs[cu]
-        if diff is None:
-            diff = diffs[cu] = [0] * (len(comps[cu]) + 1)
-        # bases o+1 .. u, wrapping round the end when u < o
         diff[o + 1] += 1
         diff[u + 1] -= 1
-        if u < o:
-            diff[0] += 1
     at = []
     for diff in diffs:
-        if diff is None:
-            at.append(0)
-            continue
         run = list(accumulate(diff[:-1]))
         at.append(run.index(min(run)))
     label_order = range(len(comps))

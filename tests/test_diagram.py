@@ -73,7 +73,7 @@ def _assemble(slotted, glues, free_loops: int):
     flat = tuple(labmap[x] for cr, _ in slotted for x in cr)
     child = Diagram._trusted(flat, tuple(oi for _, oi in slotted),
                              free_loops + len(loop_roots),
-                             (tuple(components), comp_of, pos, small))
+                             tuple(components), comp_of, pos, small)
     return child, labmap
 
 
@@ -271,14 +271,15 @@ class TestLibraryBuiltDiagrams:
 
     def test_switch_catches_a_wrong_build(self, recheck_builds):
         d = parse_pd(HOPF_PD)
+        strands = (d.components, d.comp_of, d.pos, d._small)
         with pytest.raises(AssertionError, match="over_in"):
-            Diagram._trusted(d.flat, (1, 1), 0, d._shape)
-        # the shape of a two-component diagram whose components have one
-        # and three edges
+            Diagram._trusted(d.flat, (1, 1), 0, *strands)
+        # the tables of a two-component diagram whose components have
+        # one and three edges
         with pytest.raises(AssertionError, match="components"):
             Diagram._trusted(d.flat, d.over_in, 0,
-                             skeinalg.diagram._numbered((1, 3)))
-        assert Diagram._trusted(d.flat, d.over_in, 0, d._shape) == d
+                             *skeinalg.diagram._numbered((1, 3)))
+        assert Diagram._trusted(d.flat, d.over_in, 0, *strands) == d
 
     def test_views_are_derived_once_and_kept(self):
         d = braid_to_diagram(3, [1, -2, 1, -2]).crossing_change(1)
