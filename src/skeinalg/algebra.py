@@ -12,12 +12,17 @@ one Laurent ring.  The `nonlinear` family stores the k-th power of each
 formal value; on stored values its operations coincide with the linear
 ones, and only the rendering (a formal k-th root) differs.
 
-Every path that combines values (the skein resolver, `replay`, the
-braid-word evaluator and `check_axioms`) goes through
-`ConwayAlgebraSpec.apply`.  It runs each operation as a kernel compiled
-once per table and operation (`_compile_kernel`), with the exponent
-arithmetic written out for the table's width, and wraps the result
-without re-checking it.
+Each operation runs as a kernel compiled once per table and operation
+(`_compile_kernel`), with the exponent arithmetic written out for the
+table's width.  A kernel combines bare term maps.  The value recursions
+of `skein` (`evaluate` on PD input and on braid words, and `replay`)
+call the kernels directly and keep bare term maps throughout; each
+wraps only the value it returns, through `_wrapped`.
+`ConwayAlgebraSpec.apply` is the door for `LaurentPoly` operands: it
+runs the same kernels and wraps every result through `_wrapped`.
+`check_axioms` and the tests combine values there.  `_wrapped` does not
+re-check a result, except under the test switch
+`diagram.RECHECK_BUILDS`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import diagram
 from .laurent import LaurentError, LaurentPoly, VarTable
 
 
@@ -98,6 +104,20 @@ def _compile_kernel(op: AffineOp, width: int) -> Callable:
     return space["kernel"]
 
 
+def _wrapped(table: VarTable, terms: dict) -> LaurentPoly:
+    """The value with term map `terms` over `table`, which a kernel
+    computed from valid values: wrapped without a check, except under
+    the test switch `diagram.RECHECK_BUILDS`, where it must equal its
+    validated copy."""
+    if diagram.RECHECK_BUILDS:
+        ref = LaurentPoly(table, terms)
+        if ref.terms != terms:
+            raise AssertionError(
+                f"library-computed term map {terms} differs from its "
+                f"validated copy {ref.terms}")
+    return LaurentPoly._trusted(table, terms)
+
+
 def _shifted(shift: tuple[int, ...], width: int) -> tuple[str, str]:
     """Loop target and key expression that add `shift` to exponents."""
     if not any(shift):
@@ -124,7 +144,8 @@ class ConwayAlgebraSpec:
     The unit sequence is produced by a recurrence and memoized; the memo
     is append-only and behaves as a pure cache.  `key` names the instance
     in memo keys and output.  `ops` is read once per table, at the first
-    `apply` over it, and compiled into kernels that the instance keeps.
+    use of its kernels (`_kernels_over`), and compiled into kernels that
+    the instance keeps.
     """
 
     def __init__(
@@ -142,7 +163,7 @@ class ConwayAlgebraSpec:
         self._unit_step = unit_step
         self._units: list[LaurentPoly] = [LaurentPoly.const(table, 1)]
         self.key = name if k is None else f"{name}(k={k})"
-        # table -> op -> kernel, compiled on the first apply over the table
+        # table -> op -> kernel, compiled on the first use over the table
         self._kernels: dict[VarTable, dict[OpKind, Callable]] = {}
 
     def unit(self, n: int) -> LaurentPoly:
@@ -162,13 +183,19 @@ class ConwayAlgebraSpec:
         table = a.table
         if b.table is not table and b.table != table:
             raise LaurentError("operands live over different tables")
+        return _wrapped(table, self._kernels_over(table)[op](a.terms, b.terms))
+
+    def _kernels_over(self, table: VarTable) -> dict[OpKind, Callable]:
+        """The kernel of each operation over `table`: a function of two
+        term maps that returns a term map.  Compiled at the first use
+        over the table, then kept."""
         kernels = self._kernels.get(table)
         if kernels is None:
             width = len(table.names)
             kernels = {kind: _compile_kernel(f.remap(table), width)
                        for kind, f in self.ops.items()}
             self._kernels[table] = kernels
-        return LaurentPoly._trusted(table, kernels[op](a.terms, b.terms))
+        return kernels
 
     def to_formal(self, stored: LaurentPoly) -> str:
         """Render a stored k-th power as a formal root (plainly for k=1)."""

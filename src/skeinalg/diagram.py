@@ -53,11 +53,14 @@ deterministically (enter along the smaller label first).
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import chain, count
 
 # Test-only switch: when true, every diagram built inside the library is
-# rebuilt through the validating constructor and compared field by field.
+# rebuilt through the validating constructor and compared field by field,
+# and every value the library wraps (`algebra._wrapped`) is compared with
+# its validated copy.
 RECHECK_BUILDS = False
 
 # The most components a diagram may have for evaluation.  A braid on n
@@ -683,14 +686,23 @@ def braid_to_diagram(n: int, letters) -> Diagram:
 # -- parsing -----------------------------------------------------------------
 
 
+# Tokens after optional whitespace, which \s reads as str.isspace does;
+# \d reads decimal digits, the ones int() accepts.  A braid letter and a
+# PD crossing are each read in one match.
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"\s*(\d+)")
+_LETTER = re.compile(r"\s*(-?)\s*(\d+)")
+_CROSSING = re.compile(
+    r"\s*X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
 
     def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+        self.i = _SPACE.match(self.text, self.i).end()
 
     @property
     def col(self) -> int:
@@ -698,7 +710,7 @@ class _Scanner:
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
+        return self.text[self.i:self.i + 1]
 
     def expect(self, token: str):
         self.skip_ws()
@@ -708,15 +720,45 @@ class _Scanner:
         self.i += len(token)
 
     def integer(self) -> int:
-        self.skip_ws()
-        j = self.i
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.i:
+        m = _INTEGER.match(self.text, self.i)
+        if m is None:
+            self.skip_ws()
             raise PDSyntaxError("expected an integer", self.col)
-        value = int(self.text[self.i:j])
-        self.i = j
-        return value
+        self.i = m.end()
+        return int(m[1])
+
+    def crossing(self) -> tuple[int, ...]:
+        """`X[a,b,c,d]`, in one match.  Where that fails, reading it
+        token by token raises at the first token that fails."""
+        m = _CROSSING.match(self.text, self.i)
+        if m is None:
+            self.expect("X[")
+            row = []
+            for sep in ",,,]":
+                row.append(self.integer())
+                self.expect(sep)
+            return tuple(row)
+        self.i = m.end()
+        return tuple(map(int, m.groups()))
+
+    def letters(self) -> list[int]:
+        """Signed integers up to a ')' or the end of the text, each in one
+        match.  Where that fails, reading a letter token by token raises
+        at the token that fails."""
+        out = []
+        while True:
+            m = _LETTER.match(self.text, self.i)
+            if m is not None:
+                self.i = m.end()
+                out.append(-int(m[2]) if m[1] else int(m[2]))
+                continue
+            if self.peek() in (")", ""):
+                return out
+            neg = self.peek() == "-"
+            if neg:
+                self.i += 1
+            value = self.integer()
+            out.append(-value if neg else value)
 
     def done(self):
         self.skip_ws()
@@ -733,18 +775,9 @@ def parse_pd(text: str) -> Diagram:
     crossings = []
     if sc.peek() != "]":
         while True:
-            sc.expect("X[")
-            a = sc.integer()
-            sc.expect(",")
-            b = sc.integer()
-            sc.expect(",")
-            c = sc.integer()
-            sc.expect(",")
-            d = sc.integer()
-            sc.expect("]")
-            crossings.append((a, b, c, d))
+            crossings.append(sc.crossing())
             if sc.peek() == ",":
-                sc.expect(",")
+                sc.i += 1
                 continue
             break
     sc.expect("]")
@@ -766,15 +799,7 @@ def parse_diagram(text: str) -> Diagram:
         sc.expect("(")
         n = sc.integer()
         sc.expect(";")
-        letters = []
-        while sc.peek() not in (")", ""):
-            sc.skip_ws()
-            neg = False
-            if sc.peek() == "-":
-                sc.expect("-")
-                neg = True
-            val = sc.integer()
-            letters.append(-val if neg else val)
+        letters = sc.letters()
         sc.expect(")")
         sc.done()
         return braid_to_diagram(n, letters)

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 # exponent means a bug upstream, and wrapping silently would corrupt values.
 # The constructor enforces the bound, and so do `+`, `-`, `*`, `**` and
 # `remap`.  `_trusted` does not, and neither do the compiled kernels of
-# `ConwayAlgebraSpec.apply`, whose results it wraps: an operand near the
-# bound can give an out-of-range exponent there.
+# `ConwayAlgebraSpec`, whose results it wraps: an operand near the bound
+# can give an out-of-range exponent there.
 EXP_LIMIT = 2**31
 
 
@@ -301,40 +301,34 @@ class LaurentPoly:
 
     def _sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # Graded order, low total degree first; ties broken by reading the
-        # exponent vector in table order, larger vector first.
-        def key(item):
-            exps, _ = item
-            return (sum(exps), tuple(-e for e in exps))
-
-        return sorted(self.terms.items(), key=key)
+        # exponent vector in table order, larger vector first: one plain
+        # sort of (-degree, exponents) pairs, largest first.
+        terms = self.terms
+        order = sorted(zip([-sum(e) for e in terms], terms), reverse=True)
+        return [(exps, terms[exps]) for _, exps in order]
 
     def text(self) -> str:
         if not self.terms:
             return "0"
+        names = self.table.names
         chunks: list[str] = []
         for exps, coeff in self._sorted_terms():
-            factors = []
-            for name, e in zip(self.table.names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if factors:
-                body = f"{abs(coeff)}*" + "*".join(factors)
-            else:
-                body = str(abs(coeff))
-            if not chunks:
-                chunks.append(body if coeff > 0 else "-" + body)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + body)
+            factors = [n if e == 1 else f"{n}^{e}"
+                       for n, e in zip(names, exps) if e]
+            sign = " + " if coeff > 0 else " - "
+            chunks.append(f"{sign}{abs(coeff)}*{'*'.join(factors)}"
+                          if factors else f"{sign}{abs(coeff)}")
+        # the first term takes its sign as a prefix, and only when negative
+        first = chunks[0]
+        chunks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(chunks)
 
     def json_terms(self) -> list[dict]:
         """Term list for machine output, in the same canonical order as text()."""
-        out = []
-        for exps, coeff in self._sorted_terms():
-            powers = {n: e for n, e in zip(self.table.names, exps) if e != 0}
-            out.append({"coeff": coeff, "exps": powers})
-        return out
+        names = self.table.names
+        return [{"coeff": coeff,
+                 "exps": {n: e for n, e in zip(names, exps) if e}}
+                for exps, coeff in self._sorted_terms()]
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"

@@ -33,6 +33,9 @@ Move events are small strings:
 
 Face indices refer to the canonical face order of the diagram the event
 applies to, so a sequence of events replays deterministically.
+`str(event)` is the text `parse_event` reads back as the event.  An
+event whose fields no diagram accepts (`_shape_error`) prints with the
+reason in parentheses, which `parse_event` refuses.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, permutations
 
@@ -140,23 +143,71 @@ class MoveEvent:
 
     def __str__(self) -> str:
         k = self.kind
+        c, f, e, e2, comp = map(_field_text, (self.crossing, self.face,
+                                              self.edge, self.edge2,
+                                              self.comp))
         if k == "R1-":
-            return f"R1-@c{self.crossing}"
-        if k == "R2-":
-            return f"R2-@f{self.face}"
-        if k == "R3":
-            return f"R3@f{self.face}"
-        if k == "R1+":
-            s = "+" if self.sign > 0 else "-"
-            at = "O" if self.loop else f"e{self.edge}"
-            return f"R1+@{at}/{s}{self.flavor}"
-        if k == "R2+":
-            return f"R2+@e{self.edge}/e{self.edge2}"
-        if k == "CC":
-            return f"CC@c{self.crossing}"
-        if k == "RLT":
-            return f"RLT@comp{self.comp}"
-        raise MoveError(f"unknown event kind {k!r}")
+            text = f"R1-@c{c}"
+        elif k in ("R2-", "R3"):
+            text = f"{k}@f{f}"
+        elif k == "R1+":
+            s = ("+" if self.sign == 1 else "-" if self.sign == -1
+                 else _field_text(self.sign))
+            at = "O" if self.loop else f"e{e}"
+            text = f"R1+@{at}/{s}{_field_text(self.flavor)}"
+        elif k == "R2+":
+            text = f"R2+@e{e}/e{e2}"
+        elif k == "CC":
+            text = f"CC@c{c}"
+        elif k == "RLT":
+            text = f"RLT@comp{comp}"
+        else:
+            text = str(k)
+        problem = _shape_error(self)
+        return text if problem is None else f"{text} ({problem})"
+
+
+def _field_text(value) -> str:
+    return "?" if value is None else str(value)
+
+
+# the fields each kind of event sets beside `kind`; an R1+ on a
+# crossingless circle sets `loop` in place of `edge`
+_FIELDS = {"R1-": ("crossing",), "R2-": ("face",), "R3": ("face",),
+           "R1+": ("edge", "sign", "flavor"), "R2+": ("edge", "edge2"),
+           "CC": ("crossing",), "RLT": ("comp",)}
+_PLACES = frozenset({"crossing", "face", "edge", "edge2", "comp"})
+
+
+def _shape_error(ev: MoveEvent) -> str | None:
+    """Why no diagram accepts `ev`, or None when its fields are well
+    formed: a known kind, an integer in each place the kind uses, a
+    sign of +1 or -1 and a flavor of o or u for R1+, and every field
+    the kind does not use left at its default."""
+    used = _FIELDS.get(ev.kind)
+    if used is None:
+        return f"unknown event kind {ev.kind!r}"
+    if ev.loop not in (False, True):
+        return f"{ev.kind} event has loop {ev.loop!r}, not True or False"
+    if ev.kind == "R1+" and ev.loop:
+        used = ("loop", "sign", "flavor")
+    for field in fields(ev)[1:]:
+        value = getattr(ev, field.name)
+        if field.name not in used:
+            if value != field.default:
+                return (f"{ev.kind} event sets {field.name}, which it "
+                        "does not use")
+        elif field.name in _PLACES:
+            if value is None:
+                return f"{ev.kind} event has no {field.name}"
+            if type(value) is not int:
+                return (f"{ev.kind} event has {field.name} {value!r}, "
+                        "not an integer")
+    if ev.kind == "R1+" and (ev.sign not in (1, -1)
+                             or ev.flavor not in ("o", "u")):
+        return (f"R1+ event needs sign +1 or -1 and flavor o or u, got "
+                f"sign {ev.sign!r} and flavor {ev.flavor!r}")
+    return None
 
 
 _EVENT_RES = [
@@ -218,13 +269,9 @@ def find_moves(d: Diagram) -> list[MoveEvent]:
     return [_event(kind, at) for kind, at in _find_moves(d, faces(d))]
 
 
-# the MoveEvent field that holds the place of each kind that has one
-_PLACE = {"R1-": "crossing", "R2-": "face", "R3": "face", "RLT": "comp",
-          "CC": "crossing"}
-
-
 def _event(kind: str, at: int) -> MoveEvent:
-    return MoveEvent(kind, **{_PLACE[kind]: at})
+    """The event of a kind with one place field, at place `at`."""
+    return MoveEvent(kind, **{_FIELDS[kind][0]: at})
 
 
 def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
@@ -432,15 +479,15 @@ def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
     if isinstance(ev, str):
         ev = parse_event(ev)
+    problem = _shape_error(ev)
+    if problem is not None:
+        raise MoveError(problem)
     return _apply_move(d, ev, None)
 
 
 def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
-    """`apply_move` for a parsed event; `fs` is `faces(d)`, or None to
-    compute it only if the move needs it."""
-    place = _PLACE.get(ev.kind)
-    if place and getattr(ev, place) is None:
-        raise MoveError(f"{ev.kind} event has no {place}")
+    """`apply_move` for a well-formed event (see `_shape_error`); `fs`
+    is `faces(d)`, or None to compute it only if the move needs it."""
     if ev.kind in ("R2-", "R3", "R2+") and fs is None:
         fs = faces(d)
     if ev.kind == "CC":
@@ -469,14 +516,8 @@ def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
             raise MoveError(f"no face {ev.face}")
         return _apply_r3(d, fs[ev.face])
     if ev.kind == "R1+":
-        if ev.sign not in (1, -1) or ev.flavor not in ("o", "u"):
-            raise MoveError(
-                f"R1+ event needs sign +1 or -1 and flavor o or u, got "
-                f"sign {ev.sign!r} and flavor {ev.flavor!r}")
         return _apply_r1plus(d, ev)
-    if ev.kind == "R2+":
-        return _apply_r2plus(d, ev, fs)
-    raise MoveError(f"unknown event kind {ev.kind!r}")
+    return _apply_r2plus(d, ev, fs)
 
 
 # -- fuzzing -------------------------------------------------------------------

@@ -29,6 +29,12 @@ combines algebra values as it goes, and `trace` records the tree that
 `replay` later values in any algebra.  It is the definition, and the
 path for PD input; its cost grows exponentially with the crossings.
 
+Values inside `evaluate` and `replay` are bare term maps, as the
+algebra's compiled kernels take and return them: the kernels come from
+one table per call (`_op_table`), leaves read the unit's term map, and
+memos hold term maps.  Only the value returned is wrapped as a
+`LaurentPoly`, by `algebra._wrapped`.
+
 A diagram built by `braid_to_diagram` remembers its word, and
 `evaluate` values it by `_resolve_braid` instead: the same skein
 relations, applied to the braid word read from the top, reduce it to
@@ -48,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .algebra import ConwayAlgebraSpec, OpKind
+from .algebra import ConwayAlgebraSpec, OpKind, _wrapped
 from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
 
 MAX_CROSSINGS = 64
@@ -272,28 +278,46 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     return node
 
 
-def _one_component(t: list[int], rest, a: int, b: int) -> bool:
-    """Whether the strands that start at top positions a and b lie on one
-    component of the closure of P(t)·rest, P(t) being the permutation
-    braid of `t` (see `_resolve_braid`)."""
-    t = list(t)
+def _op_table(algebra: ConwayAlgebraSpec):
+    """The algebra's kernels over its own table, as
+    `ops[sign > 0][is_self]`, each the kernel of the operation that
+    `_branch_ops` names for that sign and kind.  A kernel combines two
+    bare term maps into a term map."""
+    kernels = algebra._kernels_over(algebra.table)
+    return tuple(tuple(kernels[_branch_ops(sign, kind)]
+                       for kind in ("mixed", "self"))
+                 for sign in (-1, 1))
+
+
+def _strand_perm(m: int, rest) -> list[int]:
+    """Where the letters of `rest` take m strands: the strand at position
+    x below them starts at position p[x] above them."""
+    p = list(range(m))
     for letter in rest:
         i = abs(letter)
-        t[i - 1], t[i] = t[i], t[i - 1]
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return p
+
+
+def _one_component(t: list[int], p: list[int], a: int, b: int) -> bool:
+    """Whether the strands that start at top positions a and b lie on one
+    component of the closure of P(t)·rest, P(t) being the permutation
+    braid of `t` (see `_resolve_braid`) and p `_strand_perm` of rest."""
     # the closure joins bottom position x to top position x, so a
-    # component's top positions are a cycle of x -> t[x]
-    x = t[a]
+    # component's top positions are a cycle of x -> t[p[x]]
+    x = t[p[a]]
     while x != a:
         if x == b:
             return True
-        x = t[x]
+        x = t[p[x]]
     return False
 
 
 def _resolve_braid(s: int, m: int, q: tuple[int, ...],
-                   rest: tuple[int, ...], f: int, memo,
-                   algebra: ConwayAlgebraSpec, ops):
-    """Value of the closure of P(q)·rest beside f split circles.
+                   rest: tuple[int, ...], f: int, memo, tag, unit, ops,
+                   perms) -> dict:
+    """Term map of the value of the closure of P(q)·rest beside f split
+    circles.
 
     P(q) is the permutation braid of sign s on m strands whose strand at
     bottom position `pos` starts at top position `q[pos]`: each pair of
@@ -303,15 +327,18 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
     yet (q[i-1] < q[i]), or one of sign -s whose strands have.  At the
     first letter that breaks this, the crossing it makes is switched
     (P(q) absorbs the switched letter) and smoothed (the letter is
-    dropped), and the two values are combined as in `_resolve`, with
-    the operation `ops[letter > 0][same component]`.  With
-    no letters left, P(q) is the identity (the unit), has an untouched
-    last strand (a split circle), or has its last strand removed by
-    Markov destabilisation, which leaves the letters that strand crossed.
-    Results are memoised in `memo` under
-    `(algebra.key, s, m, q, rest, f)`.
+    dropped), and the two term maps are combined as in `_resolve`, by
+    the kernel `ops[letter > 0][same component]` of `_op_table`.
+    Whether the letter's strands lie on one component reads the
+    `_strand_perm` of the letters after it from `perms`, which keeps it
+    for the rest of the evaluation under `(m, those letters)`.  With no
+    letters left, P(q) is the identity (the term map of `unit(m + f)`),
+    has an untouched last strand (a split circle), or has its last
+    strand removed by Markov destabilisation, which leaves the letters
+    that strand crossed.  Term maps are memoised in `memo` under
+    `(tag, s, m, q, rest, f)`, `tag` being the algebra's key.
     """
-    key = (algebra.key, s, m, q, rest, f)
+    key = (tag, s, m, q, rest, f)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -331,12 +358,16 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
         here = tuple(t)
         a, b = t[i - 1], t[i]
         t[i - 1], t[i] = b, a
-        node = algebra.apply(
-            ops[letter > 0][_one_component(t, after, a, b)],
-            _resolve_braid(s, m, tuple(t), after, f, memo, algebra, ops),
-            _resolve_braid(s, m, here, after, f, memo, algebra, ops))
+        p = perms.get((m, after))
+        if p is None:
+            p = perms[m, after] = _strand_perm(m, after)
+        node = ops[letter > 0][_one_component(t, p, a, b)](
+            _resolve_braid(s, m, tuple(t), after, f, memo, tag, unit, ops,
+                           perms),
+            _resolve_braid(s, m, here, after, f, memo, tag, unit, ops,
+                           perms))
     elif t == list(range(m)):
-        node = algebra.unit(m + f)
+        node = unit(m + f).terms
     else:
         # P(q) = P(q without m-1)·g(m-1)·g(m-2)···g(j+1) with letters g(i)
         # of sign s; conjugate the tail round and drop g(m-1).  With
@@ -344,7 +375,7 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
         j = t.index(m - 1)
         node = _resolve_braid(s, m - 1, tuple(t[:j] + t[j + 1:]),
                               tuple(s * i for i in range(m - 2, j, -1)),
-                              f + (j == m - 1), memo, algebra, ops)
+                              f + (j == m - 1), memo, tag, unit, ops, perms)
     memo[key] = node
     return node
 
@@ -359,10 +390,12 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     goes through the resolver, at a cost exponential in its crossings.
     The crossing limit, the component count (at least one, at most the
     limit) and the marking are checked first either way.  Memo keys
-    carry the algebra, so one `memo` can serve several.
+    carry the algebra, so one `memo` can serve several; its entries are
+    term maps, and only the value returned is wrapped.
     """
     bases = _root_bases(d, marking)
     memo = {} if memo is None else memo
+    ops = _op_table(algebra)
     if d.braid is not None:
         n, letters = d.braid
         # read with permutation braids of the letters' majority sign, so
@@ -374,15 +407,19 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         # else, so switching it is an isotopy, and it takes the sign s
         letters = tuple(x if uses[abs(x)] > 1 else s * abs(x)
                         for x in letters)
-        ops = tuple((_branch_ops(sign, "mixed"), _branch_ops(sign, "self"))
-                    for sign in (-1, 1))
-        return _resolve_braid(s, n, tuple(range(n)), letters, 0, memo,
-                              algebra, ops)
+        terms = _resolve_braid(s, n, tuple(range(n)), letters, 0, memo,
+                               algebra.key, algebra.unit, ops, {})
+    else:
+        unit = algebra.unit
 
-    def branch(ci, sign, kind, left, right):
-        return algebra.apply(_branch_ops(sign, kind), left, right)
+        def leaf(components):
+            return unit(components).terms
 
-    return _resolve(d, bases, memo, algebra.key, algebra.unit, branch)
+        def branch(ci, sign, kind, left, right):
+            return ops[sign > 0][kind == "self"](left, right)
+
+        terms = _resolve(d, bases, memo, algebra.key, leaf, branch)
+    return _wrapped(algebra.table, terms)
 
 
 # -- explicit recursion trees -------------------------------------------------
@@ -418,21 +455,28 @@ def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):
     """Evaluate a skein tree bottom-up in the given algebra.
 
     Shared subtrees are computed once.  A caller-held `memo` can span
-    several replays; it pins the nodes it has seen, so entries stay
-    valid for its whole lifetime.
+    several replays in one algebra; it holds `(node, term map)` under
+    `id(node)`, and pins the nodes it has seen, so entries stay valid
+    for its whole lifetime.  Nodes are combined as bare term maps by
+    the kernels of `_op_table`, and only the value returned is wrapped.
     """
-    if memo is None:
-        memo = {}
+    return _wrapped(algebra.table,
+                    _replay(node, {} if memo is None else memo,
+                            algebra.unit, _op_table(algebra)))
+
+
+def _replay(node, memo, unit, ops) -> dict:
+    """The term map of `node`; see `replay`."""
     hit = memo.get(id(node))
     if hit is not None:
         return hit[1]
     if isinstance(node, TraceLeaf):
-        value = algebra.unit(node.components)
+        terms = unit(node.components).terms
     elif isinstance(node, TraceBranch):
-        left = replay(node.switched, algebra, memo)
-        right = replay(node.smoothed, algebra, memo)
-        value = algebra.apply(_branch_ops(node.sign, node.kind), left, right)
+        left = _replay(node.switched, memo, unit, ops)
+        right = _replay(node.smoothed, memo, unit, ops)
+        terms = ops[node.sign > 0][node.kind == "self"](left, right)
     else:
         raise SkeinError(f"not a trace node: {node!r}")
-    memo[id(node)] = (node, value)
-    return value
+    memo[id(node)] = (node, terms)
+    return terms

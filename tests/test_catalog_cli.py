@@ -408,6 +408,23 @@ class TestTableCommand:
         assert main(base) == 0
         assert calls == {"parse": 33, "encode": 33}
 
+    def test_record_file_holds_json_dumps_of_the_record(self, tmp_path):
+        from skeinalg.cli import _cache_path, result_record
+
+        cache = tmp_path / "cache"
+        assert main(["table", "--algebra", "gen-conway", "--cache",
+                     str(cache), "--output", str(tmp_path / "o.csv")]) == 0
+        for name in ("unknot", "hopf+", "trefoil+"):
+            d = parse_diagram(lookup(name).pd)
+            canon = d.canonical_encode()
+            record = result_record(d, make_algebra("gen-conway"),
+                                   canon=canon)
+            path = _cache_path(str(cache), canon, "gen-conway")
+            with open(path, "rb") as fh:
+                assert fh.read() == json.dumps(record).encode("utf-8"), name
+        # no temporary file is left beside the records
+        assert not [p for p in cache.iterdir() if p.name.startswith(".")]
+
     def test_failed_cache_write_degrades(self, tmp_path, capsys,
                                          monkeypatch):
         def refuse(src, dst):

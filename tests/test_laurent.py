@@ -17,6 +17,12 @@ terms_st = st.dictionaries(exps_st, st.integers(-6, 6), max_size=5)
 poly_st = terms_st.map(poly_of)
 
 
+# exponents of either sign over a table where every variable inverts
+laurent_terms_st = st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.integers(-12, 12).filter(bool), max_size=8)
+
+
 class TestNormalForm:
     def test_zero_coefficients_dropped(self):
         assert poly_of({(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
@@ -139,6 +145,50 @@ class TestCanonicalText:
         degrees = [sum(t["exps"].values()) for t in records]
         assert degrees == sorted(degrees)
         assert all(t["coeff"] != 0 for t in records)
+
+    @given(laurent_terms_st)
+    @settings(max_examples=300)
+    def test_rendering_matches_the_key_sort_renderer(self, terms):
+        p = LaurentPoly(PQZ, terms)
+        want_text, want_json = _key_sort_render(p)
+        assert p.text() == want_text
+        assert p.json_terms() == want_json
+
+    def test_rendering_covers_negative_exponents_and_large_coefficients(self):
+        for terms in ({}, {(0, 0, 0): 5}, {(0, 0, 0): -1, (-1, 2, 0): 3},
+                      {(-2, -1, 0): -4, (1, 0, 0): 1, (0, 1, 0): -7,
+                       (0, 0, 0): 2}):
+            p = LaurentPoly(PQZ, terms)
+            assert (p.text(), p.json_terms()) == _key_sort_render(p)
+
+
+def _key_sort_render(p: LaurentPoly):
+    """text() and json_terms() as a key-function sort and factor strings
+    built one at a time give them: the reference the renderer keeps."""
+    def key(item):
+        exps, _ = item
+        return (sum(exps), tuple(-e for e in exps))
+
+    items = sorted(p.terms.items(), key=key)
+    chunks = []
+    for exps, coeff in items:
+        factors = []
+        for name, e in zip(p.table.names, exps):
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^{e}")
+        if factors:
+            body = f"{abs(coeff)}*" + "*".join(factors)
+        else:
+            body = str(abs(coeff))
+        if not chunks:
+            chunks.append(body if coeff > 0 else "-" + body)
+        else:
+            chunks.append((" + " if coeff > 0 else " - ") + body)
+    records = [{"coeff": coeff,
+                "exps": {n: e for n, e in zip(p.table.names, exps) if e != 0}}
+               for exps, coeff in items]
+    return "".join(chunks) or "0", records
 
 
 class TestInverse:

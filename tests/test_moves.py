@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skeinalg.moves
 from skeinalg.algebra import make_algebra
@@ -187,6 +189,61 @@ class TestEventGrammar:
     def test_apply_accepts_text(self):
         d = parse_pd(TREFOIL_PD)
         assert apply_move(d, "CC@c1") == d.crossing_change(1)
+
+    # a value of each shape a field might be given, well formed or not
+    ANY_FIELD = st.sampled_from([None, 0, 1, 2, 3, 5, -1, True, "3", 1.5])
+
+    @given(st.sampled_from(["R1-", "R2-", "R3", "R1+", "R2+", "CC", "RLT",
+                            "R4", ""]),
+           ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FIELD,
+           st.sampled_from([None, 1, -1, 0, 2, True, "+"]),
+           st.sampled_from([None, "o", "u", "x", "o "]),
+           st.sampled_from([False, True, 1, "yes"]))
+    @settings(max_examples=400, deadline=None)
+    def test_text_reads_back_as_the_event_or_is_refused(
+            self, kind, crossing, face, edge, edge2, comp, sign, flavor,
+            loop):
+        ev = MoveEvent(kind, crossing=crossing, face=face, edge=edge,
+                       edge2=edge2, sign=sign, flavor=flavor, loop=loop,
+                       comp=comp)
+        text = str(ev)
+        try:
+            back = parse_event(text)
+        except MoveError:
+            back = None
+        # text never reads back as a different event
+        assert back is None or back == ev, text
+        for pd in ("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]+O^1",
+                   "PD[X[1,1,2,2]]+O^1"):
+            try:
+                apply_move(parse_pd(pd), ev)
+            except MoveError:
+                continue
+            assert back == ev, text
+
+    @pytest.mark.parametrize("event", [
+        MoveEvent("R1+", edge=1),
+        MoveEvent("R1+", edge=1, sign=2, flavor="o"),
+        MoveEvent("R1+", sign=1, flavor="o"),
+        MoveEvent("R1+", loop=True, edge=1, sign=1, flavor="o"),
+        MoveEvent("R2+", edge=1),
+        MoveEvent("R2+", edge=1, edge2="2"),
+        MoveEvent("CC", crossing=1, face=0),
+        MoveEvent("RLT"),
+        MoveEvent("R4", crossing=1)])
+    def test_refused_event_prints_as_refused_text(self, event):
+        d = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]+O^1")
+        with pytest.raises(MoveError):
+            apply_move(d, event)
+        with pytest.raises(MoveError, match="cannot parse"):
+            parse_event(str(event))
+
+    def test_refused_event_text_names_the_reason(self):
+        assert str(MoveEvent("R2+", edge=1)) == \
+            "R2+@e1/e? (R2+ event has no edge2)"
+        assert str(MoveEvent("R1+", edge=1)) == (
+            "R1+@e1/?? (R1+ event needs sign +1 or -1 and flavor o or u, "
+            "got sign None and flavor None)")
 
 
 class TestApplyValidation:

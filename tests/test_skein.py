@@ -14,6 +14,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oracles import naive_evaluate
+import skeinalg.algebra
+import skeinalg.diagram
+from skeinalg.algebra import OpKind, make_algebra
 from skeinalg.diagram import DiagramError, braid_to_diagram, parse_pd
 from skeinalg.moves import random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
@@ -348,6 +351,54 @@ class TestTraceReplay:
     def test_replay_rejects_foreign_objects(self, algebras):
         with pytest.raises(SkeinError, match="not a trace node"):
             replay("bogus", algebras[0])
+
+
+class TestValueSwitch:
+    """The recursions combine bare term maps; with the re-check switch on,
+    each one that `evaluate`, `replay` or `apply` wraps must equal its
+    validated copy."""
+
+    def test_switch_catches_a_kernel_leaving_a_zero(self, recheck_builds,
+                                                    monkeypatch):
+        real = skeinalg.algebra._compile_kernel
+
+        def leaky(op, width):
+            kernel = real(op, width)
+
+            def leak(x, y):
+                out = kernel(x, y)
+                out[(0,) * (width - 1) + (99,)] = 0
+                return out
+            return leak
+
+        monkeypatch.setattr(skeinalg.algebra, "_compile_kernel", leaky)
+        gc = make_algebra("gen-conway")  # compiles its kernels afresh
+        hopf = parse_pd(HOPF_PD)
+        for run in (lambda: evaluate(hopf, gc),
+                    lambda: evaluate(braid_to_diagram(2, [1, 1]), gc),
+                    lambda: replay(trace(hopf), gc),
+                    lambda: gc.apply(OpKind.CIRC, gc.unit(1), gc.unit(2))):
+            with pytest.raises(AssertionError, match="validated copy"):
+                run()
+        # without the switch the zero goes through unseen
+        monkeypatch.setattr(skeinalg.diagram, "RECHECK_BUILDS", False)
+        assert 0 in evaluate(hopf, gc).terms.values()
+
+    def test_corpus_recursion_and_braid_closures_pass(self, recheck_builds,
+                                                      corpus, algebras):
+        for entry in corpus:
+            if entry.crossings > 8:
+                continue
+            d = entry.diagram()
+            node = trace(d)
+            for alg in algebras:
+                assert evaluate(d, alg) == replay(node, alg), entry.name
+        for n, word in ((3, [1, -2, 1, -2, 2]), (4, [1, 2, 3, 1, 2, -3, 1]),
+                        (4, [1, 2, 3] * 4), (5, [1, 1, -2, -3, 4, 4])):
+            d = braid_to_diagram(n, word)
+            for alg in algebras:
+                assert evaluate(d, alg) == evaluate(parse_pd(d.pd_text()),
+                                                    alg), (n, word)
 
 
 @st.composite
