@@ -17,7 +17,8 @@ Each operation runs as a kernel compiled once per table and operation
 table's width.  A kernel combines bare term maps.  The value recursions
 of `skein` (`evaluate` on PD input and on braid words, and `replay`)
 call the kernels directly and keep bare term maps throughout; each
-wraps only the value it returns, through `_wrapped`.
+wraps only the value it returns, through `_wrapped`.  Where `apply` has
+been replaced, the recursions call it instead (`_combiners`).
 `ConwayAlgebraSpec.apply` is the door for `LaurentPoly` operands: it
 runs the same kernels and wraps every result through `_wrapped`.
 `check_axioms` and the tests combine values there.  `_wrapped` does not
@@ -197,6 +198,21 @@ class ConwayAlgebraSpec:
             self._kernels[table] = kernels
         return kernels
 
+    def _combiners(self) -> dict[OpKind, Callable]:
+        """The function of two term maps over the algebra's own table
+        that each operation runs in the value recursions: its kernel,
+        or, where `apply` has been replaced on the instance or its class
+        (by a subclass, or by a wrapper that watches it), a call through
+        `apply`, so that the replacement still sees every combination."""
+        if getattr(self.apply, "__func__", None) is _APPLY:
+            return self._kernels_over(self.table)
+        apply, table, wrap = self.apply, self.table, LaurentPoly._trusted
+
+        def through(op):
+            return lambda x, y: apply(op, wrap(table, x), wrap(table, y)).terms
+
+        return {op: through(op) for op in self.ops}
+
     def to_formal(self, stored: LaurentPoly) -> str:
         """Render a stored k-th power as a formal root (plainly for k=1)."""
         if self.k is None:
@@ -213,6 +229,10 @@ class ConwayAlgebraSpec:
 
     def __repr__(self) -> str:
         return f"<algebra {self.key}>"
+
+
+# `apply` as defined above, told apart from a replacement by `_combiners`
+_APPLY = ConwayAlgebraSpec.apply
 
 
 def make_algebra(name: str, k: int | None = None) -> ConwayAlgebraSpec:

@@ -172,12 +172,12 @@ def _cache_read(path: str, canon: str, algebra_key: str) -> dict | None:
 
 def _cache_write(path: str, record: dict) -> None:
     """Write a record whole or not at all: `json.dumps` of it into a
-    hidden temporary file beside it, through the descriptor that
-    created the file, then renamed over it."""
+    hidden temporary file beside it, then renamed over it."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".",
                                suffix=".json")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(record))
         os.replace(tmp, path)
     except BaseException:

@@ -686,14 +686,10 @@ def braid_to_diagram(n: int, letters) -> Diagram:
 # -- parsing -----------------------------------------------------------------
 
 
-# Tokens after optional whitespace, which \s reads as str.isspace does;
-# \d reads decimal digits, the ones int() accepts.  A braid letter and a
-# PD crossing are each read in one match.
+# Whitespace as str.isspace reads it, and an integer after optional
+# whitespace in the decimal digits that int() accepts
 _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"\s*(\d+)")
-_LETTER = re.compile(r"\s*(-?)\s*(\d+)")
-_CROSSING = re.compile(
-    r"\s*X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
 class _Scanner:
@@ -727,39 +723,6 @@ class _Scanner:
         self.i = m.end()
         return int(m[1])
 
-    def crossing(self) -> tuple[int, ...]:
-        """`X[a,b,c,d]`, in one match.  Where that fails, reading it
-        token by token raises at the first token that fails."""
-        m = _CROSSING.match(self.text, self.i)
-        if m is None:
-            self.expect("X[")
-            row = []
-            for sep in ",,,]":
-                row.append(self.integer())
-                self.expect(sep)
-            return tuple(row)
-        self.i = m.end()
-        return tuple(map(int, m.groups()))
-
-    def letters(self) -> list[int]:
-        """Signed integers up to a ')' or the end of the text, each in one
-        match.  Where that fails, reading a letter token by token raises
-        at the token that fails."""
-        out = []
-        while True:
-            m = _LETTER.match(self.text, self.i)
-            if m is not None:
-                self.i = m.end()
-                out.append(-int(m[2]) if m[1] else int(m[2]))
-                continue
-            if self.peek() in (")", ""):
-                return out
-            neg = self.peek() == "-"
-            if neg:
-                self.i += 1
-            value = self.integer()
-            out.append(-value if neg else value)
-
     def done(self):
         self.skip_ws()
         if self.i < len(self.text):
@@ -775,9 +738,18 @@ def parse_pd(text: str) -> Diagram:
     crossings = []
     if sc.peek() != "]":
         while True:
-            crossings.append(sc.crossing())
+            sc.expect("X[")
+            a = sc.integer()
+            sc.expect(",")
+            b = sc.integer()
+            sc.expect(",")
+            c = sc.integer()
+            sc.expect(",")
+            d = sc.integer()
+            sc.expect("]")
+            crossings.append((a, b, c, d))
             if sc.peek() == ",":
-                sc.i += 1
+                sc.expect(",")
                 continue
             break
     sc.expect("]")
@@ -799,7 +771,15 @@ def parse_diagram(text: str) -> Diagram:
         sc.expect("(")
         n = sc.integer()
         sc.expect(";")
-        letters = sc.letters()
+        letters = []
+        while sc.peek() not in (")", ""):
+            sc.skip_ws()
+            neg = False
+            if sc.peek() == "-":
+                sc.expect("-")
+                neg = True
+            val = sc.integer()
+            letters.append(-val if neg else val)
         sc.expect(")")
         sc.done()
         return braid_to_diagram(n, letters)

@@ -176,37 +176,29 @@ def _field_text(value) -> str:
 _FIELDS = {"R1-": ("crossing",), "R2-": ("face",), "R3": ("face",),
            "R1+": ("edge", "sign", "flavor"), "R2+": ("edge", "edge2"),
            "CC": ("crossing",), "RLT": ("comp",)}
-_PLACES = frozenset({"crossing", "face", "edge", "edge2", "comp"})
+_DEFAULTS = [(f.name, f.default) for f in fields(MoveEvent)[1:]]
 
 
 def _shape_error(ev: MoveEvent) -> str | None:
-    """Why no diagram accepts `ev`, or None when its fields are well
-    formed: a known kind, an integer in each place the kind uses, a
-    sign of +1 or -1 and a flavor of o or u for R1+, and every field
-    the kind does not use left at its default."""
+    """Why no diagram accepts `ev`, or None: a known kind, a sign of +1
+    or -1 and a flavor of o or u for R1+, every field the kind uses set,
+    and every field it does not use left at its default."""
     used = _FIELDS.get(ev.kind)
     if used is None:
         return f"unknown event kind {ev.kind!r}"
-    if ev.loop not in (False, True):
-        return f"{ev.kind} event has loop {ev.loop!r}, not True or False"
-    if ev.kind == "R1+" and ev.loop:
-        used = ("loop", "sign", "flavor")
-    for field in fields(ev)[1:]:
-        value = getattr(ev, field.name)
-        if field.name not in used:
-            if value != field.default:
-                return (f"{ev.kind} event sets {field.name}, which it "
-                        "does not use")
-        elif field.name in _PLACES:
-            if value is None:
-                return f"{ev.kind} event has no {field.name}"
-            if type(value) is not int:
-                return (f"{ev.kind} event has {field.name} {value!r}, "
-                        "not an integer")
-    if ev.kind == "R1+" and (ev.sign not in (1, -1)
-                             or ev.flavor not in ("o", "u")):
-        return (f"R1+ event needs sign +1 or -1 and flavor o or u, got "
-                f"sign {ev.sign!r} and flavor {ev.flavor!r}")
+    if ev.kind == "R1+":
+        if ev.sign not in (1, -1) or ev.flavor not in ("o", "u"):
+            return (f"R1+ event needs sign +1 or -1 and flavor o or u, "
+                    f"got sign {ev.sign!r} and flavor {ev.flavor!r}")
+        if ev.loop:
+            used = ("loop", "sign", "flavor")
+    for name, default in _DEFAULTS:
+        value = getattr(ev, name)
+        if name not in used:
+            if value != default:
+                return f"{ev.kind} event sets {name}, which it does not use"
+        elif value is None:
+            return f"{ev.kind} event has no {name}"
     return None
 
 

