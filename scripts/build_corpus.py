@@ -188,12 +188,12 @@ def linking_profile(d: Diagram) -> list[int]:
     """Sorted pairwise linking numbers of the diagram's components."""
     ncomp = len(d.components)
     totals: dict[tuple[int, int], int] = {}
-    for ci, (a, b, _, _) in enumerate(d.crossings):
+    for (a, b, _, _), sign in zip(d.crossings, d.signs):
         i, j = d.comp_of[a], d.comp_of[b]
         if i == j:
             continue
         key = (min(i, j), max(i, j))
-        totals[key] = totals.get(key, 0) + d.signs[ci]
+        totals[key] = totals.get(key, 0) + sign
     out = []
     for i in range(ncomp):
         for j in range(i + 1, ncomp):

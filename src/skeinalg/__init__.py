@@ -36,7 +36,7 @@ from .skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                     TraceLeaf, bad_crossings, default_marking, evaluate,
                     replay, trace)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ALGEBRA_NAMES", "AlgebraError", "AxiomCheck", "AxiomReport",

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 
+from . import __version__
 from .algebra import (ALGEBRA_NAMES, AlgebraError, ConwayAlgebraSpec,
                       check_axioms, make_algebra)
 from .catalog import CatalogError, load_catalog, lookup
@@ -24,7 +25,7 @@ from .laurent import LaurentError
 from .moves import MoveError, parse_event, random_perturb, replay_events
 from .skein import SkeinError, evaluate
 
-ENGINE = "skeinalg/0.2.0"
+ENGINE = f"skeinalg/{__version__}"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -103,7 +104,7 @@ def cmd_axioms(args) -> int:
 def _load_entries(path: str | None):
     try:
         return load_catalog(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(EXIT_INPUT, f"cannot read corpus: {exc}")
     except CatalogError as exc:
         raise CliFailure(EXIT_INPUT, str(exc))
@@ -252,14 +253,14 @@ def cmd_table(args) -> int:
 
 def cmd_replay(args) -> int:
     d = _diagram_from(args)
-    if args.events == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
+    try:
+        if args.events == "-":
+            lines = sys.stdin.read().splitlines()
+        else:
             with open(args.events, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliFailure(EXIT_INPUT, f"cannot read events: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliFailure(EXIT_INPUT, f"cannot read events: {exc}")
     events = []
     for ln, line in enumerate(lines, start=1):
         line = line.strip()

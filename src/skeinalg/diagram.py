@@ -19,13 +19,12 @@ A diagram stores:
   of its component) and `pos` (label -> position in its component).
 Diagrams that the library builds share these tables with every diagram
 whose components have the same lengths (`_numbered`); validated
-construction computes them once.  `crossings` (a tuple of 4-tuples),
-`signs` and `succ` (label -> next label along its component) are views:
-each is derived from the stored fields the first time it is read, and
-kept.  A user-built diagram is handed its crossings and finds `succ`
-while it validates, so both are set from the start; the library's own
-hot paths read only the stored fields.  Equality and hashing read
-`(flat, free_loops)`.
+construction computes them once.  Nothing else is stored: `crossings`
+(a tuple of 4-tuples) and `signs` are computed from `flat` and `over_in`
+on every read, for callers outside the library's hot paths, which read
+only the stored fields.  A dart is the integer 4 * crossing + slot, an
+index into `flat`; `_mates` pairs the two darts of each label.
+Equality and hashing read `(flat, free_loops)`.
 
 Construction validates everything: each label must occur exactly twice,
 the under-strand of every crossing must agree with the label order, and
@@ -87,17 +86,29 @@ def _quads(flat):
     return zip(*[iter(flat)] * 4)
 
 
+def _mates(flat) -> list[int]:
+    """For each dart of a flat label sequence, the other dart with its
+    label."""
+    mate = [0] * len(flat)
+    first: dict[int, int] = {}
+    for x, lab in enumerate(flat):
+        y = first.setdefault(lab, x)
+        if y != x:
+            mate[x] = y
+            mate[y] = x
+    return mate
+
+
 class Diagram:
     """Immutable validated diagram; see the module docstring for what it
-    stores and which views it derives.
+    stores.
 
     `braid` is the `(strands, letters)` a braid closure was built from,
     and None for every other diagram, derived ones included.  It takes
     no part in equality or hashing."""
 
     __slots__ = ("flat", "over_in", "free_loops", "components", "comp_of",
-                 "pos", "_small", "_hash", "braid", "crossings", "signs",
-                 "succ")
+                 "pos", "_small", "_hash", "braid")
 
     def __init__(self, crossings, free_loops: int = 0):
         crossings = tuple(tuple(int(x) for x in cr) for cr in crossings)
@@ -109,11 +120,10 @@ class Diagram:
             for lab in cr:
                 if lab < 1:
                     raise DiagramError(f"crossing {ci}: labels must be positive, got {lab}")
-        object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", int(free_loops))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "braid", None)
-        self._derive()
+        self._derive(crossings)
 
     @classmethod
     def _trusted(cls, flat, over_in, free_loops, components, comp_of, pos,
@@ -147,21 +157,11 @@ class Diagram:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Diagram is immutable")
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: derive a view and keep it
-        build = _VIEWS.get(name)
-        if build is None:
-            raise AttributeError(
-                f"'Diagram' object has no attribute {name!r}")
-        value = build(self)
-        object.__setattr__(self, name, value)
-        return value
-
     # -- construction-time analysis ---------------------------------------
 
-    def _derive(self) -> None:
+    def _derive(self, crossings) -> None:
         occ: dict[int, list[tuple[int, int]]] = {}
-        for ci, cr in enumerate(self.crossings):
+        for ci, cr in enumerate(crossings):
             for s, lab in enumerate(cr):
                 occ.setdefault(lab, []).append((ci, s))
         for lab, places in occ.items():
@@ -179,7 +179,7 @@ class Diagram:
                 x = parent[x]
             return x
 
-        for a, b, c, d in self.crossings:
+        for a, b, c, d in crossings:
             parent[find(a)] = find(c)
             parent[find(b)] = find(d)
         groups: dict[int, list[int]] = {}
@@ -199,7 +199,7 @@ class Diagram:
         # orientation accounting: every transition lab -> succ[lab] is
         # consumed by exactly one crossing transit
         avail = {(lab, succ[lab]): 1 for lab in succ}
-        for ci, (a, b, c, d) in enumerate(self.crossings):
+        for ci, (a, b, c, d) in enumerate(crossings):
             if succ.get(a) != c:
                 raise DiagramError(
                     f"crossing {ci}: under-strand runs {a}->{c}, but the label "
@@ -209,9 +209,9 @@ class Diagram:
                 raise DiagramError(f"crossing {ci}: transition {a}->{c} claimed twice")
             avail[(a, c)] -= 1
 
-        over_in = [0] * len(self.crossings)
+        over_in = [0] * len(crossings)
         deferred = []
-        for ci, (a, b, c, d) in enumerate(self.crossings):
+        for ci, (a, b, c, d) in enumerate(crossings):
             if b == d:
                 # one-edge circle lying over: `_fix_free_circles` picks
                 # its direction
@@ -234,7 +234,7 @@ class Diagram:
                     f"crossing {ci}: over-strand {b}/{d} fits no remaining transition"
                 )
         for ci in deferred:
-            _, b, _, d = self.crossings[ci]
+            _, b, _, d = crossings[ci]
             cand_b = avail.get((b, d), 0) > 0
             cand_d = avail.get((d, b), 0) > 0
             # a both-ways tie is a two-edge circle that runs under
@@ -251,7 +251,7 @@ class Diagram:
         if leftover:
             raise DiagramError(f"transitions never realized by any crossing: {leftover}")
 
-        flat = tuple(chain.from_iterable(self.crossings))
+        flat = tuple(chain.from_iterable(crossings))
         small = tuple(comp for comp in components if len(comp) <= 2)
         over_in = tuple(over_in)
         if small:
@@ -263,7 +263,6 @@ class Diagram:
         _set(self, "components", components)
         _set(self, "comp_of", comp_of)
         _set(self, "pos", pos)
-        _set(self, "succ", succ)
 
     # -- basic queries ------------------------------------------------------
 
@@ -276,6 +275,14 @@ class Diagram:
         return len(self.components) + self.free_loops
 
     @property
+    def crossings(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(_quads(self.flat))
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return tuple(map(_SIGN.__getitem__, self.over_in))
+
+    @property
     def writhe(self) -> int:
         return sum(map(_SIGN.__getitem__, self.over_in))
 
@@ -284,9 +291,6 @@ class Diagram:
         flat, comp_of = self.flat, self.comp_of
         return ("self" if comp_of[flat[4 * ci]] == comp_of[flat[4 * ci + 1]]
                 else "mixed")
-
-    def pred(self, edge: int) -> int:
-        return self.components[self.comp_of[edge]][self.pos[edge] - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
@@ -424,24 +428,22 @@ class Diagram:
         The cost is O(E^2 log E) for E edges.
         """
         suffix = f"+O^{self.free_loops}" if self.free_loops else ""
-        crossings = self.crossings
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for ci, cr in enumerate(crossings):
-            for s, lab in enumerate(cr):
-                occ.setdefault(lab, []).append((ci, s))
+        flat, over_in = self.flat, self.over_in
         # circles of at most two edges that run under nothing: the labels
-        # leave their direction open, so `_rooted_rows` fixes it
-        unders = set(self.flat[0::4])
+        # leave their direction open, so each is entered at slot 1
+        unders = set(flat[0::4])
         drifting = {lab for comp in self._small
                     if unders.isdisjoint(comp) for lab in comp}
+        if drifting:
+            over_in = [1 if b in drifting else oi
+                       for b, oi in zip(flat[1::4], over_in)]
+        mate = _mates(flat)
 
         # a root that is not the incoming under-strand of some crossing
         # cannot give a row starting with 1, so only those roots compete
-        piece_rows = [
-            min(_rooted_rows(crossings, cis, self.succ, self.over_in, occ,
-                             drifting, root)
-                for root in cis)
-            for cis in _crossing_pieces(self)]
+        piece_rows = [min(_rooted_rows(mate, over_in, cis, root)
+                          for root in cis)
+                      for cis in _crossing_pieces(self)]
         piece_rows.sort()
         rows = []
         for prows in piece_rows:
@@ -449,26 +451,6 @@ class Diagram:
             rows += [tuple(x + shift for x in row) for row in prows]
         body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
         return f"PD[{body}]{suffix}"
-
-
-def _crossings_view(d: Diagram) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(_quads(d.flat))
-
-
-def _signs_view(d: Diagram) -> tuple[int, ...]:
-    return tuple(map(_SIGN.__getitem__, d.over_in))
-
-
-def _succ_view(d: Diagram) -> dict[int, int]:
-    succ: dict[int, int] = {}
-    for comp in d.components:
-        succ.update(zip(comp, comp[1:] + comp[:1]))
-    return succ
-
-
-# the builder of each view that `Diagram.__getattr__` derives on first use
-_VIEWS = {"crossings": _crossings_view, "signs": _signs_view,
-          "succ": _succ_view}
 
 
 def _crossing_pieces(d: Diagram) -> list[list[int]]:
@@ -495,42 +477,40 @@ def _crossing_pieces(d: Diagram) -> list[list[int]]:
 _OUT_SLOT = (2, 3, None, 1)
 
 
-def _rooted_rows(crossings, cis, succ, over_in, occ, drifting, root):
+def _rooted_rows(mate, over_in, cis, root):
     """Sorted crossing rows of the piece made of crossings `cis`,
     labeled from the incoming under-strand of crossing `root`.
 
+    `mate` is `_mates` of the diagram's labels, and `over_in` the slot
+    each over-strand enters by, 1 for a circle whose direction is free.
     The root's component is labeled first, in orientation order.  Then
     the labeled edges are walked in label order; at the crossing each
     one enters, the other incoming strand starts a new component if it
-    is not labeled yet, from that strand.  A circle whose direction is
-    free (`drifting`) is entered at slot 1 when met.
+    is not labeled yet, from that strand.
     """
-    label: dict[int, int] = {}
-    entry: list[tuple[int, int]] = []  # the (crossing, slot) each label enters
+    label = [0] * len(mate)  # the new label of each dart's edge
+    entry: list[int] = []  # the dart by which each new label enters
 
-    def take(e, at):
-        start = e
+    def take(x):
+        start = x
         while True:
-            label[e] = len(entry) + 1
-            entry.append(at)
-            ci, s = at
-            e = succ[e]
-            if e == start:
+            entry.append(x)
+            label[x] = label[mate[x]] = len(entry)
+            # leave the crossing, and enter the next one along the edge
+            x = mate[(x & ~3) | _OUT_SLOT[x & 3]]
+            if x == start:
                 return
-            left = (ci, _OUT_SLOT[s])
-            first, second = occ[e]
-            at = second if first == left else first
 
-    take(crossings[root][0], (root, 0))
+    take(4 * root)
     i = 0
     while i < len(entry):
-        ci, s = entry[i]
+        x = entry[i]
         i += 1
-        cr = crossings[ci]
-        o = 0 if s else (1 if cr[1] in drifting else over_in[ci])
-        if cr[o] not in label:
-            take(cr[o], (ci, o))
-    return sorted(tuple(label[x] for x in crossings[ci]) for ci in cis)
+        # the other strand entering the same crossing
+        y = x & ~3 if x & 3 else x | over_in[x >> 2]
+        if not label[y]:
+            take(y)
+    return sorted(tuple(label[4 * ci:4 * ci + 4]) for ci in cis)
 
 
 def _fix_free_circles(flat, small, over_in) -> tuple[int, ...]:
@@ -560,8 +540,7 @@ def _fix_free_circles(flat, small, over_in) -> tuple[int, ...]:
 
 def _recheck(d: Diagram) -> None:
     ref = Diagram(d.crossings, d.free_loops)
-    for name in ("flat", "crossings", "over_in", "components", "comp_of",
-                 "pos", "succ", "signs"):
+    for name in ("flat", "over_in", "components", "comp_of", "pos"):
         if getattr(d, name) != getattr(ref, name):
             raise AssertionError(
                 f"library-built {d!r} disagrees with validation on {name}: "

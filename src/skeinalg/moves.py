@@ -6,9 +6,10 @@ edge label, and face orbits follow "arrive along an edge, leave along
 the next slot counterclockwise".  A dart therefore walks its edge away
 from its crossing with the face on the walker's right.  `faces` walks
 the darts as the integers 4 * crossing + slot, which index the
-diagram's flat label tuple `d.flat` directly, and returns the pairs.
-Every move reads and writes labels in `d.flat`; none builds the
-diagram's `crossings` view.
+diagram's flat label tuple `d.flat` directly, pairs them by label with
+`diagram._mates`, as canonical encoding does, and returns the pairs.
+Every move reads and writes labels in `d.flat`; none reads the
+diagram's `crossings` 4-tuples.
 
 Each step of `random_perturb` computes the faces once.  Its census of
 moves (curls, removable bigons, slideable triangles and the edge pairs a
@@ -35,7 +36,9 @@ Face indices refer to the canonical face order of the diagram the event
 applies to, so a sequence of events replays deterministically.
 `str(event)` is the text `parse_event` reads back as the event.  An
 event whose fields no diagram accepts (`_shape_error`) prints with the
-reason in parentheses, which `parse_event` refuses.
+reason in parentheses, which `parse_event` refuses; so is text that
+reads as such an event, such as `RLT@comp0`, since edge labels and
+circles are numbered from 1.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, permutations
 
-from .diagram import Diagram, _crossing_pieces, _quads, _rebuilt, _run
+from .diagram import (Diagram, _crossing_pieces, _mates, _quads, _rebuilt,
+                      _run)
 
 
 class MoveError(ValueError):
@@ -76,20 +80,11 @@ def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
     that of the (crossing, slot) pairs.  Taken in increasing order, the
     first dart of each new orbit is its smallest, so the orbits come out
     rotated and sorted as they are found."""
-    flat = d.flat
-    m = len(flat)
+    m = len(d.flat)
     pair, ccw = _dart_tables(m)
     # phi: arrive along the edge at its other end, leave by the next slot
     # counterclockwise
-    phi = [0] * m
-    first: dict[int, int] = {}
-    for x, lab in enumerate(flat):
-        y = first.pop(lab, -1)
-        if y < 0:
-            first[lab] = x
-        else:
-            phi[x] = ccw[y]
-            phi[y] = ccw[x]
+    phi = [ccw[y] for y in _mates(d.flat)]
     seen = bytearray(m)
     out = []
     for x0 in range(m):
@@ -177,12 +172,15 @@ _FIELDS = {"R1-": ("crossing",), "R2-": ("face",), "R3": ("face",),
            "R1+": ("edge", "sign", "flavor"), "R2+": ("edge", "edge2"),
            "CC": ("crossing",), "RLT": ("comp",)}
 _DEFAULTS = [(f.name, f.default) for f in fields(MoveEvent)[1:]]
+# the fields that name an edge label or a circle, both numbered from 1
+_FROM_ONE = ("edge", "edge2", "comp")
 
 
 def _shape_error(ev: MoveEvent) -> str | None:
     """Why no diagram accepts `ev`, or None: a known kind, a sign of +1
     or -1 and a flavor of o or u for R1+, every field the kind uses set,
-    and every field it does not use left at its default."""
+    an edge or circle number of at least 1, and every field the kind
+    does not use left at its default."""
     used = _FIELDS.get(ev.kind)
     if used is None:
         return f"unknown event kind {ev.kind!r}"
@@ -199,6 +197,8 @@ def _shape_error(ev: MoveEvent) -> str | None:
                 return f"{ev.kind} event sets {name}, which it does not use"
         elif value is None:
             return f"{ev.kind} event has no {name}"
+        elif name in _FROM_ONE and value < 1:
+            return f"{ev.kind} event has {name} {value}, numbered from 1"
     return None
 
 
@@ -220,11 +220,17 @@ _EVENT_RES = [
 
 
 def parse_event(text: str) -> MoveEvent:
+    """The event `text` names; `MoveError` if it names none, or one that
+    no diagram accepts."""
     text = text.strip()
     for rx, build in _EVENT_RES:
         m = rx.match(text)
         if m:
-            return build(m)
+            ev = build(m)
+            problem = _shape_error(ev)
+            if problem is not None:
+                raise MoveError(f"cannot parse move event {text!r}: {problem}")
+            return ev
     raise MoveError(f"cannot parse move event {text!r}")
 
 

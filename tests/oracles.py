@@ -69,8 +69,9 @@ def _cycles(d: Diagram) -> list[list[int]]:
 def _first_visits(d: Diagram, bases) -> list[tuple[int, str]]:
     """(crossing, 'under'|'over') per first visit, in traversal order."""
     nxt = _next_edge_map(d)
+    crossings = d.crossings
     heads: dict[int, tuple[int, str]] = {}
-    for ci, cr in enumerate(d.crossings):
+    for ci, cr in enumerate(crossings):
         heads[cr[0]] = (ci, "under")
         heads[cr[d.over_in[ci]]] = (ci, "over")
     out: list[tuple[int, str]] = []
@@ -85,7 +86,7 @@ def _first_visits(d: Diagram, bases) -> list[tuple[int, str]]:
             e = nxt[e]
             if e == base:
                 break
-    assert len(hit) == len(d.crossings), "oracle traversal incomplete"
+    assert len(hit) == len(crossings), "oracle traversal incomplete"
     return out
 
 
@@ -118,7 +119,8 @@ def exhaustive_encode(d: Diagram) -> str:
     Costs c!·∏|component| renders, so it is for small diagrams only.
     Components come from `_cycles`, not from the engine's encoder."""
     suffix = f"+O^{d.free_loops}" if d.free_loops else ""
-    if not d.crossings:
+    crossings = d.crossings
+    if not crossings:
         return f"PD[]{suffix}"
     cycles = _cycles(d)
     best = None
@@ -128,7 +130,7 @@ def exhaustive_encode(d: Diagram) -> str:
             for cyc, k in zip(order, starts):
                 for e in cyc[k:] + cyc[:k]:
                     labmap[e] = len(labmap) + 1
-            rows = sorted(tuple(labmap[x] for x in cr) for cr in d.crossings)
+            rows = sorted(tuple(labmap[x] for x in cr) for cr in crossings)
             text = "PD[" + ",".join(
                 f"X[{w},{x},{y},{z}]" for w, x, y, z in rows) + "]"
             if best is None or text < best:

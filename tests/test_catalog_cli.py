@@ -18,6 +18,8 @@ from skeinalg.diagram import parse_diagram
 from skeinalg.moves import random_perturb, replay_events, trivialize
 
 HEADER = "name,crossings,components,writhe,pd,comment\n"
+# bytes that do not decode as UTF-8
+NOT_UTF8 = b"\xff\xfe\x00bad"
 
 KNOT_NAMES = [f"{c}_{i}" for c, last in ((3, 1), (4, 1), (5, 2), (6, 3), (7, 7))
               for i in range(1, last + 1)]
@@ -464,6 +466,15 @@ class TestTableCommand:
         assert rc == 2
         assert "cannot read corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fuzz", "table"])
+    def test_corpus_not_utf8_is_input_error(self, command, tmp_path,
+                                            capsys):
+        src = tmp_path / "c.csv"
+        src.write_bytes(NOT_UTF8)
+        rc = main([command, "--algebra", "gen-conway", "--input", str(src)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read corpus")
+
     def test_unwritable_output_is_input_error(self, tmp_path, capsys):
         rc = main(["table", "--algebra", "gen-conway",
                    "--output", str(tmp_path)])
@@ -525,6 +536,20 @@ class TestReplayCommand:
         rc = main(["replay", "--name", "trefoil+",
                    "--events", str(tmp_path / "ghost")])
         assert rc == 2
+
+    def test_place_below_one_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "ev.txt"
+        p.write_text("RLT@comp1\nRLT@comp0\n")
+        rc = main(["replay", "--name", "unlink2", "--events", str(p)])
+        assert rc == 2
+        assert "events line 2" in capsys.readouterr().err
+
+    def test_events_not_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "ev.txt"
+        p.write_bytes(NOT_UTF8)
+        rc = main(["replay", "--name", "trefoil+", "--events", str(p)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read events")
 
 
 class TestModuleInvocation:

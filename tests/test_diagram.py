@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import braid_components, exhaustive_encode
 import skeinalg.diagram
 from skeinalg.diagram import (_INTEGER, _SPACE, Diagram, DiagramError,
-                              PDSyntaxError, braid_to_diagram, parse_diagram,
-                              parse_pd)
+                              PDSyntaxError, _crossing_pieces,
+                              braid_to_diagram, parse_diagram, parse_pd)
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
@@ -77,6 +77,65 @@ def _assemble(slotted, glues, free_loops: int):
                              free_loops + len(loop_roots),
                              tuple(components), comp_of, pos, small)
     return child, labmap
+
+
+def _reference_encode(d):
+    """`Diagram.canonical_encode` walked over (crossing, slot) pairs with
+    a successor map and a label -> places map, in place of integer
+    darts: the reference its codes must equal byte for byte."""
+    crossings = d.crossings
+    succ = {}
+    for comp in d.components:
+        succ.update(zip(comp, comp[1:] + comp[:1]))
+    occ = {}
+    for ci, cr in enumerate(crossings):
+        for s, lab in enumerate(cr):
+            occ.setdefault(lab, []).append((ci, s))
+    unders = set(d.flat[0::4])
+    drifting = {lab for comp in d._small
+                if unders.isdisjoint(comp) for lab in comp}
+    piece_rows = sorted(
+        min(_reference_rows(crossings, cis, succ, d.over_in, occ, drifting,
+                            root)
+            for root in cis)
+        for cis in _crossing_pieces(d))
+    rows = []
+    for prows in piece_rows:
+        shift = 2 * len(rows)
+        rows += [tuple(x + shift for x in row) for row in prows]
+    body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
+    suffix = f"+O^{d.free_loops}" if d.free_loops else ""
+    return f"PD[{body}]{suffix}"
+
+
+def _reference_rows(crossings, cis, succ, over_in, occ, drifting, root):
+    """The rows of `_rooted_rows` for `_reference_encode`."""
+    label = {}
+    entry = []  # the (crossing, slot) each label enters
+
+    def take(e, at):
+        start = e
+        while True:
+            label[e] = len(entry) + 1
+            entry.append(at)
+            ci, s = at
+            e = succ[e]
+            if e == start:
+                return
+            left = (ci, (2, 3, None, 1)[s])
+            first, second = occ[e]
+            at = second if first == left else first
+
+    take(crossings[root][0], (root, 0))
+    i = 0
+    while i < len(entry):
+        ci, s = entry[i]
+        i += 1
+        cr = crossings[ci]
+        o = 0 if s else (1 if cr[1] in drifting else over_in[ci])
+        if cr[o] not in label:
+            take(cr[o], (ci, o))
+    return sorted(tuple(label[x] for x in crossings[ci]) for ci in cis)
 
 
 def _reference_closure(n, letters):
@@ -297,7 +356,7 @@ class TestLibraryBuiltDiagrams:
 
     # every table and view a diagram has, stored or derived
     FIELDS = ("flat", "crossings", "free_loops", "over_in", "components",
-              "comp_of", "pos", "succ", "signs")
+              "comp_of", "pos", "signs")
 
     def test_switch_catches_a_wrong_build(self, recheck_builds):
         d = parse_pd(HOPF_PD)
@@ -314,10 +373,9 @@ class TestLibraryBuiltDiagrams:
     def test_views_are_derived_once_and_kept(self):
         d = braid_to_diagram(3, [1, -2, 1, -2]).crossing_change(1)
         ref = Diagram(d.crossings, d.free_loops)
-        for name in ("crossings", "signs", "succ"):
-            assert getattr(d, name) is getattr(d, name)
+        for name in ("crossings", "signs"):
             assert getattr(d, name) == getattr(ref, name)
-        assert type(d.crossings[0]) is tuple and type(d.succ) is dict
+        assert type(d.crossings[0]) is tuple
         with pytest.raises(AttributeError):
             d.no_such_view
 
@@ -337,14 +395,14 @@ class TestLibraryBuiltDiagrams:
     def test_hot_paths_never_build_the_crossings_view(self, corpus,
                                                       monkeypatch):
         # tracing and perturbing read `flat`; a node that fell back to
-        # the 4-tuples would build the view, and be counted here
+        # the 4-tuples would read `crossings`, and be counted here
         from skeinalg.moves import random_perturb
         from skeinalg.skein import trace
 
         built = []
-        real = skeinalg.diagram._VIEWS["crossings"]
-        monkeypatch.setitem(skeinalg.diagram._VIEWS, "crossings",
-                            lambda d: built.append(d) or real(d))
+        real = Diagram.crossings.fget
+        monkeypatch.setattr(Diagram, "crossings", property(
+            lambda d: built.append(d) or real(d)))
         nodes = 0
         for entry in corpus:
             d = entry.diagram()
@@ -527,8 +585,8 @@ class TestLibraryBuiltDiagrams:
     def test_only_pd_parsing_validates(self, monkeypatch):
         calls = []
         derive = Diagram._derive
-        monkeypatch.setattr(Diagram, "_derive",
-                            lambda self: calls.append(self) or derive(self))
+        monkeypatch.setattr(Diagram, "_derive", lambda self, crossings:
+                            calls.append(self) or derive(self, crossings))
         parse_diagram("braid(5; 1 -2 3 3 -1 2 -4)")
         braid_to_diagram(3, [-1, -1])
         assert calls == []
@@ -587,6 +645,36 @@ class TestCanonicalEncode:
         for entry in corpus:
             canon = diagrams[entry.name].canonical_encode()
             assert parse_diagram(canon).canonical_encode() == canon
+
+    def test_codes_match_the_reference_encoder(self, corpus):
+        # corpus entries, their mirrors, seeded perturbations, every
+        # smoothing of those, braid closures with unused strands, and
+        # circles whose direction the labels leave open
+        from skeinalg.moves import random_perturb
+
+        ds = []
+        for entry in corpus:
+            d = entry.diagram()
+            ds += [d, d.mirror()]
+            ds += [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                   for s in range(3)]
+        ds += [d.smooth_with_map(ci)[0]
+               for d in list(ds) for ci in range(d.n_crossings)]
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [i for i in range(1, n) if rng.random() < 0.7]
+            letters = [rng.choice((1, -1)) * rng.choice(gens)
+                       for _ in range(rng.randint(0, 12) if gens else 0)]
+            ds.append(braid_to_diagram(n, letters))
+        ds += [parse_pd(text) for text in (
+            "PD[X[1,3,2,4],X[2,4,1,3]]", "PD[X[1,4,2,3],X[2,3,1,4]]",
+            "PD[X[1,3,2,3],X[2,4,1,4]]", "PD[X[1,3,1,4],X[2,4,2,3]]",
+            "PD[X[1,2,1,2]]", "PD[X[1,2,3,4],X[3,4,1,2]]+O^2")]
+        assert sum(d.free_loops > 0 and d.n_crossings > 0 for d in ds) > 100
+        assert len(ds) > 2_000
+        for d in ds:
+            assert d.canonical_encode() == _reference_encode(d), d
 
     def test_construction_paths_converge(self, diagrams):
         # a plat closure and a braid closure of the same knot landed on

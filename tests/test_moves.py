@@ -186,6 +186,16 @@ class TestEventGrammar:
         with pytest.raises(MoveError, match="cannot parse"):
             parse_event("R4@c1")
 
+    @pytest.mark.parametrize("text, name", [
+        ("RLT@comp0", "comp"), ("R1+@e0/+o", "edge"), ("R2+@e0/e1", "edge"),
+        ("R2+@e1/e0", "edge2")])
+    def test_place_below_one_is_refused(self, text, name):
+        # edge labels and crossingless circles are numbered from 1, so no
+        # diagram accepts the event this text names
+        with pytest.raises(MoveError,
+                           match=f"cannot parse.*has {name} 0, numbered"):
+            parse_event(text)
+
     def test_apply_accepts_text(self):
         d = parse_pd(TREFOIL_PD)
         assert apply_move(d, "CC@c1") == d.crossing_change(1)
@@ -243,6 +253,8 @@ class TestEventGrammar:
     def test_refused_event_text_names_the_reason(self):
         assert str(MoveEvent("R2+", edge=1)) == \
             "R2+@e1/e? (R2+ event has no edge2)"
+        assert str(MoveEvent("RLT", comp=0)) == \
+            "RLT@comp0 (RLT event has comp 0, numbered from 1)"
         assert str(MoveEvent("R1+", edge=1)) == (
             "R1+@e1/?? (R1+ event needs sign +1 or -1 and flavor o or u, "
             "got sign None and flavor None)")

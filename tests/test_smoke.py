@@ -10,6 +10,7 @@ import pytest
 
 import skeinalg
 from skeinalg import Diagram, OpKind, skein
+from skeinalg.cli import ENGINE
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,6 +40,8 @@ REMOVED = [
     (Diagram, "over_out_slot"),
     (Diagram, "in_slots"),
     (OpKind, "inverse_kind"),
+    (Diagram, "pred"),
+    (Diagram, "succ"),
 ]
 
 
@@ -52,6 +55,19 @@ def test_demo_exits_cleanly(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_version_string():
+    # the package metadata and the cache records' engine tag both read
+    # `__version__`
+    import tomllib
+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "skeinalg.__version__"}
+    assert ENGINE == f"skeinalg/{skeinalg.__version__}" == "skeinalg/0.2.0"
 
 
 def test_all_is_the_public_surface():
