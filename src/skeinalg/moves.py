@@ -197,7 +197,7 @@ def _shape_error(ev: MoveEvent) -> str | None:
                 return f"{ev.kind} event sets {name}, which it does not use"
         elif value is None:
             return f"{ev.kind} event has no {name}"
-        elif name in _FROM_ONE and value < 1:
+        elif name in _FROM_ONE and isinstance(value, int) and value < 1:
             return f"{ev.kind} event has {name} {value}, numbered from 1"
     return None
 

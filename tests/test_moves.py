@@ -255,6 +255,9 @@ class TestEventGrammar:
             "R2+@e1/e? (R2+ event has no edge2)"
         assert str(MoveEvent("RLT", comp=0)) == \
             "RLT@comp0 (RLT event has comp 0, numbered from 1)"
+        # a place that is not an integer is left to `apply_move`, and
+        # printing the event does not raise
+        assert str(MoveEvent("RLT", comp="1")) == "RLT@comp1"
         assert str(MoveEvent("R1+", edge=1)) == (
             "R1+@e1/?? (R1+ event needs sign +1 or -1 and flavor o or u, "
             "got sign None and flavor None)")
