@@ -57,9 +57,10 @@ print()
 # were called with.  The default marking keeps bad crossings few, and
 # with them the number of sub-diagrams.  A braid closure (fig8 here) is
 # valued on its word instead, memoized per (algebra, permutation read
-# so far, letters left): at most n!*(L+1) states for n strands and L
-# letters, plus a number that depends on n alone for the short words
-# Markov destabilisation leaves.
+# so far, letters left) once the permutation has absorbed every letter
+# it can: at most n!*(L+1) states for n strands and L letters, plus a
+# number that depends on n alone for the short words Markov
+# destabilisation leaves.
 memo = {}
 for d in (trefoil, hopf, fig8):
     evaluate(d, gc, memo=memo)

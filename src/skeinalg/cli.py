@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: compute, axioms, fuzz, table, replay.  Output is deterministic
-for fixed inputs and flags.  Exit codes: 0 success, 2 malformed input,
-3 semantic error (unknown algebra or corpus name, inapplicable move),
-4 property failure (a failed axiom or fuzz check).
+for fixed inputs and flags.  Exit codes: 0 success, 1 standard output
+closed early (a broken pipe), 2 malformed input, 3 semantic error
+(unknown algebra or corpus name, inapplicable move), 4 property failure
+(a failed axiom or fuzz check).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .skein import SkeinError, evaluate
 ENGINE = f"skeinalg/{__version__}"
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 EXIT_PROPERTY = 4
@@ -345,7 +347,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stop quietly, and point stdout at devnull
+        # so that the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -669,6 +669,7 @@ def braid_to_diagram(n: int, letters) -> Diagram:
 # whitespace in the decimal digits that int() accepts
 _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"\s*(\d+)")
+_LETTER = re.compile(r"\s*(-?)\s*(\d+)")
 
 
 class _Scanner:
@@ -751,14 +752,14 @@ def parse_diagram(text: str) -> Diagram:
         n = sc.integer()
         sc.expect(";")
         letters = []
-        while sc.peek() not in (")", ""):
-            sc.skip_ws()
-            neg = False
+        while m := _LETTER.match(stripped, sc.i):
+            sc.i = m.end()
+            letters.append(-int(m[2]) if m[1] else int(m[2]))
+        if sc.peek() not in (")", ""):
+            # not a letter: the scanner reads on to the error it raises
             if sc.peek() == "-":
                 sc.expect("-")
-                neg = True
-            val = sc.integer()
-            letters.append(-val if neg else val)
+            sc.integer()
         sc.expect(")")
         sc.done()
         return braid_to_diagram(n, letters)

@@ -41,7 +41,8 @@ A diagram built by `braid_to_diagram` remembers its word, and
 relations, applied to the braid word read from the top, reduce it to
 permutation braids, which Markov destabilisation then unwinds (Jones
 1987; Morton and Short 1990).  A state pairs a permutation of the
-strands with the unread letters, so a word of L letters on n strands
+strands with the unread letters, and is memoised once the permutation
+has absorbed every letter it can, so a word of L letters on n strands
 has at most n!·(L+1) states, plus states for the short words
 destabilisation leaves, whose number depends on n alone.  The cost is
 polynomial in the word length for a fixed strand count, but grows with
@@ -337,12 +338,12 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
     has an untouched last strand (a split circle), or has its last
     strand removed by Markov destabilisation, which leaves the letters
     that strand crossed.  Term maps are memoised in `memo` under
-    `(tag, s, m, q, rest, f)`, `tag` being the algebra's key.
+    `(tag, s, m, q, rest, f)` of the state the absorbed letters reach,
+    `tag` being the algebra's key: absorbing a letter only extends P(q),
+    so states that read to the same permutation and unread letters share
+    one entry, and `rest` of a key is empty or starts with a letter that
+    P(q) does not absorb.
     """
-    key = (tag, s, m, q, rest, f)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     t = list(q)
     k = 0
     for letter in rest:
@@ -352,11 +353,16 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
             break
         t[i - 1], t[i] = b, a
         k += 1
-    if k < len(rest):
-        letter = rest[k]
+    if k:
+        q, rest = tuple(t), rest[k:]
+    key = (tag, s, m, q, rest, f)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if rest:
+        letter = rest[0]
         i = abs(letter)
-        after = rest[k + 1:]
-        here = tuple(t)
+        after = rest[1:]
         a, b = t[i - 1], t[i]
         t[i - 1], t[i] = b, a
         p = perms.get((m, after))
@@ -365,7 +371,7 @@ def _resolve_braid(s: int, m: int, q: tuple[int, ...],
         node = ops[letter > 0][_one_component(t, p, a, b)](
             _resolve_braid(s, m, tuple(t), after, f, memo, tag, unit, ops,
                            perms),
-            _resolve_braid(s, m, here, after, f, memo, tag, unit, ops,
+            _resolve_braid(s, m, q, after, f, memo, tag, unit, ops,
                            perms))
     elif t == list(range(m)):
         node = unit(m + f).terms
@@ -392,7 +398,9 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
     The crossing limit, the component count (at least one, at most the
     limit) and the marking are checked first either way.  Memo keys
     carry the algebra, so one `memo` can serve several; its entries are
-    term maps, and only the value returned is wrapped.
+    term maps, and only the value returned is wrapped.  The word path
+    keys each state after the letters its permutation braid absorbs
+    (see `_resolve_braid`).
     """
     bases = _root_bases(d, marking)
     memo = {} if memo is None else memo

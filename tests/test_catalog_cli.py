@@ -560,3 +560,20 @@ class TestModuleInvocation:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout == "1*q^-2 - 2*p*q^-2 + 1*p^2*q^-2\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that leaves early, as `| head -c 120` does: with the
+        # read end closed before the command starts, its first write
+        # breaks the pipe
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "skeinalg.cli", "compute",
+                 "--braid", "braid(5; " + "1 2 3 4 " * 12 + ")",
+                 "--algebra", "gen-conway", "--json"],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(w)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")

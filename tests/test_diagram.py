@@ -227,6 +227,8 @@ class TestParsePD:
         ("braid(3 1 2)", 9, "expected ';', found '1'"),
         ("braid(2; 1 1) extra", 15, "unexpected trailing input 'extra'"),
         ("braid(2; 1\t\xa0 x)", 14, "expected an integer"),
+        ("braid(3; 1 - x)", 14, "expected an integer"),
+        ("braid(3; 1 -)", 13, "expected an integer"),
         ("PD[X[1,2,3]]", 11, "expected ',', found ']'"),
         ("PD[X[1, 2,3,4],  Y[1,2,3,4]]", 18, "expected 'X[', found 'Y['"),
         ("PD[X[1,1,2,2]]+O^", 18, "expected an integer"),

@@ -429,10 +429,11 @@ def test_a_replaced_apply_sees_every_combination(monkeypatch):
 
 
 @st.composite
-def braid_words(draw, max_letters=7):
-    """A braid on at most 4 strands with at most `max_letters` letters.
-    The oracle is memo-free, so more than 7 letters cost it seconds."""
-    n = draw(st.integers(1, 4))
+def braid_words(draw, max_letters=7, max_strands=4):
+    """A braid on at most `max_strands` strands with at most
+    `max_letters` letters.  The oracle is memo-free, so more than 7
+    letters cost it seconds."""
+    n = draw(st.integers(1, max_strands))
     if n == 1:
         return n, []
     letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
@@ -534,9 +535,9 @@ class TestBraidPath:
         # a generator that occurs once makes a nugatory crossing, so its
         # letter is read in the reading sign whatever sign it was given;
         # read as given, each of the minority letters -2 ... -12 here
-        # would branch and double the states
+        # would branch and double the states (882 and 57,318 of them)
         gc = by_key(algebras, "gen-conway")
-        for n, states in ((8, 57), (14, 81)):
+        for n, states in ((8, 45), (14, 69)):
             word = [1] * 6 + [-i for i in range(2, n - 1)] + [n - 1] * 6
             flipped = [abs(x) for x in word]
             memos = [{}, {}]
@@ -552,6 +553,53 @@ class TestBraidPath:
         assert evaluate(braid_to_diagram(24, chain), gc, memo=memo) == \
             gc.unit(1)
         assert len(memo) == 24
+
+    @staticmethod
+    @st.composite
+    def cold_words(draw):
+        """A positive word of 10 to 14 letters on 3 or 4 strands, with
+        at most one letter negated: the shape of the benchmark's cold
+        evaluations."""
+        n = draw(st.sampled_from((3, 4)))
+        word = draw(st.lists(st.integers(1, n - 1), min_size=10,
+                             max_size=14))
+        flip = draw(st.none() | st.integers(0, len(word) - 1))
+        if flip is not None:
+            word[flip] = -word[flip]
+        return n, word
+
+    @given(cold_words())
+    @settings(max_examples=25, deadline=None)
+    @seed(0)
+    def test_cold_shaped_words_match_resolver(self, algebras, word):
+        self._agree(algebras, *word)
+
+    @given(braid_words(max_strands=6, max_letters=24))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_keys_are_absorbed_states(self, algebras, word):
+        # a state is memoised after the letters P(q) absorbs, so the
+        # first unread letter of every key is one it does not absorb
+        memo = {}
+        evaluate(braid_to_diagram(*word), by_key(algebras, "gen-conway"),
+                 memo=memo)
+        assert memo
+        for _, s, m, q, rest, f in memo:
+            if rest:
+                i = abs(rest[0])
+                assert (q[i - 1] < q[i]) != (rest[0] * s > 0), \
+                    (word, q, rest)
+
+    @pytest.mark.parametrize("n,word,states", [
+        (5, [1, 2, 3, 4] * 16, 3129),
+        (3, [1, -2] * 20, 123),
+    ])
+    def test_pinned_state_counts(self, algebras, n, word, states):
+        # read before their memo lookup, the letters of a torus word
+        # absorb to the same states from many branches
+        memo = {}
+        evaluate(braid_to_diagram(n, word), by_key(algebras, "gen-conway"),
+                 memo=memo)
+        assert len(memo) == states
 
     def test_bad_marking_still_refused(self, algebras):
         d = braid_to_diagram(2, [1, 1])
