@@ -440,6 +440,19 @@ def braid_words(draw, max_letters=7, max_strands=4):
     return n, draw(st.lists(letter, max_size=max_letters))
 
 
+@st.composite
+def cold_words(draw):
+    """A positive word of 10 to 14 letters on 3 or 4 strands, with at
+    most one letter negated: the shape of the benchmark's cold
+    evaluations."""
+    n = draw(st.sampled_from((3, 4)))
+    word = draw(st.lists(st.integers(1, n - 1), min_size=10, max_size=14))
+    flip = draw(st.none() | st.integers(0, len(word) - 1))
+    if flip is not None:
+        word[flip] = -word[flip]
+    return n, word
+
+
 class TestDifferential:
     @given(braid_words())
     @settings(max_examples=100, deadline=None)
@@ -553,20 +566,6 @@ class TestBraidPath:
         assert evaluate(braid_to_diagram(24, chain), gc, memo=memo) == \
             gc.unit(1)
         assert len(memo) == 24
-
-    @staticmethod
-    @st.composite
-    def cold_words(draw):
-        """A positive word of 10 to 14 letters on 3 or 4 strands, with
-        at most one letter negated: the shape of the benchmark's cold
-        evaluations."""
-        n = draw(st.sampled_from((3, 4)))
-        word = draw(st.lists(st.integers(1, n - 1), min_size=10,
-                             max_size=14))
-        flip = draw(st.none() | st.integers(0, len(word) - 1))
-        if flip is not None:
-            word[flip] = -word[flip]
-        return n, word
 
     @given(cold_words())
     @settings(max_examples=25, deadline=None)
