@@ -742,8 +742,63 @@ def parse_pd(text: str) -> Diagram:
     return Diagram(crossings, loops)
 
 
+# the most letters the powers of a braid word may expand it to: far above
+# the crossing limit of evaluation, and cheap to build
+_MAX_WORD = 10_000
+
+
+def _power(sc: _Scanner, letters: list[int], start: int) -> None:
+    """Read the exponent k after a `^` and repeat `letters[start:]` k
+    times in place, after checking the length that gives."""
+    sc.expect("^")
+    sc.skip_ws()
+    col = sc.col
+    k = sc.integer()
+    n = start + (len(letters) - start) * k
+    if n > _MAX_WORD:
+        raise PDSyntaxError(
+            f"word expands to {n} letters; limit is {_MAX_WORD}", col)
+    letters[start:] = letters[start:] * k
+
+
+def _braid_letters(sc: _Scanner) -> list[int]:
+    """The letters of a braid word, read up to the first character that
+    cannot go on it, which the caller reads on from.  `i^k` repeats a
+    letter k times, and `( ... )^k` a group of letters and letter powers;
+    groups do not nest.  Plain letters are read by one regex match each,
+    and no power is expanded past `_MAX_WORD` letters."""
+    text = sc.text
+    letters: list[int] = []
+    group = None  # where the open group starts in `letters`, and its column
+    while True:
+        before = len(letters)
+        while m := _LETTER.match(text, sc.i):
+            sc.i = m.end()
+            letters.append(-int(m[2]) if m[1] else int(m[2]))
+        c = sc.peek()
+        if c == "^" and len(letters) > before:
+            _power(sc, letters, len(letters) - 1)
+        elif c == "(":
+            if group is not None:
+                raise PDSyntaxError("groups do not nest", sc.col)
+            group = len(letters), sc.col
+            sc.i += 1
+        elif c == ")" and group is not None:
+            if len(letters) == group[0]:
+                raise PDSyntaxError("expected an integer", sc.col)
+            sc.i += 1
+            _power(sc, letters, group[0])
+            group = None
+        else:
+            break
+    if group is not None and c == "":
+        raise PDSyntaxError("'(' is not closed", group[1])
+    return letters
+
+
 def parse_diagram(text: str) -> Diagram:
-    """Accept either PD text or a braid word `braid(n; i1 i2 ...)`."""
+    """Accept either PD text or a braid word `braid(n; i1 i2 ...)`, in
+    which `i^k` and `( ... )^k` stand for powers (see `_braid_letters`)."""
     stripped = text.strip()
     if stripped.startswith("braid"):
         sc = _Scanner(stripped)
@@ -751,10 +806,7 @@ def parse_diagram(text: str) -> Diagram:
         sc.expect("(")
         n = sc.integer()
         sc.expect(";")
-        letters = []
-        while m := _LETTER.match(stripped, sc.i):
-            sc.i = m.end()
-            letters.append(-int(m[2]) if m[1] else int(m[2]))
+        letters = _braid_letters(sc)
         if sc.peek() not in (")", ""):
             # not a letter: the scanner reads on to the error it raises
             if sc.peek() == "-":

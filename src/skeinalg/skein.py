@@ -10,6 +10,17 @@ self/mixed status.  Termination: switching the first bad crossing makes
 it good without disturbing earlier crossings, and smoothing removes a
 crossing outright.
 
+A bad crossing that is a kink (an R1 curl) of a planar diagram is
+resolved by its switch alone.  Switching a kink is an isotopy, and the
+algebra axioms make the value invariant under Reidemeister moves
+(Przytycki and Traczyk 1987), so the switched child has the parent's
+value and the smoothed child is never built.  PD text is not checked
+for planarity, so the rule applies only when the root passes
+`moves.euler_ok`, which is checked once per call, at the first bad kink.
+The rule leans on the axioms: in an algebra that fails `check_axioms`,
+`evaluate`, and a tree from `trace` replayed there, can differ from the
+full recursion.
+
 The caller's marking (or the default one) applies to the root and to
 its chain of switches, which keep the root's edges and components.
 Every smoothed child starts afresh under its own `default_marking`:
@@ -26,8 +37,9 @@ in which the walk meets the bad crossings (`_walk`).
 
 One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
-`replay` later values in any algebra.  It is the definition, and the
-path for PD input; its cost grows exponentially with the crossings.
+`replay` later values in any algebra that satisfies the axioms.  It is
+the definition, and the path for PD input; its cost grows exponentially
+with the crossings.
 
 Values inside `evaluate` and `replay` are bare term maps, as the
 algebra's compiled kernels take and return them: the kernels come from
@@ -54,10 +66,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
 
 from .algebra import ConwayAlgebraSpec, OpKind, _wrapped
 from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
+from .moves import _curl_at, euler_ok
 
 MAX_CROSSINGS = 64
 
@@ -240,7 +254,8 @@ def _root_bases(d: Diagram, marking: Marking | None):
     return marking.bases
 
 
-def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
+def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
+             bad=None):
     """The skein recursion behind both `evaluate` and `trace`.
 
     `d` is resolved under the marking with base edges `bases`, or under
@@ -251,6 +266,18 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     keeps the marking, which termination needs; the smoothed child is
     resolved under its default marking.  Results are memoised in `memo`
     under `(tag, d, bases)`.
+
+    A bad crossing that is a kink (two adjacent slots of one label,
+    `moves._curl_at`) is only switched, and the switched child's result
+    is the node's: switching a kink is an R1 isotopy, under which the
+    axioms make the value invariant.  That holds on planar diagrams, so
+    the rule applies only when `planar()` is true; it says whether the
+    root passes `moves.euler_ok`, and is called at each bad kink met,
+    so it should remember its answer (the entry points pass a
+    `functools.cache` of it, which checks the root at the first bad
+    kink and never on a diagram that has none).  Switching and smoothing
+    keep a planar diagram planar, so the root's answer holds for every
+    node.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
     in walk order; when it is None, `_walk` finds them, and the default
@@ -269,15 +296,20 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     ci = next(bad, None)
     if ci is None:
         node = leaf(d.component_count)
+    elif _curl_at(d.flat[4 * ci:4 * ci + 4]) and planar():
+        node = _resolve(d.crossing_change(ci), bases, memo, tag, leaf,
+                        branch, planar, bad)
     else:
         node = branch(
             ci, _SIGN[d.over_in[ci]], d.classify(ci),
             _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch,
-                     bad),
-            _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch),
+                     planar, bad),
+            _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch,
+                     planar),
         )
     memo[key] = node
     return node
+
 
 
 def _op_table(algebra: ConwayAlgebraSpec):
@@ -427,7 +459,8 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         def branch(ci, sign, kind, left, right):
             return ops[sign > 0][kind == "self"](left, right)
 
-        terms = _resolve(d, bases, memo, algebra.key, leaf, branch)
+        terms = _resolve(d, bases, memo, algebra.key, leaf, branch,
+                         cache(partial(euler_ok, d)))
     return _wrapped(algebra.table, terms)
 
 
@@ -450,14 +483,20 @@ class TraceBranch:
 
 def trace(d: Diagram, marking: Marking | None = None,
           shared: dict | None = None):
-    """The full skein tree for a diagram, replayable in any algebra.
+    """The skein tree for a diagram, replayable in any algebra that
+    satisfies the axioms.
 
-    `shared` is a node cache; passing the same dict across calls lets
-    diagrams with common descendants reuse each other's subtrees.
+    The tree is that of `_resolve`: a bad kink of a planar diagram has
+    no branch of its own, its node being its switched child's.  The
+    kink's value is that of its switch only by the axioms, so replayed
+    in an algebra that fails `check_axioms` the tree can give another
+    value than the full recursion would.  `shared` is a node cache;
+    passing the same dict across calls lets diagrams with common
+    descendants reuse each other's subtrees.
     """
     return _resolve(d, _root_bases(d, marking),
                     {} if shared is None else shared, None, TraceLeaf,
-                    TraceBranch)
+                    TraceBranch, cache(partial(euler_ok, d)))
 
 
 def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):

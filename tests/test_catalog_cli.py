@@ -183,6 +183,24 @@ class TestComputeCommand:
         assert "diagram has no components" in err
         assert "unit index" not in err
 
+    def test_braid_powers(self, capsys):
+        rc = main(["compute", "--braid", "braid(5; (1 2 3 4)^12)",
+                   "--algebra", "homflypt"])
+        assert rc == 0
+        spelled = " ".join(["1 2 3 4"] * 12)
+        assert main(["compute", "--braid", f"braid(5; {spelled})",
+                     "--algebra", "homflypt"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0] == out[1]
+
+    def test_huge_braid_power_is_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        rc = main(["compute", "--braid", "braid(2; (1)^1000000000)",
+                   "--algebra", "homflypt"])
+        assert time.perf_counter() - t0 < 0.5
+        assert rc == 2
+        assert "limit is 10000" in capsys.readouterr().err
+
     def test_oversized_strand_count_is_input_error(self, capsys):
         t0 = time.perf_counter()
         rc = main(["compute", "--braid", "braid(1000000; 1)",

@@ -233,6 +233,19 @@ class TestParsePD:
         ("PD[X[1, 2,3,4],  Y[1,2,3,4]]", 18, "expected 'X[', found 'Y['"),
         ("PD[X[1,1,2,2]]+O^", 18, "expected an integer"),
         ("PD[X[1,1,2,2]", 14, "expected ']', found 'end of input'"),
+        ("braid(2; 1^)", 12, "expected an integer"),
+        ("braid(2; 1^ x)", 13, "expected an integer"),
+        ("braid(3; (1 2)^)", 16, "expected an integer"),
+        ("braid(2; 1^2^3)", 13, "expected an integer"),
+        ("braid(2; ^2)", 10, "expected an integer"),
+        ("braid(3; (1 2", 10, "'(' is not closed"),
+        ("braid(3; (1 2)", 15, "expected '^', found 'end of input'"),
+        ("braid(3; (1 2 x)^2)", 15, "expected an integer"),
+        ("braid(2; ((1)^2)^2)", 11, "groups do not nest"),
+        ("braid(2; ()^2)", 11, "expected an integer"),
+        ("braid(2; 1 1)^2", 14, "unexpected trailing input '^2'"),
+        ("braid(2; (1)^1000000000)", 14,
+         "word expands to 1000000000 letters; limit is 10000"),
     ])
     def test_syntax_errors_are_pinned(self, text, col, message):
         with pytest.raises(PDSyntaxError) as info:
@@ -259,6 +272,22 @@ class TestParsePD:
     def test_braid_text_accepted_by_parse_diagram(self):
         d = parse_diagram("braid(2; 1 1)")
         assert d.component_count == 2
+
+    @pytest.mark.parametrize("powers, spelled", [
+        ("braid(3; (1 -2)^3)", "braid(3; 1 -2 1 -2 1 -2)"),
+        ("braid(2; 1^6)", "braid(2; 1 1 1 1 1 1)"),
+        ("braid(3; 2 (1^2 -2)^2 - 1 ^ 1)", "braid(3; 2 1 1 -2 1 1 -2 -1)"),
+        ("braid(3; 1 (2)^0 -2^0)", "braid(3; 1)"),
+    ])
+    def test_powers_spell_out_the_word(self, powers, spelled):
+        d, want = parse_diagram(powers), parse_diagram(spelled)
+        assert d == want and d.braid == want.braid
+
+    def test_torus_power_reaches_the_letter_limit(self):
+        assert len(parse_diagram("braid(5; (1 2 3 4)^12)").braid[1]) == 48
+        assert len(parse_diagram("braid(2; 1^10000)").braid[1]) == 10_000
+        with pytest.raises(PDSyntaxError, match="10001 letters"):
+            parse_diagram("braid(3; 2 (1)^10000)")
 
 
 class TestSigns:
@@ -405,11 +434,13 @@ class TestLibraryBuiltDiagrams:
         real = Diagram.crossings.fget
         monkeypatch.setattr(Diagram, "crossings", property(
             lambda d: built.append(d) or real(d)))
+        # four perturbation seeds: bad kinks are only switched, so two
+        # seeds no longer reach 5,000 nodes
         nodes = 0
         for entry in corpus:
             d = entry.diagram()
             for x in [d] + [random_perturb(d, seed=s, steps=15, cap=14)[0]
-                            for s in range(2)]:
+                            for s in range(4)]:
                 shared = {}
                 trace(x, shared=shared)
                 nodes += len(shared)

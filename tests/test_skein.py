@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from oracles import naive_evaluate
 import skeinalg.algebra
 import skeinalg.diagram
+import skeinalg.skein
 from skeinalg.algebra import OpKind, make_algebra
-from skeinalg.diagram import DiagramError, braid_to_diagram, parse_pd
-from skeinalg.moves import random_perturb
+from skeinalg.diagram import DiagramError, _quads, braid_to_diagram, parse_pd
+from skeinalg.moves import _curl_at, apply_move, euler_ok, random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
@@ -269,7 +270,7 @@ class TestFewestBadMarking:
         shared = {}
         for d in diagrams.values():
             trace(d, shared=shared)
-        assert len(shared) == 430
+        assert len(shared) == 392
 
 
 class TestMarkingValidation:
@@ -351,6 +352,163 @@ class TestTraceReplay:
     def test_replay_rejects_foreign_objects(self, algebras):
         with pytest.raises(SkeinError, match="not a trace node"):
             replay("bogus", algebras[0])
+
+
+def tree_nodes(node) -> int:
+    """How many distinct nodes a trace tree has, shared subtrees once."""
+    seen, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            if isinstance(n, TraceBranch):
+                todo += (n.switched, n.smoothed)
+    return len(seen)
+
+
+def tree_shape(node):
+    """A trace tree without its crossing numbers."""
+    if isinstance(node, TraceLeaf):
+        return node.components
+    return (node.sign, node.kind, tree_shape(node.switched),
+            tree_shape(node.smoothed))
+
+
+def is_kink(d, ci) -> bool:
+    return _curl_at(d.flat[4 * ci:4 * ci + 4])
+
+
+def curled(d, seed):
+    """`d` after 3-6 seeded R1+ steps, each a curl of a random sign and
+    flavour, on a random edge or, two times in five when there is one, on
+    the loop of an earlier curl; also the events applied, and how many of
+    them nested a curl in another."""
+    rng = random.Random(seed)
+    events, nested = [], 0
+    for _ in range(rng.randint(3, 6)):
+        loops = [q[j] for q in _quads(d.flat) if _curl_at(q)
+                 for j in range(4) if q[j] == q[j - 1]]
+        kind = rng.choice("+-") + rng.choice("ou")
+        if loops and rng.random() < 0.4:
+            place = f"e{rng.choice(loops)}"
+            nested += 1
+        elif d.comp_of:
+            place = f"e{rng.choice(sorted(d.comp_of))}"
+        else:
+            place = "O"
+        events.append(f"R1+@{place}/{kind}")
+        d = apply_move(d, events[-1])
+    return d, events, nested
+
+
+# Non-planar codes (failing `euler_ok`) whose resolution meets a bad kink,
+# the first ten from seeded rewirings of corpus entries with a curl added,
+# then `PD[X[1,2,1,2]]` with a curl under three markings; each with its
+# gen-conway and homflypt value from the full recursion.  The gate keeps
+# the values of the first two and the last: switching their bad kinks
+# alone gives other values.
+NONPLANAR = [
+    ("PD[X[12,1,13,9],X[8,14,9,13],X[1,5,2,6],X[14,15,15,10],X[4,2,5,3],"
+     "X[10,16,11,16],X[3,12,4,11],X[6,7,7,8]]", None,
+     "1*q^-2 - 3*p*q^-2 + 4*p^2*q^-2 - 3*p^3*q^-2 + 1*p*q^-1*r"
+     " + 1*p^4*q^-2 - 1*p^2*q^-1*r",
+     "1*v^-2*z^-2 - 3*z^-2 + 4*v^2*z^-2 - 3*v^4*z^-2 + 1*v^2 + 1*v^6*z^-2"
+     " - 1*v^4"),
+    ("PD[X[5,1,6,15],X[14,7,15,6],X[7,14,8,13],X[1,9,2,8],X[12,3,13,2],"
+     "X[3,16,4,16],X[9,5,10,4],X[10,12,11,11]]", None,
+     "4*p^2*q^-1 + 1*r - 8*p^3*q^-1 + 1*p*r + 5*p^4*q^-1 - 3*p^2*r"
+     " - 1*p^5*q^-1 + 1*p^3*r",
+     "4*v^3*z^-1 + 1*v*z - 8*v^5*z^-1 + 1*v^3*z + 5*v^7*z^-1 - 3*v^5*z"
+     " - 1*v^9*z^-1 + 1*v^7*z"),
+    ("PD[X[3,1,4,2],X[6,2,1,3],X[4,6,5,5]]", None, "1", "1"),
+    ("PD[X[10,1,4,3],X[7,5,8,4],X[1,6,2,7],X[5,2,6,3],X[8,9,9,10]]", None,
+     "1*p^-1*q^-1 - 1*q^-1 - 1*p^-1*r",
+     "1*v^-3*z^-1 - 1*v^-1*z^-1 - 1*v^-1*z"),
+    ("PD[X[1,5,2,4],X[10,2,10,3],X[9,1,9,8],X[3,7,4,8],X[5,7,6,6]]", None,
+     "1*q^-2 - 2*p*q^-2 + 1*p^2*q^-2",
+     "1*v^-2*z^-2 - 2*z^-2 + 1*v^2*z^-2"),
+    ("PD[X[1,7,2,6],X[3,10,4,5],X[7,1,8,4],X[5,2,6,3],X[9,8,10,9]]", None,
+     "1*q^-1 - 1*p*q^-1", "1*v^-1*z^-1 - 1*v*z^-1"),
+    ("PD[X[1,10,2,10],X[7,1,8,6],X[8,6,9,5],X[4,7,5,9],X[2,3,3,4]]", None,
+     "1*p*q^-2 - 2*p^2*q^-2 + 1*q^-1*r + 1*p^3*q^-2 - 1*p*q^-1*r",
+     "1*z^-2 - 2*v^2*z^-2 + 1 + 1*v^4*z^-2 - 1*v^2"),
+    ("PD[X[12,1,10,9],X[8,11,9,10],X[11,8,12,7],X[1,6,2,5],X[6,3,7,2],"
+     "X[4,4,5,3]]", None,
+     "1*p*q^-1 - 1*p^2*q^-1 + 1*r", "1*v*z^-1 - 1*v^3*z^-1 + 1*v*z"),
+    ("PD[X[3,1,4,1],X[11,7,12,6],X[7,11,8,10],X[12,9,2,8],X[9,3,10,2],"
+     "X[4,5,5,6]]", None,
+     "2*p*q^-1 - 3*p^2*q^-1 + 1*r + 1*p^3*q^-1 - 1*p*r",
+     "2*v*z^-1 - 3*v^3*z^-1 + 1*v*z + 1*v^5*z^-1 - 1*v^3*z"),
+    ("PD[X[12,4,9,1],X[7,11,8,12],X[3,6,4,7],X[10,5,11,8],X[5,10,6,9],"
+     "X[1,3,2,2]]", None,
+     "1*q^-2 - 2*p*q^-2 + 1*p^2*q^-2",
+     "1*v^-2*z^-2 - 2*z^-2 + 1*v^2*z^-2"),
+    ("PD[X[3,4,1,4],X[1,3,2,2]]", None,
+     "1*q^-1 - 1*p*q^-1", "1*v^-1*z^-1 - 1*v*z^-1"),
+    ("PD[X[3,4,1,4],X[1,3,2,2]]", (3, 4),
+     "1*p*q^-1 - 1*p^2*q^-1 + 1*r", "1*v*z^-1 - 1*v^3*z^-1 + 1*v*z"),
+    ("PD[X[3,4,1,4],X[1,3,2,2]]", (1, 4),
+     "1*q^-1 - 2*p*q^-1 + 2*p^2*q^-1 - 1*p^3*q^-1 + 1*p*r",
+     "1*v^-1*z^-1 - 2*v*z^-1 + 2*v^3*z^-1 - 1*v^5*z^-1 + 1*v^3*z"),
+]
+
+
+class TestKinks:
+    """A bad kink of a planar diagram is resolved by its switch alone."""
+
+    def test_bad_curl_adds_no_node(self):
+        trefoil = parse_pd("PD[X[1,5,2,4],X[5,3,6,2],X[3,1,4,6]]")
+        curl = apply_move(trefoil, "R1+@e3/+u")
+        first = bad_crossings(curl)[0]
+        assert is_kink(curl, first)
+        shared = {}
+        t = trace(curl, shared=shared)
+        assert tree_nodes(t) == tree_nodes(trace(trefoil))
+        assert tree_shape(t) == tree_shape(trace(trefoil))
+        assert not (isinstance(t, TraceBranch) and t.crossing == first)
+        # nowhere in the tree does a branch sit at a kink
+        for (_, d, _), node in shared.items():
+            if isinstance(node, TraceBranch):
+                assert not is_kink(d, node.crossing)
+
+    def test_curled_corpus_matches_oracle(self, diagrams, algebras):
+        kinds, nested = set(), 0
+        for name, d in diagrams.items():
+            if d.n_crossings > 5:
+                continue
+            for seed in range(2):
+                c, events, n = curled(d, seed)
+                kinds.update(ev[-2:] for ev in events)
+                nested += n
+                for alg in algebras:
+                    assert evaluate(c, alg) == naive_evaluate(c, alg), (
+                        name, events, alg.key)
+        assert kinds == {"+o", "+u", "-o", "-u"} and nested
+
+    @pytest.mark.parametrize("pd, bases, gc_text, hf_text", NONPLANAR)
+    def test_nonplanar_values_pinned(self, algebras, pd, bases, gc_text,
+                                     hf_text):
+        d = parse_pd(pd)
+        assert not euler_ok(d)
+        marking = None if bases is None else Marking(bases)
+        for key, text in (("gen-conway", gc_text), ("homflypt", hf_text)):
+            alg = by_key(algebras, key)
+            assert alg.render(evaluate(d, alg, marking)) == text
+
+    def test_planarity_is_checked_once_and_only_at_a_bad_kink(
+            self, diagrams, algebras, monkeypatch):
+        calls = []
+        monkeypatch.setattr(skeinalg.skein, "euler_ok",
+                            lambda d: calls.append(d) or True)
+        gc = by_key(algebras, "gen-conway")
+        trefoil = diagrams["trefoil+"]
+        evaluate(trefoil, gc)
+        trace(trefoil)
+        assert calls == []
+        curl = apply_move(trefoil, "R1+@e3/+u")
+        evaluate(curl, gc)
+        trace(curl)
+        assert calls == [curl, curl]
 
 
 class TestValueSwitch:
