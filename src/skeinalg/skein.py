@@ -271,13 +271,11 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
     `moves._curl_at`) is only switched, and the switched child's result
     is the node's: switching a kink is an R1 isotopy, under which the
     axioms make the value invariant.  That holds on planar diagrams, so
-    the rule applies only when `planar()` is true; it says whether the
-    root passes `moves.euler_ok`, and is called at each bad kink met,
-    so it should remember its answer (the entry points pass a
-    `functools.cache` of it, which checks the root at the first bad
-    kink and never on a diagram that has none).  Switching and smoothing
-    keep a planar diagram planar, so the root's answer holds for every
-    node.
+    the rule applies only when `planar()` is true: whether the root
+    passes `moves.euler_ok`, checked at the first bad kink and then
+    remembered (the entry points pass a `functools.cache` of it).
+    Switching and smoothing keep a planar diagram planar, so the root's
+    answer holds for every node.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
     in walk order; when it is None, `_walk` finds them, and the default
@@ -296,20 +294,15 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
     ci = next(bad, None)
     if ci is None:
         node = leaf(d.component_count)
-    elif _curl_at(d.flat[4 * ci:4 * ci + 4]) and planar():
+    else:
         node = _resolve(d.crossing_change(ci), bases, memo, tag, leaf,
                         branch, planar, bad)
-    else:
-        node = branch(
-            ci, _SIGN[d.over_in[ci]], d.classify(ci),
-            _resolve(d.crossing_change(ci), bases, memo, tag, leaf, branch,
-                     planar, bad),
-            _resolve(d.smooth_with_map(ci)[0], None, memo, tag, leaf, branch,
-                     planar),
-        )
+        if not (_curl_at(d.flat[4 * ci:4 * ci + 4]) and planar()):
+            node = branch(ci, _SIGN[d.over_in[ci]], d.classify(ci), node,
+                          _resolve(d.smooth_with_map(ci)[0], None, memo, tag,
+                                   leaf, branch, planar))
     memo[key] = node
     return node
-
 
 
 def _op_table(algebra: ConwayAlgebraSpec):
