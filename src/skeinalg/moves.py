@@ -48,10 +48,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain
+from operator import eq, mul
 
-from .diagram import (Diagram, _crossing_pieces, _mates, _quads, _rebuilt,
-                      _run)
+from .diagram import Diagram, _crossing_pieces, _mates, _rebuilt
 
 
 class MoveError(ValueError):
@@ -72,33 +72,41 @@ def _dart_tables(m: int) -> tuple[tuple[Dart, ...], tuple[int, ...]]:
             tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m)))
 
 
-def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
-    """Face orbits in canonical order (each rotated to start at its
-    smallest dart, then sorted).
+def _face_walk(d: Diagram):
+    """The face orbits of `d`, walked once: `_mates(d.flat)`, the orbits
+    in canonical order as lists of integer darts, and the index of each
+    dart's face.
 
-    Darts are walked as the integers 4 * crossing + slot, whose order is
-    that of the (crossing, slot) pairs.  Taken in increasing order, the
-    first dart of each new orbit is its smallest, so the orbits come out
-    rotated and sorted as they are found."""
+    Taken in increasing order, the first dart of each new orbit is its
+    smallest, so the orbits come out rotated to their smallest dart and
+    sorted as they are found."""
     m = len(d.flat)
-    pair, ccw = _dart_tables(m)
+    mate = _mates(d.flat)
     # phi: arrive along the edge at its other end, leave by the next slot
     # counterclockwise
-    phi = [ccw[y] for y in _mates(d.flat)]
-    seen = bytearray(m)
-    out = []
+    phi = list(map(_dart_tables(m)[1].__getitem__, mate))
+    face = [-1] * m
+    orbits = []
     for x0 in range(m):
-        if seen[x0]:
-            continue
-        seen[x0] = 1
-        orbit = [pair[x0]]
-        x = phi[x0]
-        while x != x0:
-            seen[x] = 1
-            orbit.append(pair[x])
-            x = phi[x]
-        out.append(tuple(orbit))
-    return tuple(out)
+        if face[x0] < 0:
+            f = len(orbits)
+            face[x0] = f
+            orbit = [x0]
+            x = phi[x0]
+            while x != x0:
+                face[x] = f
+                orbit.append(x)
+                x = phi[x]
+            orbits.append(orbit)
+    return mate, orbits, face
+
+
+def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
+    """Face orbits in canonical order (each rotated to start at its
+    smallest dart, then sorted), as (crossing, slot) pairs."""
+    pair = _dart_tables(len(d.flat))[0]
+    return tuple(tuple(map(pair.__getitem__, orbit))
+                 for orbit in _face_walk(d)[1])
 
 
 def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
@@ -106,19 +114,44 @@ def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
     return tuple([flat[4 * c + s] for c, s in face])
 
 
-def _over_counts(d: Diagram) -> Counter:
-    """edge -> how many of its two ends are over-strand slots (1 or 3)."""
-    return Counter(d.flat[1::2])
-
-
 def euler_ok(d: Diagram) -> bool:
     """Genus-zero check: V - E + F == 2 per connected crossing piece."""
     if not d.flat:
         return True
     V = d.n_crossings
-    E = 2 * V
-    F = len(faces(d))
-    return V - E + F == 2 * len(_crossing_pieces(d))
+    return V - 2 * V + len(_face_walk(d)[1]) == 2 * len(_crossing_pieces(d))
+
+
+def _is_bigon(orbit, mate) -> bool:
+    """A face of two darts at two distinct crossings on two distinct
+    edges; `mate` is `_mates` of the diagram's labels."""
+    if len(orbit) != 2:
+        return False
+    x, y = orbit
+    return x >> 2 != y >> 2 and mate[x] != y
+
+
+def _is_clasp(orbit, mate) -> bool:
+    """A bigon that R2- can remove: one of its edges is over at both
+    ends, that is at two odd slots."""
+    if not _is_bigon(orbit, mate):
+        return False
+    x, y = orbit
+    return bool(x & mate[x] & 1 or y & mate[y] & 1)
+
+
+def _is_slideable(orbit, mate) -> bool:
+    """A triangle that R3 can slide: three distinct corners, and one
+    edge over at both its ends, one under at both and one mixed (so the
+    three edges are distinct)."""
+    if len(orbit) != 3:
+        return False
+    x, y, z = orbit
+    cx, cy, cz = x >> 2, y >> 2, z >> 2
+    ox = (x & 1) + (mate[x] & 1)
+    oy = (y & 1) + (mate[y] & 1)
+    oz = (z & 1) + (mate[z] & 1)
+    return (cx != cy != cz != cx and ox != oy != oz != ox)
 
 
 # -- events -------------------------------------------------------------------
@@ -242,29 +275,131 @@ def _curl_at(cr) -> bool:
     return a == b or b == c or c == d or d == a
 
 
-def _is_bigon(face, es) -> bool:
-    """A face with two distinct crossings and two distinct edges; `es`
-    is `face_edges` of the face."""
-    return len(face) == 2 and face[0][0] != face[1][0] and es[0] != es[1]
+# the (sign, flavor) of the four curls an R1+ can add at one place
+_CURL_KINDS = ((1, "o"), (1, "u"), (-1, "o"), (-1, "u"))
 
 
-def _bigon_ok(face, es, overs) -> bool:
-    """A bigon that R2- can remove: one strand is over at both corners.
-    `es` is `face_edges` of the face and `overs` is `_over_counts(d)`."""
-    return _is_bigon(face, es) and (overs[es[0]] == 2 or overs[es[1]] == 2)
+def _census(d: Diagram, cap: int):
+    """Every move `random_perturb` can draw on `d` within `cap`
+    crossings, counted from one face walk.
+
+    Returns `(total, kinks, clasps, slides, places, walk)`: the number
+    of moves; the crossings with a curl (R1-, from the monogons), the
+    faces of the removable bigons, one per pair of crossings (R2-), and
+    the slideable triangles (R3), in canonical face order; the number of
+    places R1+ can curl, every edge and one crossingless circle if there
+    is one, each with four curls; and `_face_walk(d)`.  The moves come in
+    that order, then one RLT per crossingless circle before the curls,
+    then the finger pushes, which are counted and not listed.
+
+    A push is an ordered pair of distinct edges on a common face.  With
+    k_f the distinct edges of face f, and g_AB the edges whose two sides
+    are the distinct faces A and B, there are
+    sum_f k_f (k_f - 1) - sum_{A<B} g_AB (g_AB - 1) of them: a pair lies
+    on two faces exactly when both of its edges separate the same two."""
+    walk = mate, orbits, face = _face_walk(d)
+    n = len(d.over_in)
+    kinks: list[int] = []
+    clasps: list[int] = []
+    slides: list[int] = []
+    corners = set()  # the crossing pairs of the clasps kept
+    spans = 0  # sum of L (L - 1) over the faces, L darts each
+    for fi, orbit in enumerate(orbits):
+        k = len(orbit)
+        spans += k * (k - 1)
+        if k == 1:
+            ci = orbit[0] >> 2
+            if not kinks or kinks[-1] != ci:
+                kinks.append(ci)
+        elif k == 2:
+            if _is_clasp(orbit, mate):
+                x, y = orbit
+                pair = (x >> 2, y >> 2) if x < y else (y >> 2, x >> 2)
+                if pair not in corners:
+                    corners.add(pair)
+                    clasps.append(fi)
+        elif k == 3 and _is_slideable(orbit, mate):
+            slides.append(fi)
+    places = 2 * n + (d.free_loops > 0) if n + 1 <= cap else 0
+    total = (len(kinks) + len(clasps) + len(slides) + d.free_loops
+             + 4 * places)
+    if n + 2 <= cap and n:
+        # the face across each dart's edge, and how often each ordered
+        # pair of faces meets along an edge
+        across = list(map(face.__getitem__, mate))
+        meets = list(Counter(zip(face, across)).values())
+        # sum of c (c - 1) over the ordered pairs counts each unordered
+        # pair of distinct faces twice
+        spans -= (sum(map(mul, meets, meets)) - len(mate)) // 2
+        if any(map(eq, face, across)):
+            # an edge with one face on both sides is one edge of it, not
+            # two: take such edges from that face's count
+            twice = Counter(f for f, g in zip(face, across) if f == g)
+            for f, c in twice.items():
+                dup, L = c // 2, len(orbits[f])
+                spans += dup * (2 * dup - 1) - dup * (2 * L - dup - 1)
+        total += spans
+    return total, kinks, clasps, slides, places, walk
 
 
-def _trigon_ok(face, es, overs) -> bool:
-    """A triangle that R3 can slide: three distinct corners and edges,
-    one edge over at both its corners, one under at both, one mixed.
-    `es` is `face_edges` of the face and `overs` is `_over_counts(d)`."""
-    return (len({c for c, _ in face}) == 3 and len(set(es)) == 3
-            and sorted(map(overs.__getitem__, es)) == [0, 1, 2])
+def _drawn(d: Diagram, census, i: int):
+    """The i-th move of `census` (`_census(d, cap)`): its event, and for
+    a push the darts at which its two edges meet their common face
+    first, else None."""
+    _, kinks, clasps, slides, places, walk = census
+    for kind, at in (("R1-", kinks), ("R2-", clasps), ("R3", slides)):
+        if i < len(at):
+            return _event(kind, at[i]), None
+        i -= len(at)
+    if i < d.free_loops:
+        return MoveEvent("RLT", comp=i + 1), None
+    i -= d.free_loops
+    if i < 4 * places:
+        sign, flavor = _CURL_KINDS[i % 4]
+        if i // 4 == 2 * d.n_crossings:
+            return MoveEvent("R1+", loop=True, sign=sign, flavor=flavor), None
+        e = sorted(d.comp_of)[i // 4]
+        return MoveEvent("R1+", edge=e, sign=sign, flavor=flavor), None
+    x, y, dx, dy = _push_at(d, walk, i - 4 * places)
+    return MoveEvent("R2+", edge=x, edge2=y), (dx, dy)
+
+
+def _push_at(d: Diagram, walk, j: int):
+    """The j-th finger push, ordered pairs of distinct edges taken face
+    by face and each pair at its first face, in the order of
+    `itertools.permutations` of the face's edges: the edges (x, y) and
+    the first darts of each on that face."""
+    mate, orbits, face = walk
+    flat = d.flat
+    for f, orbit in enumerate(orbits):
+        first: dict[int, int] = {}
+        for x in orbit:
+            first.setdefault(flat[x], x)
+        darts = list(first.values())
+        # the face across each edge: a pair whose edges both separate f
+        # from one earlier face was counted there
+        back = [face[mate[x]] for x in darts]
+        k = len(darts)
+        new = k * (k - 1)
+        earlier = [g for g in back if g < f]
+        if len(set(earlier)) < len(earlier):
+            new -= sum(c * (c - 1) for c in Counter(earlier).values())
+        if j >= new:
+            j -= new
+            continue
+        for p, dx in enumerate(darts):
+            for q, dy in enumerate(darts):
+                if p != q and not back[p] == back[q] < f:
+                    if not j:
+                        return flat[dx], flat[dy], dx, dy
+                    j -= 1
+    raise AssertionError("push index past the census")  # pragma: no cover
 
 
 def find_moves(d: Diagram) -> list[MoveEvent]:
     """Applicable R1-, R2-, R3 and RLT events, deterministically ordered."""
-    return [_event(kind, at) for kind, at in _find_moves(d, faces(d))]
+    census = _census(d, 0)
+    return [_drawn(d, census, i)[0] for i in range(census[0])]
 
 
 def _event(kind: str, at: int) -> MoveEvent:
@@ -272,69 +407,56 @@ def _event(kind: str, at: int) -> MoveEvent:
     return MoveEvent(kind, **{_FIELDS[kind][0]: at})
 
 
-def _find_moves(d: Diagram, fs) -> list[tuple[str, int]]:
-    """`find_moves` over the already computed `faces(d)`, each event as
-    its (kind, place) pair; `_event` builds it."""
-    flat = d.flat
-    out = [("R1-", ci) for ci, cr in enumerate(_quads(flat)) if _curl_at(cr)]
-    overs = _over_counts(d)
-    slides = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for fi, face in enumerate(fs):
-        if len(face) == 2:
-            if not _bigon_ok(face, face_edges(d, face), overs):
-                continue
-            pair = tuple(sorted(c for c, _ in face))
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                out.append(("R2-", fi))
-        elif len(face) == 3 and _trigon_ok(face, face_edges(d, face), overs):
-            slides.append(("R3", fi))
-    out += slides
-    out += [("RLT", i + 1) for i in range(d.free_loops)]
-    return out
-
-
 # -- application --------------------------------------------------------------
 
 
-def _remove_crossings(d: Diagram, which: set[int]):
+def _remove_crossings(d: Diagram, which):
     """Remove the crossings `which`; returns the child and the label map.
 
     An in-edge of a removed crossing runs on into its successor, and
     each run of edges so joined becomes one edge, named after its
     smallest label.  A component made only of such edges becomes a
-    crossingless circle."""
+    crossingless circle.  Only the components through the removed
+    crossings are walked."""
     flat, over_in = d.flat, d.over_in
+    comps, comp_of, pos = d.components, d.comp_of, d.pos
     runs_on = set()
     for ci in which:
-        a, b, _, e = flat[4 * ci:4 * ci + 4]
-        runs_on.update((a, b if over_in[ci] == 1 else e))
-    pieces = []
+        runs_on.add(flat[4 * ci])
+        runs_on.add(flat[4 * ci + over_in[ci]])
+    touched = {comp_of[e] for e in runs_on}
+    pieces = [comp for k, comp in enumerate(comps) if k not in touched]
     rep: dict[int, int | None] = {}
     freed = 0
-    for comp in d.components:
-        if runs_on.isdisjoint(comp):
-            pieces.append(comp)
-            continue
-        # a run starts where the edge before does not run on
-        starts = [i for i in range(len(comp)) if comp[i - 1] not in runs_on]
-        if not starts:
+    for k in touched:
+        comp = comps[k]
+        L = len(comp)
+        joined = {pos[e] for e in runs_on if comp_of[e] == k}
+        if len(joined) == L:
             freed += 1
             rep.update(dict.fromkeys(comp))
             continue
-        seq = []
-        for i, j in zip(starts, starts[1:] + [starts[0] + len(comp)]):
-            run = _run(comp, i, j - 1)
-            seq.append(min(run))
-            if len(run) > 1:
-                rep.update(dict.fromkeys(run, seq[-1]))
+        # each run starts at a joined edge after one that is not, and
+        # takes in the edges up to the first that does not run on
+        for p in joined:
+            if (p - 1) % L in joined:
+                continue
+            run = [comp[p]]
+            while p in joined:
+                p = (p + 1) % L
+                run.append(comp[p])
+            rep.update(dict.fromkeys(run, min(run)))
+        drop = {(p + 1) % L for p in joined}
+        seq = [rep.get(lab, lab) for q, lab in enumerate(comp)
+               if q not in drop]
         k = seq.index(min(seq))
         pieces.append(tuple(seq[k:] + seq[:k]))
-    kept = [j for j in range(d.n_crossings) if j not in which]
-    return _rebuilt([x for j in kept for x in flat[4 * j:4 * j + 4]],
-                    tuple([over_in[j] for j in kept]), pieces,
-                    d.free_loops + freed, rep)
+    kept = sorted(which)
+    cut = [0, *[x for ci in kept for x in (4 * ci, 4 * ci + 4)], len(flat)]
+    return _rebuilt(
+        [x for a, b in zip(cut[0::2], cut[1::2]) for x in flat[a:b]],
+        tuple([oi for j, oi in enumerate(over_in) if j not in which]),
+        pieces, d.free_loops + freed, rep)
 
 
 def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
@@ -372,33 +494,28 @@ def _partner_out_slot(oi: int, in_slot: int) -> int:
     return 2 if in_slot == 0 else 4 - oi
 
 
-def _apply_r3(d: Diagram, face) -> Diagram:
-    if not _trigon_ok(face, face_edges(d, face), _over_counts(d)):
-        raise MoveError("face is not a slideable triangle")
-    flat = d.flat
+def _slide(d: Diagram, mate, orbit) -> Diagram:
+    """Slide the slideable triangle `orbit`: each of its edges moves past
+    the crossing its neighbours along its strand meet."""
+    flat, over_in = d.flat, d.over_in
     comps, comp_of, pos = d.components, d.comp_of, d.pos
-    writes: dict[Dart, int] = {}
-
-    def put(dart: Dart, lab: int) -> None:
-        if dart in writes:
-            raise MoveError("triangle rewrite touched one slot twice")
-        writes[dart] = lab
-
-    for e in set(face_edges(d, face)):
+    slid = list(flat)
+    for x in orbit:
+        e = flat[x]
         comp, p = comps[comp_of[e]], pos[e]
         s1, s2 = comp[p - 1], comp[(p + 1) % len(comp)]
-        (fc, f_slot), (gc, g_slot) = _ends(d, flat, e)
-        put((fc, _partner_in_slot(d.over_in[fc], f_slot)), e)
-        put((fc, f_slot), s2)
-        put((gc, g_slot), s1)
-        put((gc, _partner_out_slot(d.over_in[gc], g_slot)), e)
-    slid = list(flat)
-    for (ci, s), lab in writes.items():
-        slid[4 * ci + s] = lab
+        # f: the dart where e starts, g: where it ends
+        s = x & 3
+        f, g = (mate[x], x) if s == 0 or s == over_in[x >> 2] else (x, mate[x])
+        fc, gc = f & ~3, g & ~3
+        slid[fc | _partner_in_slot(over_in[f >> 2], f & 3)] = e
+        slid[f] = s2
+        slid[g] = s1
+        slid[gc | _partner_out_slot(over_in[g >> 2], g & 3)] = e
     # the slide moves strands past each other without relabeling them or
     # changing which slot each over-strand enters by
-    return Diagram._trusted(tuple(slid), d.over_in, d.free_loops,
-                            d.components, d.comp_of, d.pos, d._small)
+    return Diagram._trusted(tuple(slid), over_in, d.free_loops,
+                            comps, comp_of, pos, d._small)
 
 
 def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
@@ -412,19 +529,17 @@ def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
     return (loop_lab, loop_lab, n1, e), 3
 
 
-def _apply_r1plus(d: Diagram, ev: MoveEvent):
+def _curl(d: Diagram, ev: MoveEvent) -> Diagram:
+    """Add the curl of the R1+ event `ev`, on an edge of `d` or on one
+    of its crossingless circles."""
     base = max(d.flat, default=0)
     if ev.loop:
-        if d.free_loops < 1:
-            raise MoveError("no crossingless circle to curl")
         x, loop_lab = base + 1, base + 2
         cr, oi = _r1plus_template(x, loop_lab, x, ev.sign, ev.flavor)
         return _rebuilt(d.flat + cr, d.over_in + (oi,),
                         [*d.components, (x, loop_lab)], d.free_loops - 1,
                         {})[0]
     e = ev.edge
-    if e not in d.comp_of:
-        raise MoveError(f"no edge {e} to curl")
     loop_lab, n1 = base + 1, base + 2
     flat, pieces = _grown(d, {e: (loop_lab, n1)})
     cr, oi = _r1plus_template(e, loop_lab, n1, ev.sign, ev.flavor)
@@ -446,32 +561,43 @@ def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
     return [((y2, x2, y3, x), 3), ((y, x2, y2, x3), 1)]
 
 
-def _apply_r2plus(d: Diagram, ev: MoveEvent, fs):
-    x, y = ev.edge, ev.edge2
-    if x == y:
-        raise MoveError("the two edges of a finger push must differ")
-    for e in (x, y):
-        if e not in d.comp_of:
-            raise MoveError(f"no edge {e}")
-    for face in fs:
-        labs = face_edges(d, face)
-        if x in labs and y in labs:
-            dart_x, dart_y = face[labs.index(x)], face[labs.index(y)]
-            break
-    else:
-        raise MoveError(f"edges {x} and {y} do not border a common face")
+def _push(d: Diagram, x: int, y: int, dx: int, dy: int) -> Diagram:
+    """Push edge x over edge y across the face on which the darts dx of
+    x and dy of y lie."""
+    over_in = d.over_in
 
-    def walked_with(dart: Dart) -> bool:
-        ci, s = dart
-        return s == 2 or s == 4 - d.over_in[ci]
+    def walked_with(dart: int) -> bool:
+        s = dart & 3
+        return s == 2 or s == 4 - over_in[dart >> 2]
 
     base = max(d.flat)
     x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
     flat, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
     new, ois = zip(*_r2plus_crossings(
-        x, x2, x3, y, y2, y3, walked_with(dart_x), walked_with(dart_y)))
-    return _rebuilt(flat + list(chain.from_iterable(new)), d.over_in + ois,
+        x, x2, x3, y, y2, y3, walked_with(dx), walked_with(dy)))
+    return _rebuilt(flat + list(chain.from_iterable(new)), over_in + ois,
                     pieces, d.free_loops, {})[0]
+
+
+def _build(d: Diagram, ev: MoveEvent, walk, darts) -> Diagram:
+    """The diagram the applicable event `ev` makes of `d`; `walk` is
+    `_face_walk(d)` for R2-, R3 and R2+ events, and `darts` the darts of
+    an R2+ event's edges on their common face."""
+    kind = ev.kind
+    if kind == "R1-":
+        return _remove_crossings(d, (ev.crossing,))[0]
+    if kind == "R2-":
+        x, y = walk[1][ev.face]
+        return _remove_crossings(d, (x >> 2, y >> 2))[0]
+    if kind == "R3":
+        return _slide(d, walk[0], walk[1][ev.face])
+    if kind == "R1+":
+        return _curl(d, ev)
+    if kind == "R2+":
+        return _push(d, ev.edge, ev.edge2, *darts)
+    if kind == "CC":
+        return d.crossing_change(ev.crossing)
+    return d
 
 
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
@@ -480,89 +606,58 @@ def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
     problem = _shape_error(ev)
     if problem is not None:
         raise MoveError(problem)
-    return _apply_move(d, ev, None)
+    return _apply_move(d, ev)
 
 
-def _apply_move(d: Diagram, ev: MoveEvent, fs) -> Diagram:
-    """`apply_move` for a well-formed event (see `_shape_error`); `fs`
-    is `faces(d)`, or None to compute it only if the move needs it."""
-    if ev.kind in ("R2-", "R3", "R2+") and fs is None:
-        fs = faces(d)
-    if ev.kind == "CC":
+def _apply_move(d: Diagram, ev: MoveEvent) -> Diagram:
+    """`apply_move` for a well-formed event (see `_shape_error`): check
+    that the event applies to `d`, then build it."""
+    kind = ev.kind
+    walk = darts = None
+    if kind == "CC":
         if not 0 <= ev.crossing < d.n_crossings:
             raise MoveError(f"no crossing {ev.crossing}")
-        return d.crossing_change(ev.crossing)
-    if ev.kind == "RLT":
+    elif kind == "RLT":
         if not 1 <= ev.comp <= d.free_loops:
             raise MoveError(f"no crossingless circle number {ev.comp}")
-        return d
-    if ev.kind == "R1-":
+    elif kind == "R1-":
         ci = ev.crossing
         if not 0 <= ci < d.n_crossings or not _curl_at(
                 d.flat[4 * ci:4 * ci + 4]):
             raise MoveError(f"crossing {ci} is not a curl")
-        return _remove_crossings(d, {ci})[0]
-    if ev.kind == "R2-":
-        if not 0 <= ev.face < len(fs):
+    elif kind in ("R2-", "R3"):
+        walk = mate, orbits, _ = _face_walk(d)
+        if not 0 <= ev.face < len(orbits):
             raise MoveError(f"no face {ev.face}")
-        face = fs[ev.face]
-        if not _bigon_ok(face, face_edges(d, face), _over_counts(d)):
+        if kind == "R2-" and not _is_clasp(orbits[ev.face], mate):
             raise MoveError(f"face {ev.face} is not a removable clasp")
-        return _remove_crossings(d, {c for c, _ in face})[0]
-    if ev.kind == "R3":
-        if not 0 <= ev.face < len(fs):
-            raise MoveError(f"no face {ev.face}")
-        return _apply_r3(d, fs[ev.face])
-    if ev.kind == "R1+":
-        return _apply_r1plus(d, ev)
-    return _apply_r2plus(d, ev, fs)
+        if kind == "R3" and not _is_slideable(orbits[ev.face], mate):
+            raise MoveError("face is not a slideable triangle")
+    elif kind == "R1+":
+        if ev.loop and d.free_loops < 1:
+            raise MoveError("no crossingless circle to curl")
+        if not ev.loop and ev.edge not in d.comp_of:
+            raise MoveError(f"no edge {ev.edge} to curl")
+    else:
+        x, y = ev.edge, ev.edge2
+        if x == y:
+            raise MoveError("the two edges of a finger push must differ")
+        for e in (x, y):
+            if e not in d.comp_of:
+                raise MoveError(f"no edge {e}")
+        walk = _face_walk(d)
+        flat = d.flat
+        for orbit in walk[1]:
+            labs = [flat[z] for z in orbit]
+            if x in labs and y in labs:
+                darts = orbit[labs.index(x)], orbit[labs.index(y)]
+                break
+        else:
+            raise MoveError(f"edges {x} and {y} do not border a common face")
+    return _build(d, ev, walk, darts)
 
 
 # -- fuzzing -------------------------------------------------------------------
-
-
-# the (sign, flavor) of the four curls an R1+ can add at one place
-_CURL_KINDS = ((1, "o"), (1, "u"), (-1, "o"), (-1, "u"))
-
-
-def _growth_candidates(d: Diagram, cap: int, fs):
-    """Where R1+ and R2+ events keep `d` within `cap` crossings: the
-    edges to curl, then None for a crossingless circle if there is one,
-    and the (over, under) edge pairs to push; `fs` is `faces(d)`."""
-    n = d.n_crossings
-    curls: list[int | None] = []
-    if n + 1 <= cap:
-        curls = sorted(d.comp_of)
-        if d.free_loops:
-            curls.append(None)
-    pushes: list[tuple[int, int]] = []
-    if n + 2 <= cap and n:
-        # ordered pairs of distinct edges of each face, first sighting kept
-        pushes = list(dict.fromkeys(chain.from_iterable(
-            permutations(dict.fromkeys(face_edges(d, face)), 2)
-            for face in fs)))
-    return curls, pushes
-
-
-def _growth_event(curls, pushes, i: int) -> MoveEvent:
-    """The i-th growth event: four curls at each place of `curls` in the
-    order of `_CURL_KINDS`, then the pushes."""
-    if i < 4 * len(curls):
-        e = curls[i // 4]
-        sign, flavor = _CURL_KINDS[i % 4]
-        if e is None:
-            return MoveEvent("R1+", loop=True, sign=sign, flavor=flavor)
-        return MoveEvent("R1+", edge=e, sign=sign, flavor=flavor)
-    x, y = pushes[i - 4 * len(curls)]
-    return MoveEvent("R2+", edge=x, edge2=y)
-
-
-def _growth_events(d: Diagram, cap: int, fs) -> list[MoveEvent]:
-    """R1+ and R2+ events that keep `d` within `cap` crossings; `fs` is
-    `faces(d)`."""
-    curls, pushes = _growth_candidates(d, cap, fs)
-    return [_growth_event(curls, pushes, i)
-            for i in range(4 * len(curls) + len(pushes))]
 
 
 def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
@@ -570,24 +665,20 @@ def random_perturb(d: Diagram, seed: int, steps: int, cap: int = 14):
 
     Growing moves are withheld once they would push the diagram past
     `cap` crossings.  A step with no applicable move is skipped.  Each
-    step draws one index into the step's moves, the growth events after
-    the others, and builds only the event it drew.
+    step counts its moves once (`_census`), draws one index among them,
+    the growth events after the others, and builds only the event it
+    drew, from what the census found.
     Returns the final diagram and the applied events.
     """
     rng = random.Random(seed)
     events: list[MoveEvent] = []
     cur = d
     for _ in range(steps):
-        fs = faces(cur)
-        found = _find_moves(cur, fs)
-        curls, pushes = _growth_candidates(cur, cap, fs)
-        total = len(found) + 4 * len(curls) + len(pushes)
-        if not total:
+        census = _census(cur, cap)
+        if not census[0]:
             continue
-        i = rng.randrange(total)
-        ev = (_event(*found[i]) if i < len(found)
-              else _growth_event(curls, pushes, i - len(found)))
-        cur = _apply_move(cur, ev, fs)
+        ev, darts = _drawn(cur, census, rng.randrange(census[0]))
+        cur = _build(cur, ev, census[-1], darts)
         events.append(ev)
     return cur, events
 
@@ -611,16 +702,24 @@ def _reducing_event(d: Diagram) -> MoveEvent | None:
 
 def _bigon_fix(d: Diagram) -> MoveEvent | None:
     """A crossing switch that turns some bigon face into a removable clasp."""
-    for face in faces(d):
-        es = face_edges(d, face)
-        if not _is_bigon(face, es):
+    mate, orbits, _ = _face_walk(d)
+    flat = d.flat
+    for orbit in orbits:
+        if not _is_bigon(orbit, mate):
             continue
         # switch the corner where the smaller edge runs under
-        e = min(es)
-        for c in sorted(c for c, _ in face):
-            if e in d.flat[4 * c:4 * c + 4:2]:
+        e = min(flat[x] for x in orbit)
+        for c in sorted(x >> 2 for x in orbit):
+            if e in flat[4 * c:4 * c + 4:2]:
                 return MoveEvent("CC", crossing=c)
     return None
+
+
+def _reducible(d: Diagram) -> bool:
+    """Whether `d` has a curl or a bigon face."""
+    mate, orbits, _ = _face_walk(d)
+    return any(len(orbit) == 1 or _is_bigon(orbit, mate)
+               for orbit in orbits)
 
 
 _SEARCH_LIMIT = 50_000
@@ -640,19 +739,17 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
         expanded += 1
         if expanded > _SEARCH_LIMIT:
             break
-        fs = faces(cur)
-        candidates = [_event(kind, at) for kind, at in _find_moves(cur, fs)
-                      if kind == "R3"]
+        census = _census(cur, 0)
+        candidates = [_event("R3", fi) for fi in census[3]]
         candidates += [MoveEvent("CC", crossing=ci) for ci in range(cur.n_crossings)]
         for ev in candidates:
-            nxt = _apply_move(cur, ev, fs)
+            nxt = _build(cur, ev, census[-1], None)
             key = nxt.canonical_encode()
             if key in seen:
                 continue
             seen.add(key)
             npath = path + [ev]
-            if any(map(_curl_at, _quads(nxt.flat))) or any(
-                    _is_bigon(f, face_edges(nxt, f)) for f in faces(nxt)):
+            if _reducible(nxt):
                 return npath
             queue.append((nxt, npath))
     raise MoveError(

@@ -492,9 +492,8 @@ class TestLibraryBuiltDiagrams:
         # `_assemble` must give the same diagram, field by field, and the
         # same label map
         import skeinalg.moves
-        from skeinalg.moves import (_apply_move, _event, _find_moves,
-                                    _growth_events, apply_move, faces,
-                                    random_perturb)
+        from skeinalg.moves import (_build, _census, _drawn, apply_move,
+                                    faces, random_perturb)
 
         def same(got, reference, *where):
             # the library build has been re-checked against validation, so
@@ -532,18 +531,23 @@ class TestLibraryBuiltDiagrams:
                                 or built[-1])
 
         def check_every_move(d, grow):
+            # every removal the census finds, and with `grow` every curl
+            # and push, built from the census as `random_perturb` builds
+            # the move it draws
             fs = faces(d)
-            events = [_event(kind, at) for kind, at in _find_moves(d, fs)
-                      if kind in ("R1-", "R2-")]
-            if grow:
-                events += _growth_events(d, d.n_crossings + 2, fs)
-            for ev in events:
+            census = _census(d, d.n_crossings + 2 if grow else 0)
+            events = 0
+            for i in range(census[0]):
+                ev, darts = _drawn(d, census, i)
+                if ev.kind not in ("R1-", "R2-", "R1+", "R2+"):
+                    continue
                 built.clear()
-                _apply_move(d, ev, fs)
+                _build(d, ev, census[-1], darts)
                 assert len(built) == 1, (d, str(ev))
                 same(built[0], _reference_move, d, ev, fs)
                 kinds[ev.kind, ev.loop] += 1
-            return len(events)
+                events += 1
+            return events
 
         def interleaved(d):
             # the same diagram with each component's labels spread out, so

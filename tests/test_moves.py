@@ -12,8 +12,8 @@ from skeinalg.diagram import braid_to_diagram, parse_pd
 from skeinalg.moves import (MoveError, MoveEvent, apply_move, euler_ok,
                             face_edges, faces, find_moves, parse_event,
                             random_perturb, replay_events, trivialize,
-                            _event, _find_moves, _growth_candidates,
-                            _growth_events, _reducing_event, _search_unlock)
+                            _build, _census, _drawn, _reducing_event,
+                            _search_unlock)
 from skeinalg.skein import evaluate
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -139,6 +139,20 @@ def _ref_growth_candidates(d, cap, fs):
     return curls, pushes
 
 
+def _ref_growth_events(d, cap, fs):
+    curls, pushes = _ref_growth_candidates(d, cap, fs)
+    out = [f"R1+@{'O' if e is None else f'e{e}'}/{kind}"
+           for e in curls for kind in ("+o", "+u", "-o", "-u")]
+    return out + [f"R2+@e{x}/e{y}" for x, y in pushes]
+
+
+def _drawn_events(d, cap):
+    """Every event of the census of `d` within `cap` crossings, in the
+    order of its indices."""
+    census = _census(d, cap)
+    return [_drawn(d, census, i)[0] for i in range(census[0])]
+
+
 class TestCensusReference:
     def _diagrams(self, corpus):
         out = [parse_pd(t) for t in (
@@ -161,12 +175,59 @@ class TestCensusReference:
             fs = faces(d)
             got = [str(ev) for ev in find_moves(d)]
             assert got == _ref_find_moves(d, fs), d
-            assert [str(_event(*m)) for m in _find_moves(d, fs)] == got
             kinds.update(ev.split("@")[0] for ev in got)
             for cap in (d.n_crossings, d.n_crossings + 1, 14):
-                assert (_growth_candidates(d, cap, fs)
-                        == _ref_growth_candidates(d, cap, fs)), (d, cap)
+                growth = [str(ev) for ev in _drawn_events(d, cap)[len(got):]]
+                assert growth == _ref_growth_events(d, cap, fs), (d, cap)
         assert kinds == {"R1-", "R2-", "R3", "RLT"}
+
+    def test_census_is_exact(self, corpus):
+        # the census counts the pushes by a closed formula and finds the
+        # drawn one by walking to its face; every index must name the
+        # event at that index of the reference lists, and the darts of a
+        # push must be those of its edges' first common face
+        # codes that fail `euler_ok`, on whose faces an edge can have
+        # one face on both sides, and their perturbations
+        nonplanar = [parse_pd(t) for t in (
+            "PD[X[1,2,1,2]]", "PD[X[3,4,1,4],X[1,3,2,2]]",
+            "PD[X[3,1,4,2],X[6,2,1,3],X[4,6,5,5]]",
+            "PD[X[1,5,2,4],X[10,2,10,3],X[9,1,9,8],X[3,7,4,8],X[5,7,6,6]]")]
+        nonplanar += [random_perturb(d, seed=s, steps=10, cap=9)[0]
+                      for d in nonplanar for s in range(6)]
+        pushes = shared = folded = 0
+        for d in self._diagrams(corpus) + nonplanar:
+            fs = _ref_faces(d)
+            found = _ref_find_moves(d, fs)
+            # diagrams where a pair of edges borders two faces, and where
+            # an edge has one face on both sides
+            sizes = [len(set(_ref_labels(d, f))) for f in fs]
+            shared += (d.n_crossings and sum(k * (k - 1) for k in sizes)
+                       > len(_ref_growth_candidates(d, 14, fs)[1]))
+            folded += sum(sizes) < 4 * d.n_crossings
+            for cap in (d.n_crossings, d.n_crossings + 1, 14):
+                census = _census(d, cap)
+                curls, pairs = _ref_growth_candidates(d, cap, fs)
+                assert census[0] == len(found) + 4 * len(curls) + len(pairs)
+                want = found + _ref_growth_events(d, cap, fs)
+                for i in range(census[0]):
+                    ev, darts = _drawn(d, census, i)
+                    assert str(ev) == want[i], (d, cap, i)
+                    if ev.kind != "R2+":
+                        assert darts is None
+                        continue
+                    pushes += 1
+                    face = next(f for f in fs if {ev.edge, ev.edge2}
+                                <= set(_ref_labels(d, f)))
+                    labs = _ref_labels(d, face)
+                    assert darts == tuple(
+                        4 * c + s for c, s in (face[labs.index(ev.edge)],
+                                               face[labs.index(ev.edge2)]))
+                    if cap == 14:
+                        # the build from the census is the checked move
+                        assert _build(d, ev, census[-1], darts) == \
+                            apply_move(d, ev), (d, str(ev))
+        assert pushes > 5_000 and shared > 20 and folded > 20, \
+            (pushes, shared, folded)
 
 
 class TestEventGrammar:
@@ -377,7 +438,9 @@ class TestGrowth:
         d = parse_pd(text)
         want = evaluate(d, GC)
         key = d.canonical_encode()
-        for ev in _growth_events(d, cap=14, fs=faces(d)):
+        for ev in _drawn_events(d, 14):
+            if ev.kind not in ("R1+", "R2+"):
+                continue
             g = apply_move(d, ev)
             grown = {"R1+": 1, "R2+": 2}[ev.kind]
             assert g.n_crossings == d.n_crossings + grown
@@ -389,8 +452,8 @@ class TestGrowth:
 
     def test_cap_withholds_growth(self):
         d = parse_pd(TREFOIL_PD)
-        assert _growth_events(d, cap=3, fs=faces(d)) == []
-        only_r1 = _growth_events(d, cap=4, fs=faces(d))
+        assert _drawn_events(d, cap=3) == []
+        only_r1 = _drawn_events(d, cap=4)
         assert only_r1 and all(e.kind == "R1+" for e in only_r1)
 
 
@@ -465,19 +528,37 @@ class TestPerturb:
         assert h.hexdigest() == ("dceb92157ce3c19411503ca9a375aba6"
                                  "afee3ecc441874483610ca3d4515e827")
 
-    def test_faces_once_per_step(self, corpus, monkeypatch):
-        # one census per step, shared by the move finders and the
-        # applied move
-        calls = []
-        real = skeinalg.moves.faces
+    def test_walk_is_pinned_at_low_caps(self, corpus):
+        # the same digest over later seeds at caps 7 and 9, where the
+        # pushes and then the curls are withheld on the larger diagrams,
+        # as taken before the census counted the pushes by formula
+        h = hashlib.sha256()
+        for cap in (7, 9):
+            for seed in range(100, 120):
+                for entry in corpus:
+                    _, evs = random_perturb(entry.diagram(), seed=seed,
+                                            steps=15, cap=cap)
+                    h.update(f"{entry.name}:{cap}:{' '.join(map(str, evs))}\n"
+                             .encode())
+        assert h.hexdigest() == ("2550b068b147d2372733593bee7af2ab"
+                                 "be74de7450b0fdee6d4061f8093c05c2")
+
+    def test_one_census_per_step(self, corpus, monkeypatch):
+        # each step counts its moves once and builds the move drawn from
+        # that census, without walking the faces again
+        calls, faces_calls = [], []
+        real = skeinalg.moves._census
+        monkeypatch.setattr(skeinalg.moves, "_census",
+                            lambda d, cap: calls.append(d) or real(d, cap))
         monkeypatch.setattr(skeinalg.moves, "faces",
-                            lambda d: calls.append(d) or real(d))
+                            lambda d: faces_calls.append(d) or faces(d))
         steps = 0
         for seed in range(10):
             for entry in corpus:
                 random_perturb(entry.diagram(), seed=seed, steps=15, cap=14)
                 steps += 15
         assert len(calls) == steps == 4950
+        assert faces_calls == []
 
 
 class TestTrivialize:
