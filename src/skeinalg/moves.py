@@ -372,21 +372,31 @@ def _push_at(d: Diagram, walk, j: int):
     mate, orbits, face = walk
     flat = d.flat
     for f, orbit in enumerate(orbits):
-        first: dict[int, int] = {}
-        for x in orbit:
-            first.setdefault(flat[x], x)
-        darts = list(first.values())
-        # the face across each edge: a pair whose edges both separate f
-        # from one earlier face was counted there
+        # the face across each edge
+        darts = orbit
         back = [face[mate[x]] for x in darts]
+        if f in back:
+            # an edge with f on both sides: take it once, at its first dart
+            first: dict[int, int] = {}
+            for x in orbit:
+                first.setdefault(flat[x], x)
+            darts = list(first.values())
+            back = [face[mate[x]] for x in darts]
         k = len(darts)
         new = k * (k - 1)
-        earlier = [g for g in back if g < f]
-        if len(set(earlier)) < len(earlier):
-            new -= sum(c * (c - 1) for c in Counter(earlier).values())
+        apart = len(set(back)) == k  # no two edges lead to one face
+        if not apart:
+            # a pair whose edges both separate f from one earlier face
+            # was counted there
+            new -= sum(c * (c - 1) for g, c in Counter(back).items()
+                       if g < f)
         if j >= new:
             j -= new
             continue
+        if apart:
+            p, q = divmod(j, k - 1)
+            dx, dy = darts[p], darts[q + (q >= p)]
+            return flat[dx], flat[dy], dx, dy
         for p, dx in enumerate(darts):
             for q, dy in enumerate(darts):
                 if p != q and not back[p] == back[q] < f:
@@ -437,26 +447,27 @@ def _remove_crossings(d: Diagram, which):
             rep.update(dict.fromkeys(comp))
             continue
         # each run starts at a joined edge after one that is not, and
-        # takes in the edges up to the first that does not run on
+        # takes in the edges up to the first that does not run on; it
+        # keeps the place of its first edge
+        seq = list(comp)
         for p in joined:
             if (p - 1) % L in joined:
                 continue
             run = [comp[p]]
-            while p in joined:
-                p = (p + 1) % L
-                run.append(comp[p])
-            rep.update(dict.fromkeys(run, min(run)))
-        drop = {(p + 1) % L for p in joined}
-        seq = [rep.get(lab, lab) for q, lab in enumerate(comp)
-               if q not in drop]
-        k = seq.index(min(seq))
-        pieces.append(tuple(seq[k:] + seq[:k]))
-    kept = sorted(which)
-    cut = [0, *[x for ci in kept for x in (4 * ci, 4 * ci + 4)], len(flat)]
-    return _rebuilt(
-        [x for a, b in zip(cut[0::2], cut[1::2]) for x in flat[a:b]],
-        tuple([oi for j, oi in enumerate(over_in) if j not in which]),
-        pieces, d.free_loops + freed, rep)
+            q = p
+            while q in joined:
+                q = (q + 1) % L
+                run.append(comp[q])
+            seq[p] = min(run)
+            rep.update(dict.fromkeys(run, seq[p]))
+        for q in sorted({(p + 1) % L for p in joined}, reverse=True):
+            del seq[q]
+        r = seq.index(min(seq))
+        pieces.append(tuple(seq[r:] + seq[:r]))
+    for ci in sorted(which, reverse=True):
+        flat = flat[:4 * ci] + flat[4 * ci + 4:]
+        over_in = over_in[:ci] + over_in[ci + 1:]
+    return _rebuilt(flat, over_in, pieces, d.free_loops + freed, rep)
 
 
 def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
