@@ -440,10 +440,16 @@ class Diagram:
         mate = _mates(flat)
 
         # a root that is not the incoming under-strand of some crossing
-        # cannot give a row starting with 1, so only those roots compete
-        piece_rows = [min(_rooted_rows(mate, over_in, cis, root)
-                          for root in cis)
-                      for cis in _crossing_pieces(self)]
+        # cannot give a row starting with 1, so only those roots compete;
+        # each root's first row is known before its traversal, and only
+        # the roots whose first row is least are walked
+        piece_rows = []
+        for cis in _crossing_pieces(self):
+            firsts = [_first_row(self, over_in, root) for root in cis]
+            least = min(firsts)
+            piece_rows.append(min(
+                _rooted_rows(mate, over_in, cis, root)
+                for root, first in zip(cis, firsts) if first == least))
         piece_rows.sort()
         rows = []
         for prows in piece_rows:
@@ -471,6 +477,33 @@ def _crossing_pieces(d: Diagram) -> list[list[int]]:
     for ci, a in enumerate(flat[0::4]):
         pieces.setdefault(find(comp_of[a]), []).append(ci)
     return list(pieces.values())
+
+
+def _first_row(d: Diagram, over_in, root: int) -> tuple[int, ...]:
+    """The first of the sorted rows `_rooted_rows` gives from `root`,
+    the root's own row (1, b, c, d), read off positions.
+
+    The root's component is labeled first, so an edge e on it gets
+    (pos[e] - pos[u]) mod L + 1, u being the root's incoming
+    under-strand and L the component's length.  An over-strand on
+    another component is labeled next, from the edge entering the root
+    (by the slot `over_in` gives): the over-in edge gets L + 1 and the
+    over-out edge L + 2, or L + 1 on a one-edge circle."""
+    flat, comp_of, pos = d.flat, d.comp_of, d.pos
+    i = 4 * root
+    oi = over_in[root]
+    u, o_in, o_out = flat[i], flat[i + oi], flat[i + 4 - oi]
+    k = comp_of[u]
+    L = len(d.components[k])
+    p = pos[u]
+    if comp_of[o_in] == k:
+        b_in = (pos[o_in] - p) % L + 1
+        b_out = (pos[o_out] - p) % L + 1
+    else:
+        b_in = L + 1
+        b_out = L + 1 if o_out == o_in else L + 2
+    c = 2 if L > 1 else 1
+    return (1, b_in, c, b_out) if oi == 1 else (1, b_out, c, b_in)
 
 
 # where a strand entering a crossing at a slot leaves it

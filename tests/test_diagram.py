@@ -713,6 +713,21 @@ class TestCanonicalEncode:
         for d in ds:
             assert d.canonical_encode() == _reference_encode(d), d
 
+    def test_only_the_least_first_rows_are_walked(self, corpus,
+                                                  monkeypatch):
+        # each root's first sorted row is read off positions, and only
+        # the roots whose first row is least are traversed: 78 of the
+        # 162 roots of the corpus
+        calls = []
+        real = skeinalg.diagram._rooted_rows
+        monkeypatch.setattr(skeinalg.diagram, "_rooted_rows",
+                            lambda *args: calls.append(args[3])
+                            or real(*args))
+        for entry in corpus:
+            entry.diagram().canonical_encode()
+        assert len(calls) == 78
+        assert sum(e.diagram().n_crossings for e in corpus) == 162
+
     def test_construction_paths_converge(self, diagrams):
         # a plat closure and a braid closure of the same knot landed on
         # the identical labeled diagram; the encoder must agree
