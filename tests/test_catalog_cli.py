@@ -117,6 +117,19 @@ class TestComputeCommand:
         assert rc == 0
         assert capsys.readouterr().out == "1*q^-2 - 2*p*q^-2 + 1*p^2*q^-2\n"
 
+    def test_nonplanar_pd_warns(self, capsys):
+        # `PD[X[1,2,1,2]]` with a curl: no plane drawing has this code
+        rc = main(["compute", "--pd", "PD[X[3,4,1,4],X[1,3,2,2]]",
+                   "--algebra", "gen-conway"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == "1*q^-1 - 1*p*q^-1\n"
+        assert err.startswith("warning: the PD code is not planar")
+        assert err.count("\n") == 1
+        rc = main(["compute", "--pd", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]",
+                   "--algebra", "gen-conway"])
+        assert rc == 0 and capsys.readouterr().err == ""
+
     def test_nonlinear_root(self, capsys):
         rc = main(["compute", "--name", "hopf+",
                    "--algebra", "nonlinear", "--k", "2"])
