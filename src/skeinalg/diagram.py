@@ -425,7 +425,9 @@ class Diagram:
         root's labeling follows from the diagram's structure alone, never
         from its labels, so the minimum is an invariant; it is a
         relabeling of the diagram, so equal codes mean equal diagrams.
-        The cost is O(E^2 log E) for E edges.
+        A root's first sorted row is its own, and `_first_row` reads it
+        off edge positions, so only the roots whose first row is least
+        are traversed.  The cost is O(E^2 log E) for E edges at worst.
         """
         suffix = f"+O^{self.free_loops}" if self.free_loops else ""
         flat, over_in = self.flat, self.over_in

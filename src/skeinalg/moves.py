@@ -4,21 +4,30 @@ Faces come from the combinatorial map of the diagram: darts are
 (crossing, slot) pairs, the involution swaps the two occurrences of an
 edge label, and face orbits follow "arrive along an edge, leave along
 the next slot counterclockwise".  A dart therefore walks its edge away
-from its crossing with the face on the walker's right.  `faces` walks
-the darts as the integers 4 * crossing + slot, which index the
-diagram's flat label tuple `d.flat` directly, pairs them by label with
-`diagram._mates`, as canonical encoding does, and returns the pairs.
-Every move reads and writes labels in `d.flat`; none reads the
-diagram's `crossings` 4-tuples.
+from its crossing with the face on the walker's right.  `_face_walk`
+walks the darts as the integers 4 * crossing + slot, which index the
+diagram's flat label tuple `d.flat` directly, and pairs them by label
+with `diagram._mates`, as canonical encoding does; `faces`, `euler_ok`,
+`find_moves` and the untangling search all read that one walk.  Every
+move reads and writes labels in `d.flat`; none reads the diagram's
+`crossings` 4-tuples.
 
-Each step of `random_perturb` computes the faces once.  Its census of
-moves (curls, removable bigons, slideable triangles and the edge pairs a
-finger push can join) is read from those faces and from one over-count
-per edge, and only the event drawn is built.  Switches and triangle
-slides keep the diagram's strands and labels and build through
-`Diagram._trusted`.  The moves that add or remove crossings change the
-parent's components where they act and hand them to `_rebuilt`: R1-
-and R2- contract runs of edges, R1+ and R2+ insert new edges.
+Each step of `random_perturb` takes one census of its moves
+(`_census`) from one face walk: the curls to remove from the monogons,
+the removable bigons and slideable triangles from the orbits of two
+and three darts, whose edges' over-counts are the parities of their
+slots, the places to add a curl from the edge count, and the finger
+pushes by a closed formula over the faces each edge separates.  The
+pushes are counted, not listed: only the index drawn becomes an event
+(`_drawn`), a push at the first face its two edges share, and the move
+is built from the darts the census found (`_build`), without checking
+it again.  `apply_move` checks an event against the same walk and then
+builds it the same way.  Switches and triangle slides keep the
+diagram's strands and labels and build through `Diagram._trusted`.
+The moves that add or remove crossings change the parent's components
+where they act and hand them to `_rebuilt`: R1- and R2- contract runs
+of edges on the components through the removed crossings, R1+ and R2+
+insert new edges.
 
 Move events are small strings:
 
