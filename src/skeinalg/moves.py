@@ -7,27 +7,18 @@ the next slot counterclockwise".  A dart therefore walks its edge away
 from its crossing with the face on the walker's right.  `_face_walk`
 walks the darts as the integers 4 * crossing + slot, which index the
 diagram's flat label tuple `d.flat` directly, and pairs them by label
-with `diagram._mates`, as canonical encoding does; `faces`, `euler_ok`,
-`find_moves` and the untangling search all read that one walk.  Every
-move reads and writes labels in `d.flat`; none reads the diagram's
-`crossings` 4-tuples.
+with `diagram._mates`, as canonical encoding does.  Every move reads and
+writes labels in `d.flat`; none reads the diagram's `crossings`
+4-tuples.
 
-Each step of `random_perturb` takes one census of its moves
-(`_census`) from one face walk: the curls to remove from the monogons,
-the removable bigons and slideable triangles from the orbits of two
-and three darts, whose edges' over-counts are the parities of their
-slots, the places to add a curl from the edge count, and the finger
-pushes by a closed formula over the faces each edge separates.  The
-pushes are counted, not listed: only the index drawn becomes an event
-(`_drawn`), a push at the first face its two edges share, and the move
-is built from the darts the census found (`_build`), without checking
-it again.  `apply_move` checks an event against the same walk and then
-builds it the same way.  Switches and triangle slides keep the
-diagram's strands and labels and build through `Diagram._trusted`.
-The moves that add or remove crossings change the parent's components
-where they act and hand them to `_rebuilt`: R1- and R2- contract runs
-of edges on the components through the removed crossings, R1+ and R2+
-insert new edges.
+Each step of `random_perturb` counts its moves once, from one face
+walk (`_census`), and builds only the move it draws, from the darts the
+census found (`_build`), without checking it again; `apply_move` checks
+an event against a face walk and builds it the same way.  Switches and
+triangle slides keep the diagram's strands and labels and build through
+`Diagram._trusted`.  The moves that add or remove crossings change the
+parent's components where they act and hand them to `_rebuilt`: R1-
+and R2- contract runs of edges, R1+ and R2+ insert new edges.
 
 Move events are small strings:
 
@@ -57,7 +48,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import eq, mul
 
 from .diagram import Diagram, _crossing_pieces, _mates, _rebuilt
@@ -74,34 +65,28 @@ Dart = tuple[int, int]
 
 
 @lru_cache(maxsize=64)
-def _dart_tables(m: int) -> tuple[tuple[Dart, ...], tuple[int, ...]]:
-    """For each integer dart 4 * crossing + slot below m: its (crossing,
-    slot) pair, and the dart one slot counterclockwise from it."""
-    return (tuple(divmod(x, 4) for x in range(m)),
-            tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m)))
+def _ccw(m: int) -> tuple[int, ...]:
+    """For each integer dart below m, the dart one slot counterclockwise."""
+    return tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m))
 
 
 def _face_walk(d: Diagram):
-    """The face orbits of `d`, walked once: `_mates(d.flat)`, the orbits
-    in canonical order as lists of integer darts, and the index of each
-    dart's face.
-
-    Taken in increasing order, the first dart of each new orbit is its
-    smallest, so the orbits come out rotated to their smallest dart and
-    sorted as they are found."""
-    m = len(d.flat)
+    """`_mates(d.flat)`, the face orbits in canonical order as lists of
+    integer darts, and each dart's face index.  Taken in increasing
+    order, the first dart of each new orbit is its smallest, so the
+    orbits come out rotated and sorted as they are found."""
     mate = _mates(d.flat)
-    # phi: arrive along the edge at its other end, leave by the next slot
+    # arrive along the edge at its other end, leave by the next slot
     # counterclockwise
-    phi = list(map(_dart_tables(m)[1].__getitem__, mate))
-    face = [-1] * m
+    phi = list(map(_ccw(len(mate)).__getitem__, mate))
+    face = [-1] * len(mate)
     orbits = []
-    for x0 in range(m):
-        if face[x0] < 0:
+    for x0, f in enumerate(face):
+        if f < 0:
             f = len(orbits)
-            face[x0] = f
             orbit = [x0]
             x = phi[x0]
+            face[x0] = f
             while x != x0:
                 face[x] = f
                 orbit.append(x)
@@ -113,8 +98,7 @@ def _face_walk(d: Diagram):
 def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
     """Face orbits in canonical order (each rotated to start at its
     smallest dart, then sorted), as (crossing, slot) pairs."""
-    pair = _dart_tables(len(d.flat))[0]
-    return tuple(tuple(map(pair.__getitem__, orbit))
+    return tuple(tuple([divmod(x, 4) for x in orbit])
                  for orbit in _face_walk(d)[1])
 
 
@@ -125,42 +109,27 @@ def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
 
 def euler_ok(d: Diagram) -> bool:
     """Genus-zero check: V - E + F == 2 per connected crossing piece."""
-    if not d.flat:
-        return True
-    V = d.n_crossings
-    return V - 2 * V + len(_face_walk(d)[1]) == 2 * len(_crossing_pieces(d))
+    return not d.flat or (len(_face_walk(d)[1]) - d.n_crossings
+                          == 2 * len(_crossing_pieces(d)))
 
 
 def _is_bigon(orbit, mate) -> bool:
-    """A face of two darts at two distinct crossings on two distinct
-    edges; `mate` is `_mates` of the diagram's labels."""
-    if len(orbit) != 2:
-        return False
-    x, y = orbit
-    return x >> 2 != y >> 2 and mate[x] != y
+    """Two darts at distinct crossings, on distinct edges."""
+    return (len(orbit) == 2 and orbit[0] >> 2 != orbit[1] >> 2
+            and mate[orbit[0]] != orbit[1])
 
 
 def _is_clasp(orbit, mate) -> bool:
-    """A bigon that R2- can remove: one of its edges is over at both
-    ends, that is at two odd slots."""
-    if not _is_bigon(orbit, mate):
-        return False
-    x, y = orbit
-    return bool(x & mate[x] & 1 or y & mate[y] & 1)
+    """A bigon R2- can remove: one edge is over (at odd slots) at both
+    its ends."""
+    return _is_bigon(orbit, mate) and any(x & mate[x] & 1 for x in orbit)
 
 
 def _is_slideable(orbit, mate) -> bool:
-    """A triangle that R3 can slide: three distinct corners, and one
-    edge over at both its ends, one under at both and one mixed (so the
-    three edges are distinct)."""
-    if len(orbit) != 3:
-        return False
-    x, y, z = orbit
-    cx, cy, cz = x >> 2, y >> 2, z >> 2
-    ox = (x & 1) + (mate[x] & 1)
-    oy = (y & 1) + (mate[y] & 1)
-    oz = (z & 1) + (mate[z] & 1)
-    return (cx != cy != cz != cx and ox != oy != oz != ox)
+    """A triangle R3 can slide: three distinct corners, and edges over
+    at both ends, at one and at none (so they are distinct)."""
+    return (len(orbit) == 3 and len({x >> 2 for x in orbit}) == 3
+            and {(x & 1) + (mate[x] & 1) for x in orbit} == {0, 1, 2})
 
 
 # -- events -------------------------------------------------------------------
@@ -289,72 +258,53 @@ _CURL_KINDS = ((1, "o"), (1, "u"), (-1, "o"), (-1, "u"))
 
 
 def _census(d: Diagram, cap: int):
-    """Every move `random_perturb` can draw on `d` within `cap`
-    crossings, counted from one face walk.
+    """The moves `random_perturb` can draw on `d` within `cap` crossings,
+    from one face walk: `(total, kinks, clasps, slides, places, walk)`.
 
-    Returns `(total, kinks, clasps, slides, places, walk)`: the number
-    of moves; the crossings with a curl (R1-, from the monogons), the
-    faces of the removable bigons, one per pair of crossings (R2-), and
-    the slideable triangles (R3), in canonical face order; the number of
-    places R1+ can curl, every edge and one crossingless circle if there
-    is one, each with four curls; and `_face_walk(d)`.  The moves come in
-    that order, then one RLT per crossingless circle before the curls,
-    then the finger pushes, which are counted and not listed.
-
-    A push is an ordered pair of distinct edges on a common face.  With
-    k_f the distinct edges of face f, and g_AB the edges whose two sides
-    are the distinct faces A and B, there are
-    sum_f k_f (k_f - 1) - sum_{A<B} g_AB (g_AB - 1) of them: a pair lies
-    on two faces exactly when both of its edges separate the same two."""
+    In the order of their indices: R1- at the crossings `kinks` (from
+    the monogons), R2- at the faces `clasps` (one per crossing pair) and
+    R3 at the faces `slides`; RLT at each crossingless circle; four R1+
+    at each of the `places`, every edge and then one circle if there is
+    one; and the R2+ pushes, which are counted, not listed (`_drawn`).
+    `walk` is `_face_walk(d)`.  A push is an ordered pair of distinct
+    edges on a face, and a pair lies on two faces when both its edges
+    separate the same two, so with k_f the distinct edges of face f and
+    g_AB the edges between faces A != B, there are
+    sum_f k_f (k_f - 1) - sum_{A<B} g_AB (g_AB - 1) pushes."""
     walk = mate, orbits, face = _face_walk(d)
     n = len(d.over_in)
-    kinks: list[int] = []
-    clasps: list[int] = []
-    slides: list[int] = []
-    corners = set()  # the crossing pairs of the clasps kept
-    spans = 0  # sum of L (L - 1) over the faces, L darts each
+    kinks, clasps, slides = [], {}, []
+    total = 0  # for now, sum_f L_f (L_f - 1) over faces of L_f darts
     for fi, orbit in enumerate(orbits):
         k = len(orbit)
-        spans += k * (k - 1)
+        total += k * (k - 1)
         if k == 1:
-            ci = orbit[0] >> 2
-            if not kinks or kinks[-1] != ci:
-                kinks.append(ci)
-        elif k == 2:
-            if _is_clasp(orbit, mate):
-                x, y = orbit
-                pair = (x >> 2, y >> 2) if x < y else (y >> 2, x >> 2)
-                if pair not in corners:
-                    corners.add(pair)
-                    clasps.append(fi)
+            kinks.append(orbit[0] >> 2)
+        elif k == 2 and _is_clasp(orbit, mate):
+            clasps.setdefault(frozenset([orbit[0] >> 2, orbit[1] >> 2]), fi)
         elif k == 3 and _is_slideable(orbit, mate):
             slides.append(fi)
-    places = 2 * n + (d.free_loops > 0) if n + 1 <= cap else 0
-    total = (len(kinks) + len(clasps) + len(slides) + d.free_loops
-             + 4 * places)
-    if n + 2 <= cap and n:
-        # the face across each dart's edge, and how often each ordered
-        # pair of faces meets along an edge
+    if n + 2 > cap or not n:
+        total = 0  # no pushes
+    else:
+        # each unordered pair of faces meets c times, counted both ways
         across = list(map(face.__getitem__, mate))
         meets = list(Counter(zip(face, across)).values())
-        # sum of c (c - 1) over the ordered pairs counts each unordered
-        # pair of distinct faces twice
-        spans -= (sum(map(mul, meets, meets)) - len(mate)) // 2
+        total -= (sum(map(mul, meets, meets)) - len(mate)) // 2
         if any(map(eq, face, across)):
-            # an edge with one face on both sides is one edge of it, not
-            # two: take such edges from that face's count
-            twice = Counter(f for f, g in zip(face, across) if f == g)
-            for f, c in twice.items():
-                dup, L = c // 2, len(orbits[f])
-                spans += dup * (2 * dup - 1) - dup * (2 * L - dup - 1)
-        total += spans
-    return total, kinks, clasps, slides, places, walk
+            # a face on both sides of some edges holds each of them once
+            for f, c in Counter(compress(face, map(eq, face, across))).items():
+                total += c // 2 * (3 * c // 2 - 2 * len(orbits[f]))
+    kinks = list(dict.fromkeys(kinks))  # a crossing may close two curls
+    places = 2 * n + (d.free_loops > 0) if n < cap else 0
+    total += (len(kinks) + len(clasps) + len(slides) + d.free_loops
+              + 4 * places)
+    return total, kinks, list(clasps.values()), slides, places, walk
 
 
 def _drawn(d: Diagram, census, i: int):
-    """The i-th move of `census` (`_census(d, cap)`): its event, and for
-    a push the darts at which its two edges meet their common face
-    first, else None."""
+    """The event at index i of `census` (see `_census`), and for a push
+    the darts of its edges on the first face they share, else None."""
     _, kinks, clasps, slides, places, walk = census
     for kind, at in (("R1-", kinks), ("R2-", clasps), ("R3", slides)):
         if i < len(at):
@@ -363,29 +313,25 @@ def _drawn(d: Diagram, census, i: int):
     if i < d.free_loops:
         return MoveEvent("RLT", comp=i + 1), None
     i -= d.free_loops
-    if i < 4 * places:
-        sign, flavor = _CURL_KINDS[i % 4]
-        if i // 4 == 2 * d.n_crossings:
-            return MoveEvent("R1+", loop=True, sign=sign, flavor=flavor), None
-        e = sorted(d.comp_of)[i // 4]
-        return MoveEvent("R1+", edge=e, sign=sign, flavor=flavor), None
-    x, y, dx, dy = _push_at(d, walk, i - 4 * places)
-    return MoveEvent("R2+", edge=x, edge2=y), (dx, dy)
+    if i >= 4 * places:
+        return _push_at(d, walk, i - 4 * places)
+    sign, flavor = _CURL_KINDS[i % 4]
+    loop = i // 4 == 2 * d.n_crossings
+    return MoveEvent("R1+", edge=None if loop else sorted(d.comp_of)[i // 4],
+                     sign=sign, flavor=flavor, loop=loop), None
 
 
 def _push_at(d: Diagram, walk, j: int):
-    """The j-th finger push, ordered pairs of distinct edges taken face
-    by face and each pair at its first face, in the order of
-    `itertools.permutations` of the face's edges: the edges (x, y) and
-    the first darts of each on that face."""
+    """The j-th push, as `_drawn` returns it: the ordered pairs of
+    distinct edges face by face, each pair at the first face it lies on,
+    in the order of `itertools.permutations` of the face's edges."""
     mate, orbits, face = walk
     flat = d.flat
     for f, orbit in enumerate(orbits):
-        # the face across each edge
         darts = orbit
-        back = [face[mate[x]] for x in darts]
+        back = [face[mate[x]] for x in orbit]  # the face across each edge
         if f in back:
-            # an edge with f on both sides: take it once, at its first dart
+            # edges with f on both sides: take each at its first dart
             first: dict[int, int] = {}
             for x in orbit:
                 first.setdefault(flat[x], x)
@@ -393,25 +339,16 @@ def _push_at(d: Diagram, walk, j: int):
             back = [face[mate[x]] for x in darts]
         k = len(darts)
         new = k * (k - 1)
-        apart = len(set(back)) == k  # no two edges lead to one face
-        if not apart:
-            # a pair whose edges both separate f from one earlier face
-            # was counted there
+        if len(set(back)) < k:
+            # pairs of edges between f and one earlier face lay there
             new -= sum(c * (c - 1) for g, c in Counter(back).items()
                        if g < f)
         if j >= new:
             j -= new
             continue
-        if apart:
-            p, q = divmod(j, k - 1)
-            dx, dy = darts[p], darts[q + (q >= p)]
-            return flat[dx], flat[dy], dx, dy
-        for p, dx in enumerate(darts):
-            for q, dy in enumerate(darts):
-                if p != q and not back[p] == back[q] < f:
-                    if not j:
-                        return flat[dx], flat[dy], dx, dy
-                    j -= 1
+        x, y = [(x, y) for p, x in enumerate(darts) for q, y in enumerate(darts)
+                if p != q and not back[p] == back[q] < f][j]
+        return MoveEvent("R2+", edge=flat[x], edge2=flat[y]), (x, y)
     raise AssertionError("push index past the census")  # pragma: no cover
 
 
@@ -434,34 +371,26 @@ def _remove_crossings(d: Diagram, which):
 
     An in-edge of a removed crossing runs on into its successor, and
     each run of edges so joined becomes one edge, named after its
-    smallest label.  A component made only of such edges becomes a
-    crossingless circle.  Only the components through the removed
-    crossings are walked."""
-    flat, over_in = d.flat, d.over_in
-    comps, comp_of, pos = d.components, d.comp_of, d.pos
-    runs_on = set()
-    for ci in which:
-        runs_on.add(flat[4 * ci])
-        runs_on.add(flat[4 * ci + over_in[ci]])
+    smallest label, in the place of its first.  A component made only of
+    such edges becomes a crossingless circle.  Only the components
+    through the removed crossings are walked."""
+    flat, over_in, comp_of, pos = d.flat, d.over_in, d.comp_of, d.pos
+    runs_on = {flat[4 * ci + s] for ci in which for s in (0, over_in[ci])}
     touched = {comp_of[e] for e in runs_on}
-    pieces = [comp for k, comp in enumerate(comps) if k not in touched]
+    pieces = [c for k, c in enumerate(d.components) if k not in touched]
     rep: dict[int, int | None] = {}
     freed = 0
     for k in touched:
-        comp = comps[k]
+        comp = d.components[k]
         L = len(comp)
         joined = {pos[e] for e in runs_on if comp_of[e] == k}
+        after = {(p + 1) % L for p in joined}
         if len(joined) == L:
             freed += 1
             rep.update(dict.fromkeys(comp))
             continue
-        # each run starts at a joined edge after one that is not, and
-        # takes in the edges up to the first that does not run on; it
-        # keeps the place of its first edge
         seq = list(comp)
-        for p in joined:
-            if (p - 1) % L in joined:
-                continue
+        for p in joined - after:  # where the runs start
             run = [comp[p]]
             q = p
             while q in joined:
@@ -469,7 +398,7 @@ def _remove_crossings(d: Diagram, which):
                 run.append(comp[q])
             seq[p] = min(run)
             rep.update(dict.fromkeys(run, seq[p]))
-        for q in sorted({(p + 1) % L for p in joined}, reverse=True):
+        for q in sorted(after, reverse=True):
             del seq[q]
         r = seq.index(min(seq))
         pieces.append(tuple(seq[r:] + seq[:r]))
@@ -479,61 +408,42 @@ def _remove_crossings(d: Diagram, which):
     return _rebuilt(flat, over_in, pieces, d.free_loops + freed, rep)
 
 
-def _ends(d: Diagram, flat, e: int) -> tuple[Dart, Dart]:
-    """The darts at which edge `e` starts and ends; `flat` is `d.flat`
-    or a copy of it."""
-    i = flat.index(e)
-    first, second = divmod(i, 4), divmod(flat.index(e, i + 1), 4)
-    ci, s = first
-    if s == 0 or s == d.over_in[ci]:
-        return second, first
-    return first, second
-
-
 def _grown(d: Diagram, heads: dict[int, tuple[int, ...]]):
     """The flat labels and components of `d` with new edges after some of
     its edges: the last new label after edge e replaces e at the dart
-    where e ends, and all of them follow e in its component.  `heads`
-    maps each such edge to its new labels."""
+    where e ends, an in-slot (0 or the over-in slot), and all of them
+    follow e in its component.  `heads` maps each such edge to its new
+    labels."""
     flat = list(d.flat)
     pieces = list(d.components)
     for e, new in heads.items():
-        ci, s = _ends(d, flat, e)[1]
-        flat[4 * ci + s] = new[-1]
+        x = flat.index(e)
+        if x & 3 and x & 3 != d.over_in[x >> 2]:
+            x = flat.index(e, x + 1)
+        flat[x] = new[-1]
         k = d.comp_of[e]
         i = pieces[k].index(e) + 1
         pieces[k] = pieces[k][:i] + new + pieces[k][i:]
     return flat, pieces
 
 
-def _partner_in_slot(oi: int, out_slot: int) -> int:
-    return 0 if out_slot == 2 else oi
-
-
-def _partner_out_slot(oi: int, in_slot: int) -> int:
-    return 2 if in_slot == 0 else 4 - oi
-
-
 def _slide(d: Diagram, mate, orbit) -> Diagram:
-    """Slide the slideable triangle `orbit`: each of its edges moves past
-    the crossing its neighbours along its strand meet."""
+    """Slide the slideable triangle `orbit`: each edge moves past the
+    crossing of the other two, keeping every label and strand."""
     flat, over_in = d.flat, d.over_in
     comps, comp_of, pos = d.components, d.comp_of, d.pos
     slid = list(flat)
     for x in orbit:
         e = flat[x]
         comp, p = comps[comp_of[e]], pos[e]
-        s1, s2 = comp[p - 1], comp[(p + 1) % len(comp)]
         # f: the dart where e starts, g: where it ends
-        s = x & 3
-        f, g = (mate[x], x) if s == 0 or s == over_in[x >> 2] else (x, mate[x])
-        fc, gc = f & ~3, g & ~3
-        slid[fc | _partner_in_slot(over_in[f >> 2], f & 3)] = e
-        slid[f] = s2
-        slid[g] = s1
-        slid[gc | _partner_out_slot(over_in[g >> 2], g & 3)] = e
-    # the slide moves strands past each other without relabeling them or
-    # changing which slot each over-strand enters by
+        f, g = ((mate[x], x) if x & 3 == 0 or x & 3 == over_in[x >> 2]
+                else (x, mate[x]))
+        slid[f] = comp[(p + 1) % len(comp)]
+        slid[g] = comp[p - 1]
+        # e now enters f's crossing and leaves g's on their other strands
+        slid[f & ~3 | (0 if f & 3 == 2 else over_in[f >> 2])] = e
+        slid[g & ~3 | (2 if g & 3 == 0 else 4 - over_in[g >> 2])] = e
     return Diagram._trusted(tuple(slid), over_in, d.free_loops,
                             comps, comp_of, pos, d._small)
 
@@ -550,21 +460,17 @@ def _r1plus_template(e, loop_lab, n1, sign: int, flavor: str):
 
 
 def _curl(d: Diagram, ev: MoveEvent) -> Diagram:
-    """Add the curl of the R1+ event `ev`, on an edge of `d` or on one
-    of its crossingless circles."""
+    """Add the curl of the R1+ event `ev`."""
     base = max(d.flat, default=0)
     if ev.loop:
-        x, loop_lab = base + 1, base + 2
-        cr, oi = _r1plus_template(x, loop_lab, x, ev.sign, ev.flavor)
-        return _rebuilt(d.flat + cr, d.over_in + (oi,),
-                        [*d.components, (x, loop_lab)], d.free_loops - 1,
-                        {})[0]
-    e = ev.edge
-    loop_lab, n1 = base + 1, base + 2
-    flat, pieces = _grown(d, {e: (loop_lab, n1)})
-    cr, oi = _r1plus_template(e, loop_lab, n1, ev.sign, ev.flavor)
+        e, lab, n1 = base + 1, base + 2, base + 1
+        flat, pieces = list(d.flat), [*d.components, (e, lab)]
+    else:
+        e, lab, n1 = ev.edge, base + 1, base + 2
+        flat, pieces = _grown(d, {e: (lab, n1)})
+    cr, oi = _r1plus_template(e, lab, n1, ev.sign, ev.flavor)
     return _rebuilt(flat + list(cr), d.over_in + (oi,), pieces,
-                    d.free_loops, {})[0]
+                    d.free_loops - ev.loop, {})[0]
 
 
 def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
@@ -582,20 +488,14 @@ def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
 
 
 def _push(d: Diagram, x: int, y: int, dx: int, dy: int) -> Diagram:
-    """Push edge x over edge y across the face on which the darts dx of
-    x and dy of y lie."""
-    over_in = d.over_in
-
-    def walked_with(dart: int) -> bool:
-        s = dart & 3
-        return s == 2 or s == 4 - over_in[dart >> 2]
-
-    base = max(d.flat)
-    x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
+    """Push edge x over edge y across the face where their darts dx and
+    dy lie."""
+    # whether the face walks each edge along its orientation
+    wx, wy = (z & 3 == 2 or z & 3 == 4 - d.over_in[z >> 2] for z in (dx, dy))
+    x2, x3, y2, y3 = range(max(d.flat) + 1, max(d.flat) + 5)
     flat, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
-    new, ois = zip(*_r2plus_crossings(
-        x, x2, x3, y, y2, y3, walked_with(dx), walked_with(dy)))
-    return _rebuilt(flat + list(chain.from_iterable(new)), over_in + ois,
+    new, ois = zip(*_r2plus_crossings(x, x2, x3, y, y2, y3, wx, wy))
+    return _rebuilt(flat + list(chain.from_iterable(new)), d.over_in + ois,
                     pieces, d.free_loops, {})[0]
 
 
@@ -607,8 +507,7 @@ def _build(d: Diagram, ev: MoveEvent, walk, darts) -> Diagram:
     if kind == "R1-":
         return _remove_crossings(d, (ev.crossing,))[0]
     if kind == "R2-":
-        x, y = walk[1][ev.face]
-        return _remove_crossings(d, (x >> 2, y >> 2))[0]
+        return _remove_crossings(d, [x >> 2 for x in walk[1][ev.face]])[0]
     if kind == "R3":
         return _slide(d, walk[0], walk[1][ev.face])
     if kind == "R1+":
@@ -735,13 +634,6 @@ def _bigon_fix(d: Diagram) -> MoveEvent | None:
     return None
 
 
-def _reducible(d: Diagram) -> bool:
-    """Whether `d` has a curl or a bigon face."""
-    mate, orbits, _ = _face_walk(d)
-    return any(len(orbit) == 1 or _is_bigon(orbit, mate)
-               for orbit in orbits)
-
-
 _SEARCH_LIMIT = 50_000
 
 
@@ -769,7 +661,8 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
                 continue
             seen.add(key)
             npath = path + [ev]
-            if _reducible(nxt):
+            mate, orbits, _ = _face_walk(nxt)
+            if any(len(f) == 1 or _is_bigon(f, mate) for f in orbits):
                 return npath
             queue.append((nxt, npath))
     raise MoveError(

@@ -156,8 +156,7 @@ def _reference_closure(n, letters):
 def _reference_move(d, ev, fs):
     """An R1-, R2-, R1+ or R2+ event rebuilt through `_assemble`; `fs` is
     `faces(d)`."""
-    from skeinalg.moves import (_ends, _r1plus_template, _r2plus_crossings,
-                                face_edges)
+    from skeinalg.moves import _r1plus_template, _r2plus_crossings, face_edges
 
     crs, ois = list(d.crossings), list(d.over_in)
     if ev.kind in ("R1-", "R2-"):
@@ -173,10 +172,12 @@ def _reference_move(d, ev, fs):
         x = base + 1
         new = [_r1plus_template(x, x + 1, x, ev.sign, ev.flavor)]
         return _assemble(list(zip(crs, ois)) + new, [], d.free_loops - 1)
-    flat = d.flat
 
     def relabel(e, lab):
-        ci, s = _ends(d, flat, e)[1]
+        # at the crossing edge e enters: under-strand slot 0, or the slot
+        # its over-strand enters by
+        ci, s = next((ci, s) for ci, cr in enumerate(crs) for s in (0, ois[ci])
+                     if cr[s] == e)
         crs[ci] = crs[ci][:s] + (lab,) + crs[ci][s + 1:]
 
     if ev.kind == "R1+":
