@@ -274,10 +274,10 @@ def _census(d: Diagram, cap: int):
     walk = mate, orbits, face = _face_walk(d)
     n = len(d.over_in)
     kinks, clasps, slides = [], {}, []
-    total = 0  # for now, sum_f L_f (L_f - 1) over faces of L_f darts
+    pushes = 0  # first sum_f L_f (L_f - 1), L_f the darts of face f
     for fi, orbit in enumerate(orbits):
         k = len(orbit)
-        total += k * (k - 1)
+        pushes += k * (k - 1)
         if k == 1:
             kinks.append(orbit[0] >> 2)
         elif k == 2 and _is_clasp(orbit, mate):
@@ -285,20 +285,20 @@ def _census(d: Diagram, cap: int):
         elif k == 3 and _is_slideable(orbit, mate):
             slides.append(fi)
     if n + 2 > cap or not n:
-        total = 0  # no pushes
+        pushes = 0
     else:
         # each unordered pair of faces meets c times, counted both ways
         across = list(map(face.__getitem__, mate))
         meets = list(Counter(zip(face, across)).values())
-        total -= (sum(map(mul, meets, meets)) - len(mate)) // 2
+        pushes -= (sum(map(mul, meets, meets)) - len(mate)) // 2
         if any(map(eq, face, across)):
             # a face on both sides of some edges holds each of them once
             for f, c in Counter(compress(face, map(eq, face, across))).items():
-                total += c // 2 * (3 * c // 2 - 2 * len(orbits[f]))
+                pushes += c // 2 * (3 * c // 2 - 2 * len(orbits[f]))
     kinks = list(dict.fromkeys(kinks))  # a crossing may close two curls
     places = 2 * n + (d.free_loops > 0) if n < cap else 0
-    total += (len(kinks) + len(clasps) + len(slides) + d.free_loops
-              + 4 * places)
+    total = (len(kinks) + len(clasps) + len(slides) + d.free_loops
+             + 4 * places + pushes)
     return total, kinks, list(clasps.values()), slides, places, walk
 
 

@@ -729,6 +729,42 @@ class TestCanonicalEncode:
         assert len(calls) == 78
         assert sum(e.diagram().n_crossings for e in corpus) == 162
 
+    def test_walked_roots_are_those_whose_first_row_is_least(
+            self, corpus, monkeypatch):
+        # the first rows read off positions pick exactly the roots whose
+        # traversal gives the least first row, on every piece
+        from skeinalg.moves import random_perturb
+
+        real = skeinalg.diagram._rooted_rows
+        walked = {}
+
+        def spy(mate, over_in, cis, root):
+            walked.setdefault(tuple(cis), (mate, over_in, set()))[2].add(root)
+            return real(mate, over_in, cis, root)
+
+        monkeypatch.setattr(skeinalg.diagram, "_rooted_rows", spy)
+        ds = [parse_pd(text) for text in (
+            # a circle of one edge over one root, of two over the others
+            "PD[X[1,5,2,5],X[2,6,3,7],X[3,7,1,6]]",
+            # a one-edge circle under one root, a curl at the other
+            "PD[X[1,4,1,2],X[2,3,3,4]]",
+            "PD[X[1,3,2,3],X[2,4,1,4]]", "PD[X[1,2,1,2]]",
+            "PD[X[1,2,3,4],X[3,4,1,2]]+O^2")]
+        for entry in corpus:
+            d = entry.diagram()
+            ds += [d, d.mirror()]
+            ds += [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                   for s in range(3)]
+        ds += [braid_to_diagram(n, [i for i in (1, -2, 3, 3, -1, 2)
+                                    if abs(i) < n]) for n in range(1, 6)]
+        for d in ds:
+            walked.clear()
+            d.canonical_encode()
+            for cis, (mate, over_in, roots) in walked.items():
+                firsts = {r: real(mate, over_in, cis, r)[0] for r in cis}
+                least = min(firsts.values())
+                assert roots == {r for r in cis if firsts[r] == least}, d
+
     def test_construction_paths_converge(self, diagrams):
         # a plat closure and a braid closure of the same knot landed on
         # the identical labeled diagram; the encoder must agree
