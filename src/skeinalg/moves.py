@@ -81,8 +81,8 @@ def _face_walk(d: Diagram):
     phi = list(map(_ccw(len(mate)).__getitem__, mate))
     face = [-1] * len(mate)
     orbits = []
-    for x0, f in enumerate(face):
-        if f < 0:
+    for x0 in range(len(mate)):
+        if face[x0] < 0:
             f = len(orbits)
             orbit = [x0]
             x = phi[x0]
@@ -122,14 +122,23 @@ def _is_bigon(orbit, mate) -> bool:
 def _is_clasp(orbit, mate) -> bool:
     """A bigon R2- can remove: one edge is over (at odd slots) at both
     its ends."""
-    return _is_bigon(orbit, mate) and any(x & mate[x] & 1 for x in orbit)
+    if not _is_bigon(orbit, mate):
+        return False
+    x, y = orbit
+    return bool((x & mate[x] | y & mate[y]) & 1)
 
 
 def _is_slideable(orbit, mate) -> bool:
     """A triangle R3 can slide: three distinct corners, and edges over
     at both ends, at one and at none (so they are distinct)."""
-    return (len(orbit) == 3 and len({x >> 2 for x in orbit}) == 3
-            and {(x & 1) + (mate[x] & 1) for x in orbit} == {0, 1, 2})
+    if len(orbit) != 3:
+        return False
+    x, y, z = orbit
+    ox = (x & 1) + (mate[x] & 1)
+    oy = (y & 1) + (mate[y] & 1)
+    oz = (z & 1) + (mate[z] & 1)
+    return (x >> 2 != y >> 2 != z >> 2 != x >> 2
+            and ox != oy != oz != ox)
 
 
 # -- events -------------------------------------------------------------------
@@ -339,15 +348,21 @@ def _push_at(d: Diagram, walk, j: int):
             back = [face[mate[x]] for x in darts]
         k = len(darts)
         new = k * (k - 1)
-        if len(set(back)) < k:
+        apart = len(set(back)) == k  # no two edges lead to one face
+        if not apart:
             # pairs of edges between f and one earlier face lay there
             new -= sum(c * (c - 1) for g, c in Counter(back).items()
                        if g < f)
         if j >= new:
             j -= new
             continue
-        x, y = [(x, y) for p, x in enumerate(darts) for q, y in enumerate(darts)
-                if p != q and not back[p] == back[q] < f][j]
+        if apart:
+            p, q = divmod(j, k - 1)
+            x, y = darts[p], darts[q + (q >= p)]
+        else:
+            x, y = [(x, y) for p, x in enumerate(darts)
+                    for q, y in enumerate(darts)
+                    if p != q and not back[p] == back[q] < f][j]
         return MoveEvent("R2+", edge=flat[x], edge2=flat[y]), (x, y)
     raise AssertionError("push index past the census")  # pragma: no cover
 
@@ -490,9 +505,12 @@ def _r2plus_crossings(x, x2, x3, y, y2, y3, wx: bool, wy: bool):
 def _push(d: Diagram, x: int, y: int, dx: int, dy: int) -> Diagram:
     """Push edge x over edge y across the face where their darts dx and
     dy lie."""
+    over_in = d.over_in
     # whether the face walks each edge along its orientation
-    wx, wy = (z & 3 == 2 or z & 3 == 4 - d.over_in[z >> 2] for z in (dx, dy))
-    x2, x3, y2, y3 = range(max(d.flat) + 1, max(d.flat) + 5)
+    wx = dx & 3 == 2 or dx & 3 == 4 - over_in[dx >> 2]
+    wy = dy & 3 == 2 or dy & 3 == 4 - over_in[dy >> 2]
+    base = max(d.flat)
+    x2, x3, y2, y3 = base + 1, base + 2, base + 3, base + 4
     flat, pieces = _grown(d, {x: (x2, x3), y: (y2, y3)})
     new, ois = zip(*_r2plus_crossings(x, x2, x3, y, y2, y3, wx, wy))
     return _rebuilt(flat + list(chain.from_iterable(new)), d.over_in + ois,
