@@ -27,11 +27,10 @@ from .algebra import (ALGEBRA_NAMES, AlgebraError, AxiomCheck, AxiomReport,
 from .catalog import (CatalogError, CorpusEntry, bundled_catalog,
                       load_catalog, lookup)
 from .diagram import (Diagram, DiagramError, PDSyntaxError, braid_to_diagram,
-                      parse_diagram, parse_pd)
+                      euler_ok, parse_diagram, parse_pd)
 from .laurent import LaurentError, LaurentPoly, VarTable
-from .moves import (MoveError, MoveEvent, apply_move, euler_ok, faces,
-                    find_moves, parse_event, random_perturb, replay_events,
-                    trivialize)
+from .moves import (MoveError, MoveEvent, apply_move, faces, find_moves,
+                    parse_event, random_perturb, replay_events, trivialize)
 from .skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                     TraceLeaf, bad_crossings, default_marking, evaluate,
                     replay, trace)

@@ -23,8 +23,7 @@ from .algebra import (ALGEBRA_NAMES, AlgebraError, ConwayAlgebraSpec,
 from .catalog import CatalogError, load_catalog, lookup
 from .diagram import Diagram, DiagramError, parse_diagram
 from .laurent import LaurentError
-from .moves import (MoveError, euler_ok, parse_event, random_perturb,
-                    replay_events)
+from .moves import MoveError, parse_event, random_perturb, replay_events
 from .skein import SkeinError, evaluate
 
 ENGINE = f"skeinalg/{__version__}"
@@ -87,12 +86,6 @@ def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None,
 def cmd_compute(args) -> int:
     algebra = _algebra_from(args)
     d = _diagram_from(args)
-    if args.pd is not None and not euler_ok(d):
-        # a code no plane drawing has: the value is computed, but it can
-        # depend on the marking
-        print("warning: the PD code is not planar (V - E + F != 2 per "
-              "piece); its value can depend on the marking",
-              file=sys.stderr)
     try:
         record = result_record(d, algebra)
     except SkeinError as exc:

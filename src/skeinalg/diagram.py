@@ -23,13 +23,19 @@ construction computes them once.  Nothing else is stored: `crossings`
 (a tuple of 4-tuples) and `signs` are computed from `flat` and `over_in`
 on every read, for callers outside the library's hot paths, which read
 only the stored fields.  A dart is the integer 4 * crossing + slot, an
-index into `flat`; `_mates` pairs the two darts of each label.
-Equality and hashing read `(flat, free_loops)`.
+index into `flat`; `_mates` pairs the two darts of each label, and
+`_face_walk` follows the faces from dart to dart.  Equality and hashing
+read `(flat, free_loops)`.
 
 Construction validates everything: each label must occur exactly twice,
-the under-strand of every crossing must agree with the label order, and
-the over-strand directions must consume each label-successor transition
-exactly once across the whole diagram.  That holds at the boundary: a
+the under-strand of every crossing must agree with the label order, the
+over-strand directions must consume each label-successor transition
+exactly once across the whole diagram, and some plane drawing must have
+the code (`euler_ok`: V - E + F = 2 on every piece).  A code that fails
+the last has labels that chain consistently, but the invariant's values
+on it can depend on the marking.  Planarity also rules out a component
+of one edge: its label sits at opposite slots of one crossing, a loop
+that separates the other two slots.  That holds at the boundary: a
 user-built `Diagram` and PD parsing.  Braid parsing checks the strand
 count and every letter, then builds the closure from the strands it
 traces, and so knows its components and directions.  Diagrams that the
@@ -42,12 +48,11 @@ ends in `_rebuilt`, which numbers the new components in order of their
 smallest old label, each along its orientation from there.  None of
 these is validated a second time.
 
-One genuine ambiguity exists in this encoding: a component with at most
-two edges that never passes under anything admits two direction
-readings (they differ by reversing that circle).  Such a circle lies
-entirely above or below the rest of the diagram wherever it is planar,
-so either reading denotes the same link; we fix the reading
-deterministically (enter along the smaller label first).
+One genuine ambiguity exists in this encoding: a component of two edges
+that never passes under anything admits two direction readings (they
+differ by reversing that circle).  Such a circle lies entirely above the
+rest of the diagram, so either reading denotes the same link; we fix
+the reading deterministically (enter along the smaller label first).
 """
 
 from __future__ import annotations
@@ -99,6 +104,45 @@ def _mates(flat) -> list[int]:
     return mate
 
 
+@lru_cache(maxsize=64)
+def _ccw(m: int) -> tuple[int, ...]:
+    """For each integer dart below m, the dart one slot counterclockwise."""
+    return tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m))
+
+
+def _face_walk(d: Diagram):
+    """`_mates(d.flat)`, the face orbits in canonical order as lists of
+    integer darts, and each dart's face index.  Taken in increasing
+    order, the first dart of each new orbit is its smallest, so the
+    orbits come out rotated and sorted as they are found."""
+    mate = _mates(d.flat)
+    # arrive along the edge at its other end, leave by the next slot
+    # counterclockwise
+    phi = list(map(_ccw(len(mate)).__getitem__, mate))
+    face = [-1] * len(mate)
+    orbits = []
+    for x0 in range(len(mate)):
+        if face[x0] < 0:
+            f = len(orbits)
+            orbit = [x0]
+            x = phi[x0]
+            face[x0] = f
+            while x != x0:
+                face[x] = f
+                orbit.append(x)
+                x = phi[x]
+            orbits.append(orbit)
+    return mate, orbits, face
+
+
+def euler_ok(d: Diagram) -> bool:
+    """Genus-zero check: V - E + F == 2 per connected crossing piece.
+    Every `Diagram` passes it: construction refuses a code that fails."""
+    flat = d.flat
+    return not flat or (len(_face_walk(d)[1]) - len(flat) // 4
+                        == 2 * len(_crossing_pieces(d)))
+
+
 class Diagram:
     """Immutable validated diagram; see the module docstring for what it
     stores.
@@ -133,9 +177,9 @@ class Diagram:
         `flat` and `over_in` are tuples, `over_in` a consistent strand
         direction for every crossing.  `components`, `comp_of` and `pos`
         are the tables `_derive` would compute for `flat`, and `small`
-        the components of at most two edges.  Where there are such
-        components, circles whose direction the labels leave open get
-        the reading of `_fix_free_circles`.
+        the components of two edges.  Where there are such components,
+        circles whose direction the labels leave open get the reading of
+        `_fix_free_circles`.
         """
         if small:
             over_in = _fix_free_circles(flat, small, over_in)
@@ -212,13 +256,6 @@ class Diagram:
         over_in = [0] * len(crossings)
         deferred = []
         for ci, (a, b, c, d) in enumerate(crossings):
-            if b == d:
-                # one-edge circle lying over: `_fix_free_circles` picks
-                # its direction
-                if succ.get(b) != b or avail.get((b, b), 0) <= 0:
-                    raise DiagramError(f"crossing {ci}: over-loop {b} is inconsistent")
-                avail[(b, b)] -= 1
-                continue
             cand_b = succ.get(b) == d and avail.get((b, d), 0) > 0
             cand_d = succ.get(d) == b and avail.get((d, b), 0) > 0
             if cand_b and cand_d:
@@ -247,22 +284,22 @@ class Diagram:
                 over_in[ci] = 3
             else:
                 raise DiagramError(f"crossing {ci}: over-strand direction exhausted")
-        leftover = [t for t, k in avail.items() if k > 0]
-        if leftover:
-            raise DiagramError(f"transitions never realized by any crossing: {leftover}")
 
         flat = tuple(chain.from_iterable(crossings))
-        small = tuple(comp for comp in components if len(comp) <= 2)
-        over_in = tuple(over_in)
-        if small:
-            over_in = _fix_free_circles(flat, small, over_in)
         _set = object.__setattr__
         _set(self, "flat", flat)
-        _set(self, "over_in", over_in)
-        _set(self, "_small", small)
         _set(self, "components", components)
         _set(self, "comp_of", comp_of)
         _set(self, "pos", pos)
+        if not euler_ok(self):
+            raise DiagramError(
+                "PD code is not planar: V - E + F != 2 on some piece")
+        small = tuple(comp for comp in components if len(comp) == 2)
+        over_in = tuple(over_in)
+        if small:
+            over_in = _fix_free_circles(flat, small, over_in)
+        _set(self, "over_in", over_in)
+        _set(self, "_small", small)
 
     # -- basic queries ------------------------------------------------------
 
@@ -355,15 +392,11 @@ class Diagram:
             cu, co = comps[ku], comps[ko]
             pc, po = pos[c], pos[o_out]
             cycles = [[cu[pc:] + cu[:pc], co[po:] + co[:po]]]
-        # each glued pair is one edge, named after its smaller label; the
-        # pairs are one edge when they share a label
-        if c == a or o_in == o_out:
-            rep = dict.fromkeys((a, c, o_in, o_out), min(a, c, o_in, o_out))
-        else:
-            m = c if c < o_in else o_in
-            rep = {c: m, o_in: m}
-            m = a if a < o_out else o_out
-            rep[a] = rep[o_out] = m
+        # each glued pair is one edge, named after its smaller label
+        m = c if c < o_in else o_in
+        rep = {c: m, o_in: m}
+        m = a if a < o_out else o_out
+        rep[a] = rep[o_out] = m
 
         pieces = [comp for k, comp in enumerate(comps) if k != ku and k != ko]
         freed = 0
@@ -374,15 +407,11 @@ class Diagram:
                 freed += 1
                 continue
             # a run opens with the glued edge it starts on, then its inner
-            # edges; where both pairs are one edge, that edge is written
-            # once, even when it both ends and starts the cycle
+            # edges
             seq = []
             for run in runs:
-                if not seq or seq[-1] != rep[run[0]]:
-                    seq.append(rep[run[0]])
+                seq.append(rep[run[0]])
                 seq += run[1:-1]
-            if seq[-1] == seq[0] and len(seq) > 1:
-                seq.pop()
             k = seq.index(min(seq))
             pieces.append(tuple(seq[k:] + seq[:k]))
         return _rebuilt(flat[:i] + flat[i + 4:],
@@ -431,7 +460,7 @@ class Diagram:
         """
         suffix = f"+O^{self.free_loops}" if self.free_loops else ""
         flat, over_in = self.flat, self.over_in
-        # circles of at most two edges that run under nothing: the labels
+        # circles of two edges that run under nothing: the labels
         # leave their direction open, so each is entered at slot 1
         unders = set(flat[0::4])
         drifting = {lab for comp in self._small
@@ -490,7 +519,7 @@ def _first_row(d: Diagram, over_in, root: int) -> tuple[int, ...]:
     under-strand and L the component's length.  An over-strand on
     another component is labeled next, from the edge entering the root
     (by the slot `over_in` gives): the over-in edge gets L + 1 and the
-    over-out edge L + 2, or L + 1 on a one-edge circle."""
+    over-out edge L + 2."""
     flat, comp_of, pos = d.flat, d.comp_of, d.pos
     i = 4 * root
     oi = over_in[root]
@@ -502,10 +531,8 @@ def _first_row(d: Diagram, over_in, root: int) -> tuple[int, ...]:
         b_in = (pos[o_in] - p) % L + 1
         b_out = (pos[o_out] - p) % L + 1
     else:
-        b_in = L + 1
-        b_out = L + 1 if o_out == o_in else L + 2
-    c = 2 if L > 1 else 1
-    return (1, b_in, c, b_out) if oi == 1 else (1, b_out, c, b_in)
+        b_in, b_out = L + 1, L + 2
+    return (1, b_in, 2, b_out) if oi == 1 else (1, b_out, 2, b_in)
 
 
 # where a strand entering a crossing at a slot leaves it
@@ -549,11 +576,11 @@ def _rooted_rows(mate, over_in, cis, root):
 
 
 def _fix_free_circles(flat, small, over_in) -> tuple[int, ...]:
-    """Fix the reading of circles of one or two edges (among the
-    components `small`) that never run under anything: the first
-    crossing enters along the smaller label.  Every other strand
-    direction is settled by the labels, and `over_in` is returned as
-    given there.  Both `_derive` and `Diagram._trusted` end here."""
+    """Fix the reading of circles of two edges (among the components
+    `small`) that never run under anything: the first crossing enters
+    along the smaller label.  Every other strand direction is settled by
+    the labels, and `over_in` is returned as given there.  Both
+    `_derive` and `Diagram._trusted` end here."""
     unders = set(flat[0::4])
     small = [comp for comp in small if unders.isdisjoint(comp)]
     if not small:
@@ -562,9 +589,6 @@ def _fix_free_circles(flat, small, over_in) -> tuple[int, ...]:
     overs = flat[1::4]
     for comp in small:
         spots = [ci for ci, b in enumerate(overs) if b in comp]
-        if len(comp) == 1:
-            over_in[spots[0]] = 3
-            continue
         # the first crossing enters along the smaller label
         lo, hi = comp
         for ci in spots:
@@ -615,7 +639,7 @@ def _numbered(lengths: tuple[int, ...]):
         comp_of.update(dict.fromkeys(labs, k))
         pos.update(zip(labs, range(n)))
         first += n
-    small = tuple(comp for comp in components if len(comp) <= 2)
+    small = tuple(comp for comp in components if len(comp) == 2)
     return tuple(components), comp_of, pos, small
 
 

@@ -4,12 +4,14 @@ Faces come from the combinatorial map of the diagram: darts are
 (crossing, slot) pairs, the involution swaps the two occurrences of an
 edge label, and face orbits follow "arrive along an edge, leave along
 the next slot counterclockwise".  A dart therefore walks its edge away
-from its crossing with the face on the walker's right.  `_face_walk`
-walks the darts as the integers 4 * crossing + slot, which index the
-diagram's flat label tuple `d.flat` directly, and pairs them by label
-with `diagram._mates`, as canonical encoding does.  Every move reads and
-writes labels in `d.flat`; none reads the diagram's `crossings`
-4-tuples.
+from its crossing with the face on the walker's right.
+`diagram._face_walk` walks the darts as the integers 4 * crossing +
+slot, which index the diagram's flat label tuple `d.flat` directly, and
+pairs them by label with `diagram._mates`, as canonical encoding does.
+Every diagram is planar (construction refuses a code that fails
+`euler_ok`), so no face lies on both sides of an edge: a 4-valent plane
+graph has no bridge.  Every move reads and writes labels in `d.flat`;
+none reads the diagram's `crossings` 4-tuples.
 
 Each step of `random_perturb` counts its moves once, from one face
 walk (`_census`), and builds only the move it draws, from the darts the
@@ -47,11 +49,11 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from itertools import chain, compress
-from operator import eq, mul
+from itertools import chain
+from operator import mul
 
-from .diagram import Diagram, _crossing_pieces, _mates, _rebuilt
+# `euler_ok` lives beside the face walk in `diagram`; it is named here too
+from .diagram import Diagram, _face_walk, _rebuilt, euler_ok
 
 
 class MoveError(ValueError):
@@ -62,37 +64,6 @@ Dart = tuple[int, int]
 
 
 # -- faces -------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _ccw(m: int) -> tuple[int, ...]:
-    """For each integer dart below m, the dart one slot counterclockwise."""
-    return tuple(x - 3 if x & 3 == 3 else x + 1 for x in range(m))
-
-
-def _face_walk(d: Diagram):
-    """`_mates(d.flat)`, the face orbits in canonical order as lists of
-    integer darts, and each dart's face index.  Taken in increasing
-    order, the first dart of each new orbit is its smallest, so the
-    orbits come out rotated and sorted as they are found."""
-    mate = _mates(d.flat)
-    # arrive along the edge at its other end, leave by the next slot
-    # counterclockwise
-    phi = list(map(_ccw(len(mate)).__getitem__, mate))
-    face = [-1] * len(mate)
-    orbits = []
-    for x0 in range(len(mate)):
-        if face[x0] < 0:
-            f = len(orbits)
-            orbit = [x0]
-            x = phi[x0]
-            face[x0] = f
-            while x != x0:
-                face[x] = f
-                orbit.append(x)
-                x = phi[x]
-            orbits.append(orbit)
-    return mate, orbits, face
 
 
 def faces(d: Diagram) -> tuple[tuple[Dart, ...], ...]:
@@ -107,22 +78,17 @@ def face_edges(d: Diagram, face: tuple[Dart, ...]) -> tuple[int, ...]:
     return tuple([flat[4 * c + s] for c, s in face])
 
 
-def euler_ok(d: Diagram) -> bool:
-    """Genus-zero check: V - E + F == 2 per connected crossing piece."""
-    return not d.flat or (len(_face_walk(d)[1]) - d.n_crossings
-                          == 2 * len(_crossing_pieces(d)))
-
-
-def _is_bigon(orbit, mate) -> bool:
-    """Two darts at distinct crossings, on distinct edges."""
-    return (len(orbit) == 2 and orbit[0] >> 2 != orbit[1] >> 2
-            and mate[orbit[0]] != orbit[1])
+def _is_bigon(orbit) -> bool:
+    """Two darts at distinct crossings.  Their edges are distinct too:
+    in a face orbit [x, y], y is one slot counterclockwise of the mate
+    of x, which is never y itself."""
+    return len(orbit) == 2 and orbit[0] >> 2 != orbit[1] >> 2
 
 
 def _is_clasp(orbit, mate) -> bool:
     """A bigon R2- can remove: one edge is over (at odd slots) at both
     its ends."""
-    if not _is_bigon(orbit, mate):
+    if not _is_bigon(orbit):
         return False
     x, y = orbit
     return bool((x & mate[x] | y & mate[y]) & 1)
@@ -277,13 +243,14 @@ def _census(d: Diagram, cap: int):
     one; and the R2+ pushes, which are counted, not listed (`_drawn`).
     `walk` is `_face_walk(d)`.  A push is an ordered pair of distinct
     edges on a face, and a pair lies on two faces when both its edges
-    separate the same two, so with k_f the distinct edges of face f and
-    g_AB the edges between faces A != B, there are
-    sum_f k_f (k_f - 1) - sum_{A<B} g_AB (g_AB - 1) pushes."""
+    separate the same two.  No face lies on both sides of an edge, so
+    with k_f the darts of face f and g_AB the edges between faces
+    A != B, there are sum_f k_f (k_f - 1) - sum_{A<B} g_AB (g_AB - 1)
+    pushes."""
     walk = mate, orbits, face = _face_walk(d)
     n = len(d.over_in)
     kinks, clasps, slides = [], {}, []
-    pushes = 0  # first sum_f L_f (L_f - 1), L_f the darts of face f
+    pushes = 0  # first sum_f k_f (k_f - 1)
     for fi, orbit in enumerate(orbits):
         k = len(orbit)
         pushes += k * (k - 1)
@@ -300,10 +267,6 @@ def _census(d: Diagram, cap: int):
         across = list(map(face.__getitem__, mate))
         meets = list(Counter(zip(face, across)).values())
         pushes -= (sum(map(mul, meets, meets)) - len(mate)) // 2
-        if any(map(eq, face, across)):
-            # a face on both sides of some edges holds each of them once
-            for f, c in Counter(compress(face, map(eq, face, across))).items():
-                pushes += c // 2 * (3 * c // 2 - 2 * len(orbits[f]))
     kinks = list(dict.fromkeys(kinks))  # a crossing may close two curls
     places = 2 * n + (d.free_loops > 0) if n < cap else 0
     total = (len(kinks) + len(clasps) + len(slides) + d.free_loops
@@ -336,16 +299,8 @@ def _push_at(d: Diagram, walk, j: int):
     in the order of `itertools.permutations` of the face's edges."""
     mate, orbits, face = walk
     flat = d.flat
-    for f, orbit in enumerate(orbits):
-        darts = orbit
-        back = [face[mate[x]] for x in orbit]  # the face across each edge
-        if f in back:
-            # edges with f on both sides: take each at its first dart
-            first: dict[int, int] = {}
-            for x in orbit:
-                first.setdefault(flat[x], x)
-            darts = list(first.values())
-            back = [face[mate[x]] for x in darts]
+    for f, darts in enumerate(orbits):
+        back = [face[mate[x]] for x in darts]  # the face across each edge
         k = len(darts)
         new = k * (k - 1)
         apart = len(set(back)) == k  # no two edges lead to one face
@@ -639,10 +594,9 @@ def _reducing_event(d: Diagram) -> MoveEvent | None:
 
 def _bigon_fix(d: Diagram) -> MoveEvent | None:
     """A crossing switch that turns some bigon face into a removable clasp."""
-    mate, orbits, _ = _face_walk(d)
     flat = d.flat
-    for orbit in orbits:
-        if not _is_bigon(orbit, mate):
+    for orbit in _face_walk(d)[1]:
+        if not _is_bigon(orbit):
             continue
         # switch the corner where the smaller edge runs under
         e = min(flat[x] for x in orbit)
@@ -679,8 +633,7 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
                 continue
             seen.add(key)
             npath = path + [ev]
-            mate, orbits, _ = _face_walk(nxt)
-            if any(len(f) == 1 or _is_bigon(f, mate) for f in orbits):
+            if any(len(f) == 1 or _is_bigon(f) for f in _face_walk(nxt)[1]):
                 return npath
             queue.append((nxt, npath))
     raise MoveError(

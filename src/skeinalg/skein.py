@@ -10,16 +10,15 @@ self/mixed status.  Termination: switching the first bad crossing makes
 it good without disturbing earlier crossings, and smoothing removes a
 crossing outright.
 
-A bad crossing that is a kink (an R1 curl) of a planar diagram is
-resolved by its switch alone.  Switching a kink is an isotopy, and the
-algebra axioms make the value invariant under Reidemeister moves
-(Przytycki and Traczyk 1987), so the switched child has the parent's
-value and the smoothed child is never built.  PD text is not checked
-for planarity, so the rule applies only when the root passes
-`moves.euler_ok`, which is checked once per call, at the first bad kink.
-The rule leans on the axioms: in an algebra that fails `check_axioms`,
-`evaluate`, and a tree from `trace` replayed there, can differ from the
-full recursion.
+A bad crossing that is a kink (an R1 curl) is resolved by its switch
+alone.  Switching a kink is an isotopy, and the algebra axioms make the
+value invariant under Reidemeister moves of plane diagrams (Przytycki
+and Traczyk 1987), so the switched child has the parent's value and the
+smoothed child is never built.  Every diagram is planar: construction
+refuses a code that fails `diagram.euler_ok`, and switching and
+smoothing keep a diagram planar.  The rule leans on the axioms: in an
+algebra that fails `check_axioms`, `evaluate`, and a tree from `trace`
+replayed there, can differ from the full recursion.
 
 The caller's marking (or the default one) applies to the root and to
 its chain of switches, which keep the root's edges and components.
@@ -66,12 +65,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import accumulate
 
 from .algebra import ConwayAlgebraSpec, OpKind, _wrapped
 from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
-from .moves import _curl_at, euler_ok
+from .moves import _curl_at
 
 MAX_CROSSINGS = 64
 
@@ -254,8 +252,7 @@ def _root_bases(d: Diagram, marking: Marking | None):
     return marking.bases
 
 
-def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
-             bad=None):
+def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     """The skein recursion behind both `evaluate` and `trace`.
 
     `d` is resolved under the marking with base edges `bases`, or under
@@ -270,12 +267,7 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
     A bad crossing that is a kink (two adjacent slots of one label,
     `moves._curl_at`) is only switched, and the switched child's result
     is the node's: switching a kink is an R1 isotopy, under which the
-    axioms make the value invariant.  That holds on planar diagrams, so
-    the rule applies only when `planar()` is true: whether the root
-    passes `moves.euler_ok`, checked at the first bad kink and then
-    remembered (the entry points pass a `functools.cache` of it).
-    Switching and smoothing keep a planar diagram planar, so the root's
-    answer holds for every node.
+    axioms make the value invariant.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
     in walk order; when it is None, `_walk` finds them, and the default
@@ -296,11 +288,11 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, planar,
         node = leaf(d.component_count)
     else:
         node = _resolve(d.crossing_change(ci), bases, memo, tag, leaf,
-                        branch, planar, bad)
-        if not (_curl_at(d.flat[4 * ci:4 * ci + 4]) and planar()):
+                        branch, bad)
+        if not _curl_at(d.flat[4 * ci:4 * ci + 4]):
             node = branch(ci, _SIGN[d.over_in[ci]], d.classify(ci), node,
                           _resolve(d.smooth_with_map(ci)[0], None, memo, tag,
-                                   leaf, branch, planar))
+                                   leaf, branch))
     memo[key] = node
     return node
 
@@ -452,8 +444,7 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         def branch(ci, sign, kind, left, right):
             return ops[sign > 0][kind == "self"](left, right)
 
-        terms = _resolve(d, bases, memo, algebra.key, leaf, branch,
-                         cache(partial(euler_ok, d)))
+        terms = _resolve(d, bases, memo, algebra.key, leaf, branch)
     return _wrapped(algebra.table, terms)
 
 
@@ -479,17 +470,17 @@ def trace(d: Diagram, marking: Marking | None = None,
     """The skein tree for a diagram, replayable in any algebra that
     satisfies the axioms.
 
-    The tree is that of `_resolve`: a bad kink of a planar diagram has
-    no branch of its own, its node being its switched child's.  The
-    kink's value is that of its switch only by the axioms, so replayed
-    in an algebra that fails `check_axioms` the tree can give another
-    value than the full recursion would.  `shared` is a node cache;
+    The tree is that of `_resolve`: a bad kink has no branch of its own,
+    its node being its switched child's.  The kink's value is that of
+    its switch only by the axioms, so replayed in an algebra that fails
+    `check_axioms` the tree can give another value than the full
+    recursion would.  `shared` is a node cache;
     passing the same dict across calls lets diagrams with common
     descendants reuse each other's subtrees.
     """
     return _resolve(d, _root_bases(d, marking),
                     {} if shared is None else shared, None, TraceLeaf,
-                    TraceBranch, cache(partial(euler_ok, d)))
+                    TraceBranch)
 
 
 def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):

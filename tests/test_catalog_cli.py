@@ -105,6 +105,14 @@ class TestLoader:
         p.write_text("")
         assert load_catalog(p) == []
 
+    def test_nonplanar_row_reported_with_line(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text(HEADER + 'curl,1,1,1,"PD[X[1,1,2,2]]",\n'
+                     + 'flat8,1,2,0,"PD[X[1,2,1,2]]",\n')
+        with pytest.raises(CatalogError,
+                           match=r"^row 3 \(flat8\): .*PD code is not planar"):
+            load_catalog(p)
+
     def test_lookup(self):
         assert lookup("fig8").crossings == 4
         with pytest.raises(CatalogError, match="no corpus entry"):
@@ -117,18 +125,26 @@ class TestComputeCommand:
         assert rc == 0
         assert capsys.readouterr().out == "1*q^-2 - 2*p*q^-2 + 1*p^2*q^-2\n"
 
-    def test_nonplanar_pd_warns(self, capsys):
-        # `PD[X[1,2,1,2]]` with a curl: no plane drawing has this code
-        rc = main(["compute", "--pd", "PD[X[3,4,1,4],X[1,3,2,2]]",
-                   "--algebra", "gen-conway"])
-        assert rc == 0
+    @pytest.mark.parametrize("command", ["compute", "replay", "table"])
+    def test_nonplanar_pd_is_refused(self, command, tmp_path, capsys):
+        # `PD[X[1,2,1,2]]` with a curl: no plane drawing has this code,
+        # and each command that reads PD text refuses it, the table by row
+        pd = "PD[X[3,4,1,4],X[1,3,2,2]]"
+        events = tmp_path / "ev.txt"
+        events.write_text("CC@c0\n")
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(HEADER + f'curled,2,2,0,"{pd}",\n')
+        argv = {"compute": ["compute", "--pd", pd],
+                "replay": ["replay", "--pd", pd, "--events", str(events)],
+                "table": ["table", "--input", str(corpus)]}[command]
+        if command != "replay":
+            argv += ["--algebra", "gen-conway"]
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "1*q^-1 - 1*p*q^-1\n"
-        assert err.startswith("warning: the PD code is not planar")
-        assert err.count("\n") == 1
-        rc = main(["compute", "--pd", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]",
-                   "--algebra", "gen-conway"])
-        assert rc == 0 and capsys.readouterr().err == ""
+        assert out == ""
+        row = "row 2 (curled): bad diagram text: " * (command == "table")
+        assert err == (f"error: {row}PD code is not planar: "
+                       "V - E + F != 2 on some piece\n")
 
     def test_nonlinear_root(self, capsys):
         rc = main(["compute", "--name", "hopf+",

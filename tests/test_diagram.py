@@ -589,11 +589,8 @@ class TestLibraryBuiltDiagrams:
         assert any(d.smooth_with_map(d.n_crossings - 1)[0].free_loops
                    > d.free_loops for d in curls)
         inputs += curls + [
-            # one-edge components passing over, then under
-            parse_pd("PD[X[1,3,2,3],X[2,4,1,4]]"),
-            parse_pd("PD[X[1,3,1,4],X[2,4,2,3]]"), parse_pd("PD[X[1,2,1,2]]"),
             # labels that are not consecutive along a component
-            parse_pd("PD[X[1,2,3,4],X[3,4,1,2]]"),
+            parse_pd("PD[X[1,2,3,4],X[3,2,1,4]]"),
             parse_pd("PD[X[10,40,20,50],X[30,60,40,10],X[50,20,60,30]]"),
         ]
         assert any(comp[-1] - comp[0] >= len(comp)
@@ -706,9 +703,8 @@ class TestCanonicalEncode:
                        for _ in range(rng.randint(0, 12) if gens else 0)]
             ds.append(braid_to_diagram(n, letters))
         ds += [parse_pd(text) for text in (
-            "PD[X[1,3,2,4],X[2,4,1,3]]", "PD[X[1,4,2,3],X[2,3,1,4]]",
-            "PD[X[1,3,2,3],X[2,4,1,4]]", "PD[X[1,3,1,4],X[2,4,2,3]]",
-            "PD[X[1,2,1,2]]", "PD[X[1,2,3,4],X[3,4,1,2]]+O^2")]
+            "PD[X[1,3,2,4],X[2,3,1,4]]", "PD[X[1,4,2,3],X[2,4,1,3]]",
+            "PD[X[1,2,3,4],X[3,2,1,4]]+O^2")]
         assert sum(d.free_loops > 0 and d.n_crossings > 0 for d in ds) > 100
         assert len(ds) > 2_000
         for d in ds:
@@ -744,12 +740,9 @@ class TestCanonicalEncode:
 
         monkeypatch.setattr(skeinalg.diagram, "_rooted_rows", spy)
         ds = [parse_pd(text) for text in (
-            # a circle of one edge over one root, of two over the others
-            "PD[X[1,5,2,5],X[2,6,3,7],X[3,7,1,6]]",
-            # a one-edge circle under one root, a curl at the other
-            "PD[X[1,4,1,2],X[2,3,3,4]]",
-            "PD[X[1,3,2,3],X[2,4,1,4]]", "PD[X[1,2,1,2]]",
-            "PD[X[1,2,3,4],X[3,4,1,2]]+O^2")]
+            # a two-edge circle over a two-edge circle, a curl
+            "PD[X[1,3,2,4],X[2,3,1,4]]", "PD[X[1,1,2,2]]",
+            "PD[X[1,2,3,4],X[3,2,1,4]]+O^2")]
         for entry in corpus:
             d = entry.diagram()
             ds += [d, d.mirror()]
@@ -835,10 +828,10 @@ class TestRootedSignature:
         assert _relabeled(d, rng).canonical_encode() == d.canonical_encode()
 
     def test_circle_of_free_direction_read_either_way(self):
-        # a two-edge circle lying over an unknot: which crossing it
-        # enters first is a free choice, fixed here by the labels
-        a = parse_pd("PD[X[1,3,2,4],X[2,4,1,3]]")
-        b = parse_pd("PD[X[1,4,2,3],X[2,3,1,4]]")
+        # a two-edge circle lying over another: which crossing it enters
+        # first is a free choice, fixed here by the labels
+        a = parse_pd("PD[X[1,3,2,4],X[2,3,1,4]]")
+        b = parse_pd("PD[X[1,4,2,3],X[2,4,1,3]]")
         assert a.over_in != b.over_in
         assert a.canonical_encode() == b.canonical_encode()
         assert exhaustive_encode(a) == exhaustive_encode(b)
@@ -881,17 +874,6 @@ class TestValidation:
         d = parse_pd("PD[X[1,1,2,2]]")
         assert (d.n_crossings, d.component_count) == (1, 1)
         assert d.writhe == 1
-
-    def test_consistent_but_nonplanar_code_parses(self):
-        # two one-edge circles meeting at a single crossing: every label
-        # occurs twice and orientations chain, so the parser accepts it;
-        # whether it embeds in the plane is a separate question answered
-        # by euler_ok.
-        from skeinalg.moves import euler_ok
-
-        d = parse_pd("PD[X[1,2,1,2]]")
-        assert d.component_count == 2
-        assert not euler_ok(d)
 
     def test_negative_free_loops(self):
         with pytest.raises(DiagramError):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import skeinalg.moves
 from skeinalg.algebra import make_algebra
-from skeinalg.diagram import braid_to_diagram, parse_pd
+from skeinalg.diagram import (Diagram, DiagramError, braid_to_diagram,
+                              parse_pd)
 from skeinalg.moves import (MoveError, MoveEvent, apply_move, euler_ok,
                             face_edges, faces, find_moves, parse_event,
                             random_perturb, replay_events, trivialize,
@@ -55,7 +56,18 @@ class TestFaces:
             assert all(lab in d.comp_of for lab in labs)
 
     def test_nonplanar_code_flagged(self):
-        assert not euler_ok(parse_pd("PD[X[1,2,1,2]]"))
+        # every label occurs twice and the orientations chain, but no
+        # plane drawing has these codes: construction refuses them, by
+        # the one message, so no `Diagram` fails euler_ok
+        for crossings in ([(1, 2, 1, 2)], [(1, 3, 2, 3), (2, 4, 1, 4)],
+                          [(1, 3, 1, 4), (2, 4, 2, 3)],
+                          [(3, 4, 1, 4), (1, 3, 2, 2)]):
+            text = "PD[" + ",".join(f"X[{a},{b},{c},{d}]"
+                                    for a, b, c, d in crossings) + "]"
+            with pytest.raises(DiagramError, match="^PD code is not planar"):
+                Diagram(crossings)
+            with pytest.raises(DiagramError, match="^PD code is not planar"):
+                parse_pd(text)
 
 
 # Reference versions of the census, written for clarity over darts as
@@ -157,7 +169,7 @@ class TestCensusReference:
     def _diagrams(self, corpus):
         out = [parse_pd(t) for t in (
             "PD[]", "PD[]+O^2", "PD[X[1,1,2,2]]", "PD[X[1,2,2,1]]+O^1",
-            "PD[X[1,2,3,4],X[3,4,1,2]]")]
+            "PD[X[1,2,3,4],X[3,2,1,4]]")]
         for entry in corpus:
             d = entry.diagram()
             out.append(d)
@@ -186,24 +198,17 @@ class TestCensusReference:
         # drawn one by walking to its face; every index must name the
         # event at that index of the reference lists, and the darts of a
         # push must be those of its edges' first common face
-        # codes that fail `euler_ok`, on whose faces an edge can have
-        # one face on both sides, and their perturbations
-        nonplanar = [parse_pd(t) for t in (
-            "PD[X[1,2,1,2]]", "PD[X[3,4,1,4],X[1,3,2,2]]",
-            "PD[X[3,1,4,2],X[6,2,1,3],X[4,6,5,5]]",
-            "PD[X[1,5,2,4],X[10,2,10,3],X[9,1,9,8],X[3,7,4,8],X[5,7,6,6]]")]
-        nonplanar += [random_perturb(d, seed=s, steps=10, cap=9)[0]
-                      for d in nonplanar for s in range(6)]
-        pushes = shared = folded = 0
-        for d in self._diagrams(corpus) + nonplanar:
+        pushes = shared = 0
+        for d in self._diagrams(corpus):
             fs = _ref_faces(d)
             found = _ref_find_moves(d, fs)
-            # diagrams where a pair of edges borders two faces, and where
-            # an edge has one face on both sides
             sizes = [len(set(_ref_labels(d, f))) for f in fs]
+            # the census counts a face's darts as its edges: no face of a
+            # planar diagram lies on both sides of an edge
+            assert sum(sizes) == 4 * d.n_crossings, d
+            # diagrams where a pair of edges borders two faces
             shared += (d.n_crossings and sum(k * (k - 1) for k in sizes)
                        > len(_ref_growth_candidates(d, 14, fs)[1]))
-            folded += sum(sizes) < 4 * d.n_crossings
             for cap in (d.n_crossings, d.n_crossings + 1, 14):
                 census = _census(d, cap)
                 curls, pairs = _ref_growth_candidates(d, cap, fs)
@@ -226,8 +231,7 @@ class TestCensusReference:
                         # the build from the census is the checked move
                         assert _build(d, ev, census[-1], darts) == \
                             apply_move(d, ev), (d, str(ev))
-        assert pushes > 5_000 and shared > 20 and folded > 20, \
-            (pushes, shared, folded)
+        assert pushes > 5_000 and shared > 20, (pushes, shared)
 
 
 class TestEventGrammar:

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from oracles import naive_evaluate
 import skeinalg.algebra
 import skeinalg.diagram
-import skeinalg.skein
 from skeinalg.algebra import OpKind, make_algebra
 from skeinalg.diagram import DiagramError, _quads, braid_to_diagram, parse_pd
-from skeinalg.moves import _curl_at, apply_move, euler_ok, random_perturb
+from skeinalg.moves import _curl_at, apply_move, random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
@@ -401,12 +400,13 @@ def curled(d, seed):
     return d, events, nested
 
 
-# Non-planar codes (failing `euler_ok`) whose resolution meets a bad kink,
+# Non-planar codes (failing `euler_ok`) whose resolution met a bad kink,
 # the first ten from seeded rewirings of corpus entries with a curl added,
-# then `PD[X[1,2,1,2]]` with a curl under three markings; each with its
-# gen-conway and homflypt value from the full recursion.  The gate keeps
-# the values of the first two and the last: switching their bad kinks
-# alone gives other values.
+# then `PD[X[1,2,1,2]]` with a curl under three markings.  Each comes with
+# the gen-conway and homflypt values the full recursion gave it while such
+# codes were accepted: the last three, one code under three markings,
+# differ, so these values are not link invariants.  Construction refuses
+# every such code now.
 NONPLANAR = [
     ("PD[X[12,1,13,9],X[8,14,9,13],X[1,5,2,6],X[14,15,15,10],X[4,2,5,3],"
      "X[10,16,11,16],X[3,12,4,11],X[6,7,7,8]]", None,
@@ -454,7 +454,7 @@ NONPLANAR = [
 
 
 class TestKinks:
-    """A bad kink of a planar diagram is resolved by its switch alone."""
+    """A bad kink is resolved by its switch alone."""
 
     def test_bad_curl_adds_no_node(self):
         trefoil = parse_pd("PD[X[1,5,2,4],X[5,3,6,2],X[3,1,4,6]]")
@@ -485,29 +485,10 @@ class TestKinks:
         assert kinds == {"+o", "+u", "-o", "-u"} and nested
 
     @pytest.mark.parametrize("pd, bases, gc_text, hf_text", NONPLANAR)
-    def test_nonplanar_values_pinned(self, algebras, pd, bases, gc_text,
-                                     hf_text):
-        d = parse_pd(pd)
-        assert not euler_ok(d)
-        marking = None if bases is None else Marking(bases)
-        for key, text in (("gen-conway", gc_text), ("homflypt", hf_text)):
-            alg = by_key(algebras, key)
-            assert alg.render(evaluate(d, alg, marking)) == text
-
-    def test_planarity_is_checked_once_and_only_at_a_bad_kink(
-            self, diagrams, algebras, monkeypatch):
-        calls = []
-        monkeypatch.setattr(skeinalg.skein, "euler_ok",
-                            lambda d: calls.append(d) or True)
-        gc = by_key(algebras, "gen-conway")
-        trefoil = diagrams["trefoil+"]
-        evaluate(trefoil, gc)
-        trace(trefoil)
-        assert calls == []
-        curl = apply_move(trefoil, "R1+@e3/+u")
-        evaluate(curl, gc)
-        trace(curl)
-        assert calls == [curl, curl]
+    def test_nonplanar_values_pinned(self, pd, bases, gc_text, hf_text):
+        # the values above can no longer be asked for
+        with pytest.raises(DiagramError, match="not planar"):
+            parse_pd(pd)
 
 
 class TestValueSwitch:

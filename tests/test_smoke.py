@@ -1,6 +1,7 @@
-"""Smoke checks: every demo runs to completion, and the package exports
-exactly its public surface."""
+"""Smoke checks: every demo runs to completion and prints its pinned
+output, and the package exports exactly its public surface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,27 @@ from skeinalg.cli import ENGINE
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of each demo's standard output; the demos print the same bytes
+# whatever PYTHONHASHSEED is
+DEMO_SHA256 = {
+    "axiom_reports":
+        "8097a5f58525afb4ec9bc41dbef50569e7fd52c8bb23e34a675ea06f9eba42b3",
+    "canonical_codes":
+        "8f1b4d4863f97b8a8a297303abe6dd08b476a0d3b65742c653d42dd4d3bfa6aa",
+    "corpus_table":
+        "3c768021142f76382853b165ff681767421577a79b82ea1c1f77b9ce8f3187e4",
+    "move_fuzzing":
+        "70f6cfb98c133ac6d4d9d1deb07e8648bd8f25b7297473c9d09c8fe2948b9679",
+    "skein_tree":
+        "6c70654d0171c681fc080007d295ec25f635dfee78a3a71654a33a453e644087",
+    "specializations":
+        "bc204a75e8e00357a3560b6e0b4e525639c8d4d351be37926a8ff9c80944da88",
+    "untangling":
+        "0170814747a8a2794443c35bd16e7c77d5875f25eabbf04946e480e555cb6b03",
+    "values_tour":
+        "9a7623d7680569288f8c357455880e72fd11cda2864634af0b0557acabfd14a2",
+}
 
 PUBLIC = {
     "ALGEBRA_NAMES", "AlgebraError", "AxiomCheck", "AxiomReport",
@@ -47,14 +69,16 @@ REMOVED = [
 
 def test_eight_demos():
     assert len(DEMOS) == 8
+    assert [p.stem for p in DEMOS] == sorted(DEMO_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo.stem]
 
 
 def test_one_version_string():
