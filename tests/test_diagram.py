@@ -875,6 +875,13 @@ class TestValidation:
         assert (d.n_crossings, d.component_count) == (1, 1)
         assert d.writhe == 1
 
+    def test_consistent_but_nonplanar_code_is_refused(self):
+        # two one-edge circles meeting at a single crossing: every label
+        # occurs twice and orientations chain, so only the planarity
+        # check can refuse it, and it does, at construction
+        with pytest.raises(DiagramError, match="^PD code is not planar"):
+            parse_pd("PD[X[1,2,1,2]]")
+
     def test_negative_free_loops(self):
         with pytest.raises(DiagramError):
             Diagram([], -1)
