@@ -5,6 +5,9 @@ An algebra here is a carrier ring together with four binary operations
 The circ/slash pair resolves crossings between a strand and itself, the
 star/sslash pair resolves crossings between different components, and
 slash (resp. sslash) is the exact right inverse of circ (resp. star).
+`make_algebra` writes only each family's circ and star: axiom A gives
+slash and sslash as their inverses, and axiom B the unit sequence from
+a(1) = 1 (`_from_circ_star`).
 
 All shipped instances have operations of the affine form
 x, y -> alpha*x + beta*y + gamma, which keeps every computation inside
@@ -236,7 +239,8 @@ _APPLY = ConwayAlgebraSpec.apply
 
 
 def make_algebra(name: str, k: int | None = None) -> ConwayAlgebraSpec:
-    """Build one of the named instances.
+    """Build one of the named instances from its circ and star; slash,
+    sslash and the units follow (`_from_circ_star`).
 
     classic3      Z[p+-, q+-, z+-]   circ = star = pa + qb + z
     homflypt      Z[v+-, z+-]        circ = star = v^2 a + vz b
@@ -255,62 +259,52 @@ def make_algebra(name: str, k: int | None = None) -> ConwayAlgebraSpec:
     if name == "classic3":
         t = VarTable(("p", "q", "z"), frozenset({"p", "q", "z"}))
         p, q, z = (LaurentPoly.var(t, n) for n in t.names)
-        p_inv = p.inverse()
-        q_inv = q.inverse()
         circ = AffineOp(p, q, z)
-        slash = AffineOp(p_inv, -(p_inv * q), -(p_inv * z))
-        one = LaurentPoly.const(t, 1)
-
-        def step(prev: LaurentPoly) -> LaurentPoly:
-            return q_inv * ((one - p) * prev - z)
-
-        ops = {OpKind.CIRC: circ, OpKind.SLASH: slash,
-               OpKind.STAR: circ, OpKind.SSLASH: slash}
-        return ConwayAlgebraSpec(name, t, ops, step)
+        return _from_circ_star(name, t, circ, circ)
 
     if name == "homflypt":
         t = VarTable(("v", "z"), frozenset({"v", "z"}))
         v, z = (LaurentPoly.var(t, n) for n in t.names)
-        v_inv = v.inverse()
         circ = AffineOp(v * v, v * z, LaurentPoly.zero(t))
-        slash = AffineOp(v_inv * v_inv, -(v_inv * z), LaurentPoly.zero(t))
-        ratio = (v_inv - v) * z.inverse()
-        ops = {OpKind.CIRC: circ, OpKind.SLASH: slash,
-               OpKind.STAR: circ, OpKind.SSLASH: slash}
-        return ConwayAlgebraSpec(name, t, ops, lambda prev: ratio * prev)
+        return _from_circ_star(name, t, circ, circ)
 
     if name == "gen-conway" or name == "nonlinear":
         invertible = {"p", "q"} if name == "gen-conway" else {"p", "q", "r"}
         t = VarTable(("p", "q", "r"), frozenset(invertible))
         p, q, r = (LaurentPoly.var(t, n) for n in t.names)
-        p_inv = p.inverse()
         zero = LaurentPoly.zero(t)
-        ops = {
-            OpKind.CIRC: AffineOp(p, q, zero),
-            OpKind.SLASH: AffineOp(p_inv, -(p_inv * q), zero),
-            OpKind.STAR: AffineOp(p, r, zero),
-            OpKind.SSLASH: AffineOp(p_inv, -(p_inv * r), zero),
-        }
-        ratio = (LaurentPoly.const(t, 1) - p) * q.inverse()
-        return ConwayAlgebraSpec(
-            name, t, ops, lambda prev: ratio * prev, k=k if name == "nonlinear" else None
-        )
+        return _from_circ_star(name, t, AffineOp(p, q, zero),
+                               AffineOp(p, r, zero), k)
 
     if name == "gen-homflypt":
         t = VarTable(("v", "z", "w"), frozenset({"v", "w"}))
         v, z, w = (LaurentPoly.var(t, n) for n in t.names)
-        v_inv = v.inverse()
         zero = LaurentPoly.zero(t)
-        ops = {
-            OpKind.CIRC: AffineOp(v * v, v * w, zero),
-            OpKind.SLASH: AffineOp(v_inv * v_inv, -(v_inv * w), zero),
-            OpKind.STAR: AffineOp(v * v, v * z, zero),
-            OpKind.SSLASH: AffineOp(v_inv * v_inv, -(v_inv * z), zero),
-        }
-        ratio = (v_inv - v) * w.inverse()
-        return ConwayAlgebraSpec(name, t, ops, lambda prev: ratio * prev)
+        return _from_circ_star(name, t, AffineOp(v * v, v * w, zero),
+                               AffineOp(v * v, v * z, zero))
 
     raise AlgebraError(f"unknown algebra {name!r}; expected one of {ALGEBRA_NAMES}")
+
+
+def _from_circ_star(name: str, t: VarTable, circ: AffineOp, star: AffineOp,
+                    k: int | None = None) -> ConwayAlgebraSpec:
+    """The algebra over `t` with operations circ and star.  By axiom A,
+    slash and sslash are their right inverses, x, b -> alpha^-1 (x -
+    beta b - gamma); by axiom B, a(n) = a(n) circ a(n+1), the units
+    follow a(n+1) = beta^-1 ((1 - alpha) a(n) - gamma) of circ."""
+
+    def inverse(f: AffineOp) -> AffineOp:
+        inv = f.alpha.inverse()
+        return AffineOp(inv, -(inv * f.beta), -(inv * f.gamma))
+
+    beta_inv = circ.beta.inverse()
+    ratio = beta_inv * (LaurentPoly.const(t, 1) - circ.alpha)
+    shift = beta_inv * circ.gamma
+    # with gamma = 0, as in all but classic3, a step is one product
+    step = ratio.__mul__ if shift.is_zero() else lambda a: ratio * a - shift
+    ops = {OpKind.CIRC: circ, OpKind.SLASH: inverse(circ),
+           OpKind.STAR: star, OpKind.SSLASH: inverse(star)}
+    return ConwayAlgebraSpec(name, t, ops, step, k)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Commands: compute, axioms, fuzz, table, replay.  Output is deterministic
 for fixed inputs and flags.  Exit codes: 0 success, 1 standard output
-closed early (a broken pipe), 2 malformed input, 3 semantic error
-(unknown algebra or corpus name, inapplicable move), 4 property failure
-(a failed axiom or fuzz check).
+closed early (a broken pipe), 2 malformed or refused input, or a fuzz
+run that checked nothing, 3 semantic error (unknown algebra or corpus
+name, inapplicable move), 4 property failure (a failed axiom or fuzz
+check).  `main` maps the library's exceptions to these codes; a command
+raises `CliFailure` only where its own code differs.
 """
 
 from __future__ import annotations
@@ -41,13 +43,6 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _algebra_from(args) -> ConwayAlgebraSpec:
-    try:
-        return make_algebra(args.algebra, getattr(args, "k", None))
-    except AlgebraError as exc:
-        raise CliFailure(EXIT_SEMANTIC, str(exc))
-
-
 def _diagram_from(args) -> Diagram:
     picked = [flag for flag in ("pd", "braid", "name")
               if getattr(args, flag, None) is not None]
@@ -63,10 +58,7 @@ def _diagram_from(args) -> Diagram:
         text = entry.pd
     else:
         text = getattr(args, flag)
-    try:
-        return parse_diagram(text)
-    except DiagramError as exc:
-        raise CliFailure(EXIT_INPUT, str(exc))
+    return parse_diagram(text)
 
 
 def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None,
@@ -84,12 +76,8 @@ def result_record(d: Diagram, algebra: ConwayAlgebraSpec, memo=None,
 
 
 def cmd_compute(args) -> int:
-    algebra = _algebra_from(args)
-    d = _diagram_from(args)
-    try:
-        record = result_record(d, algebra)
-    except SkeinError as exc:
-        raise CliFailure(EXIT_INPUT, str(exc))
+    algebra = make_algebra(args.algebra, args.k)
+    record = result_record(_diagram_from(args), algebra)
     print(record["value"])
     if args.json:
         print(json.dumps(record))
@@ -97,7 +85,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    algebra = _algebra_from(args)
+    algebra = make_algebra(args.algebra, args.k)
     report = check_axioms(algebra)
     print(report.render())
     return EXIT_OK if report.all_pass else EXIT_PROPERTY
@@ -108,8 +96,6 @@ def _load_entries(path: str | None):
         return load_catalog(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(EXIT_INPUT, f"cannot read corpus: {exc}")
-    except CatalogError as exc:
-        raise CliFailure(EXIT_INPUT, str(exc))
 
 
 def _selected_entries(args):
@@ -128,17 +114,31 @@ def _selected_entries(args):
 
 
 def cmd_fuzz(args) -> int:
-    algebra = _algebra_from(args)
+    """PASS or FAIL for each selected entry whose walk applied a move,
+    SKIP for one whose walk applied none.  A run that could check
+    nothing is refused (exit 2): a step count below 1, a negative cap or
+    crossing bound, no entry selected, or every entry skipped."""
+    for flag, value, low in (("--steps", args.steps, 1),
+                             ("--cap", args.cap, 0),
+                             ("--max-crossings", args.max_crossings, 0)):
+        if value is not None and value < low:
+            raise CliFailure(EXIT_INPUT,
+                             f"{flag} must be at least {low}, got {value}")
+    algebra = make_algebra(args.algebra, args.k)
     entries = _selected_entries(args)
-    failures = 0
+    if not entries:
+        raise CliFailure(EXIT_INPUT, "no corpus entry selected")
+    failures = skipped = 0
     memo: dict = {}
     for entry in entries:
         d = entry.diagram()
         before = evaluate(d, algebra, memo=memo)
         perturbed, events = random_perturb(
             d, seed=args.seed, steps=args.steps, cap=args.cap)
-        after = evaluate(perturbed, algebra, memo=memo)
-        if after == before:
+        if not events:
+            skipped += 1
+            print(f"SKIP {entry.name} (no move applied)")
+        elif evaluate(perturbed, algebra, memo=memo) == before:
             print(f"PASS {entry.name}")
         else:
             failures += 1
@@ -149,7 +149,13 @@ def cmd_fuzz(args) -> int:
     if failures:
         print(f"fuzz: {failures} of {total} diagrams FAILED")
         return EXIT_PROPERTY
-    print(f"fuzz: {total} diagrams, all PASS")
+    if skipped == total:
+        raise CliFailure(EXIT_INPUT, f"no move applied to any of the {total} "
+                         "diagrams; nothing was checked")
+    if skipped:
+        print(f"fuzz: {total - skipped} diagrams PASS, {skipped} skipped")
+    else:
+        print(f"fuzz: {total} diagrams, all PASS")
     return EXIT_OK
 
 
@@ -190,7 +196,7 @@ def _cache_write(path: str, record: dict) -> None:
 
 
 def cmd_table(args) -> int:
-    algebra = _algebra_from(args)
+    algebra = make_algebra(args.algebra, args.k)
     entries = _load_entries(args.input)
     cache_dir = args.cache
     if cache_dir is not None:
@@ -358,10 +364,11 @@ def main(argv=None) -> int:
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DiagramError, LaurentError, CatalogError, MoveError) as exc:
+    except (DiagramError, LaurentError, CatalogError, MoveError,
+            SkeinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AlgebraError, SkeinError) as exc:
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -51,8 +51,11 @@ these is validated a second time.
 One genuine ambiguity exists in this encoding: a component of two edges
 that never passes under anything admits two direction readings (they
 differ by reversing that circle).  Such a circle lies entirely above the
-rest of the diagram, so either reading denotes the same link; we fix
-the reading deterministically (enter along the smaller label first).
+rest of the diagram, so either reading denotes the same link.  It is the
+only over-strand that both directions fit, so `_derive` leaves its
+crossings at slot 1, claiming no transition, and `_fix_free_circles`
+fixes the reading deterministically (enter along the smaller label
+first).
 """
 
 from __future__ import annotations
@@ -216,19 +219,12 @@ class Diagram:
 
         # components: union the two strands through each crossing
         parent = {lab: lab for lab in occ}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b, c, d in crossings:
-            parent[find(a)] = find(c)
-            parent[find(b)] = find(d)
+            parent[_find(parent, a)] = _find(parent, c)
+            parent[_find(parent, b)] = _find(parent, d)
         groups: dict[int, list[int]] = {}
         for lab in occ:
-            groups.setdefault(find(lab), []).append(lab)
+            groups.setdefault(_find(parent, lab), []).append(lab)
         components = tuple(sorted(
             (tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0]
         ))
@@ -254,12 +250,13 @@ class Diagram:
             avail[(a, c)] -= 1
 
         over_in = [0] * len(crossings)
-        deferred = []
         for ci, (a, b, c, d) in enumerate(crossings):
             cand_b = succ.get(b) == d and avail.get((b, d), 0) > 0
             cand_d = succ.get(d) == b and avail.get((d, b), 0) > 0
             if cand_b and cand_d:
-                deferred.append(ci)
+                # a two-edge circle that runs under nothing, read by
+                # `_fix_free_circles`
+                over_in[ci] = 1
             elif cand_b:
                 avail[(b, d)] -= 1
                 over_in[ci] = 1
@@ -270,20 +267,6 @@ class Diagram:
                 raise DiagramError(
                     f"crossing {ci}: over-strand {b}/{d} fits no remaining transition"
                 )
-        for ci in deferred:
-            _, b, _, d = crossings[ci]
-            cand_b = avail.get((b, d), 0) > 0
-            cand_d = avail.get((d, b), 0) > 0
-            # a both-ways tie is a two-edge circle that runs under
-            # nothing: take either way here, `_fix_free_circles` picks
-            if cand_b:
-                avail[(b, d)] -= 1
-                over_in[ci] = 1
-            elif cand_d:
-                avail[(d, b)] -= 1
-                over_in[ci] = 3
-            else:
-                raise DiagramError(f"crossing {ci}: over-strand direction exhausted")
 
         flat = tuple(chain.from_iterable(crossings))
         _set = object.__setattr__
@@ -490,23 +473,25 @@ class Diagram:
         return f"PD[{body}]{suffix}"
 
 
+def _find(parent, x: int) -> int:
+    """The root of x in the union-find forest `parent`, a dict or a list
+    from each member to its parent, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _crossing_pieces(d: Diagram) -> list[list[int]]:
     """The crossings of `d` by piece, components joined through
     crossings; each piece lists its crossings in order."""
     parent = list(range(len(d.components)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     comp_of, flat = d.comp_of, d.flat
     for a, b in zip(flat[0::4], flat[1::4]):
-        parent[find(comp_of[a])] = find(comp_of[b])
+        parent[_find(parent, comp_of[a])] = _find(parent, comp_of[b])
     pieces: dict[int, list[int]] = {}
     for ci, a in enumerate(flat[0::4]):
-        pieces.setdefault(find(comp_of[a]), []).append(ci)
+        pieces.setdefault(_find(parent, comp_of[a]), []).append(ci)
     return list(pieces.values())
 
 

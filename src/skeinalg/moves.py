@@ -15,12 +15,15 @@ none reads the diagram's `crossings` 4-tuples.
 
 Each step of `random_perturb` counts its moves once, from one face
 walk (`_census`), and builds only the move it draws, from the darts the
-census found (`_build`), without checking it again; `apply_move` checks
-an event against a face walk and builds it the same way.  Switches and
-triangle slides keep the diagram's strands and labels and build through
-`Diagram._trusted`.  The moves that add or remove crossings change the
-parent's components where they act and hand them to `_rebuilt`: R1-
-and R2- contract runs of edges, R1+ and R2+ insert new edges.
+census found (`_build`), without checking it again.  `trivialize`
+reads one census per step too, and builds the events it takes from it
+the same way.  Only `apply_move`, the door for events from outside
+such as those `replay_events` reads, checks an event against a face
+walk before it builds it.  Switches and triangle slides keep the
+diagram's strands and labels and build through `Diagram._trusted`.
+The moves that add or remove crossings change the parent's components
+where they act and hand them to `_rebuilt`: R1- and R2- contract runs
+of edges, R1+ and R2+ insert new edges.
 
 Move events are small strings:
 
@@ -47,13 +50,12 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import mul
 
-# `euler_ok` lives beside the face walk in `diagram`; it is named here too
-from .diagram import Diagram, _face_walk, _rebuilt, euler_ok
+from .diagram import Diagram, _face_walk, _rebuilt
 
 
 class MoveError(ValueError):
@@ -493,17 +495,13 @@ def _build(d: Diagram, ev: MoveEvent, walk, darts) -> Diagram:
 
 
 def apply_move(d: Diagram, ev: MoveEvent | str) -> Diagram:
+    """The diagram the event `ev` makes of `d`, after checking that it
+    is well formed (`_shape_error`) and applies to `d`."""
     if isinstance(ev, str):
         ev = parse_event(ev)
     problem = _shape_error(ev)
     if problem is not None:
         raise MoveError(problem)
-    return _apply_move(d, ev)
-
-
-def _apply_move(d: Diagram, ev: MoveEvent) -> Diagram:
-    """`apply_move` for a well-formed event (see `_shape_error`): check
-    that the event applies to `d`, then build it."""
     kind = ev.kind
     walk = darts = None
     if kind == "CC":
@@ -585,17 +583,11 @@ def replay_events(d: Diagram, events) -> Diagram:
 # -- untangling ----------------------------------------------------------------
 
 
-def _reducing_event(d: Diagram) -> MoveEvent | None:
-    for ev in find_moves(d):
-        if ev.kind in ("R1-", "R2-"):
-            return ev
-    return None
-
-
-def _bigon_fix(d: Diagram) -> MoveEvent | None:
-    """A crossing switch that turns some bigon face into a removable clasp."""
+def _bigon_fix(d: Diagram, orbits) -> MoveEvent | None:
+    """A crossing switch that turns some bigon among the face orbits
+    `orbits` of `d` into a removable clasp."""
     flat = d.flat
-    for orbit in _face_walk(d)[1]:
+    for orbit in orbits:
         if not _is_bigon(orbit):
             continue
         # switch the corner where the smaller edge runs under
@@ -609,13 +601,11 @@ def _bigon_fix(d: Diagram) -> MoveEvent | None:
 _SEARCH_LIMIT = 50_000
 
 
-def _search_unlock(d: Diagram) -> list[MoveEvent]:
+def _search_unlock(d: Diagram) -> tuple[Diagram, list[MoveEvent]]:
     """Breadth-first hunt for a state with a curl or bigon face, moving
-    only through triangle slides and crossing switches."""
-    from collections import deque
-
-    start_key = d.canonical_encode()
-    seen = {start_key}
+    only through triangle slides and crossing switches: the state found
+    and the path to it."""
+    seen = {d.canonical_encode()}
     queue = deque([(d, [])])
     expanded = 0
     while queue:
@@ -634,7 +624,7 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
             seen.add(key)
             npath = path + [ev]
             if any(len(f) == 1 or _is_bigon(f) for f in _face_walk(nxt)[1]):
-                return npath
+                return nxt, npath
             queue.append((nxt, npath))
     raise MoveError(
         "could not steer the diagram to a reducible state within the search budget"
@@ -643,20 +633,26 @@ def _search_unlock(d: Diagram) -> list[MoveEvent]:
 
 def trivialize(d: Diagram) -> list[MoveEvent]:
     """Unknotting certificate: events (switches included) taking the
-    diagram to a crossingless one, one circle per component."""
+    diagram to a crossingless one, one circle per component.
+
+    Each step reads one census (`_census`) and takes its first R1- or
+    R2-; failing that, a switch that makes a bigon removable
+    (`_bigon_fix`); failing that, the path `_search_unlock` finds to a
+    reducible state.  Each event is built from what its census found."""
     events: list[MoveEvent] = []
     cur = d
     while cur.n_crossings:
-        ev = _reducing_event(cur)
+        census = _census(cur, 0)
+        walk = census[-1]
+        if census[1] or census[2]:
+            ev = _drawn(cur, census, 0)[0]
+        else:
+            ev = _bigon_fix(cur, walk[1])
         if ev is None:
-            ev = _bigon_fix(cur)
-        if ev is None:
-            path = _search_unlock(cur)
-            for step in path:
-                cur = apply_move(cur, step)
+            cur, path = _search_unlock(cur)
             events.extend(path)
             continue
-        cur = apply_move(cur, ev)
+        cur = _build(cur, ev, walk, None)
         events.append(ev)
     for i in range(cur.free_loops):
         events.append(MoveEvent("RLT", comp=i + 1))

@@ -313,6 +313,65 @@ class TestFuzzCommand:
         rc = main(["fuzz", "--algebra", "gen-conway", "--only", "ghost"])
         assert rc == 3
 
+    def test_empty_row_refused_like_an_oversized_one(self, tmp_path,
+                                                     capsys):
+        assert _refused_rows("fuzz", tmp_path, capsys) == [
+            (2, "error: diagram has no components\n"),
+            (2, "error: diagram has 65 components; limit is 64\n")]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--steps", "-1"], "--steps must be at least 1, got -1"),
+        (["--steps", "0"], "--steps must be at least 1, got 0"),
+        (["--cap", "-5"], "--cap must be at least 0, got -5"),
+        (["--max-crossings", "-1"],
+         "--max-crossings must be at least 0, got -1"),
+        (["--only", ","], "no corpus entry selected"),
+    ], ids=["steps-negative", "steps-zero", "cap-negative",
+            "max-crossings-negative", "empty-selection"])
+    def test_run_that_checks_nothing_is_refused(self, flags, message,
+                                                capsys):
+        rc = main(["fuzz", "--algebra", "gen-conway", *flags])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_header_only_corpus_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        p.write_text(HEADER)
+        assert main(["fuzz", "--algebra", "gen-conway",
+                     "--input", str(p)]) == 2
+        assert capsys.readouterr().err == "error: no corpus entry selected\n"
+
+    def test_entry_without_a_move_is_skipped(self, capsys):
+        # at cap 0 only the shrinking moves and slides are drawn, and the
+        # alternating trefoil has none; the unknot can only grow
+        rc = main(["fuzz", "--algebra", "gen-conway", "--cap", "0",
+                   "--only", "trefoil+,unlink2,borromean"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "SKIP trefoil+ (no move applied)\n"
+            "PASS unlink2\n"
+            "SKIP borromean (no move applied)\n"
+            "fuzz: 1 diagrams PASS, 2 skipped\n")
+
+    def test_run_with_every_entry_skipped_is_refused(self, capsys):
+        rc = main(["fuzz", "--algebra", "gen-conway", "--cap", "0",
+                   "--only", "trefoil+,fig8"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ("SKIP trefoil+ (no move applied)\n"
+                       "SKIP fig8 (no move applied)\n")
+        assert err == ("error: no move applied to any of the 2 diagrams; "
+                       "nothing was checked\n")
+
+    def test_default_run_skips_nothing(self, capsys):
+        # at the default cap every corpus entry takes a move
+        assert main(["fuzz", "--algebra", "gen-conway"]) == 0
+        out = capsys.readouterr().out
+        assert "SKIP" not in out
+        assert out.endswith("fuzz: 33 diagrams, all PASS\n")
+
     def test_broken_perturbation_reported(self, capsys, monkeypatch):
         # force a value change so the failure report renders
         def sabotage(d, seed, steps, cap=14):
@@ -326,6 +385,18 @@ class TestFuzzCommand:
         assert "FAIL trefoil+" in out
         assert "  CC@c0" in out
         assert "1 of 1 diagrams FAILED" in out
+
+
+def _refused_rows(command, tmp_path, capsys):
+    """(exit code, error line) of `command` on a corpus of one diagram with
+    no components and on one of 65."""
+    out = []
+    for row in ('empty,0,0,0,"PD[]",\n', 'many,0,65,0,"PD[]+O^65",\n'):
+        p = tmp_path / "c.csv"
+        p.write_text(HEADER + row)
+        rc = main([command, "--algebra", "gen-conway", "--input", str(p)])
+        out.append((rc, capsys.readouterr().err))
+    return out
 
 
 class TestTableCommand:
@@ -347,16 +418,10 @@ class TestTableCommand:
 
     def test_empty_row_refused_like_an_oversized_one(self, tmp_path,
                                                      capsys):
-        codes = []
-        for row in ('empty,0,0,0,"PD[]",\n', 'many,0,65,0,"PD[]+O^65",\n'):
-            p = tmp_path / "c.csv"
-            p.write_text(HEADER + row)
-            codes.append(main(["table", "--algebra", "gen-conway",
-                               "--input", str(p)]))
-            codes.append(capsys.readouterr().err)
-        assert codes[0] == codes[2] == 3
-        assert "diagram has no components" in codes[1]
-        assert "65 components; limit is 64" in codes[3]
+        # refused input, with the code `compute` gives the same diagrams
+        assert _refused_rows("table", tmp_path, capsys) == [
+            (2, "error: diagram has no components\n"),
+            (2, "error: diagram has 65 components; limit is 64\n")]
 
     def test_row_order_follows_corpus(self, corpus, tmp_path):
         out = tmp_path / "t.csv"

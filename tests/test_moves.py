@@ -10,11 +10,11 @@ import skeinalg.moves
 from skeinalg.algebra import make_algebra
 from skeinalg.diagram import (Diagram, DiagramError, braid_to_diagram,
                               parse_pd)
-from skeinalg.moves import (MoveError, MoveEvent, apply_move, euler_ok,
-                            face_edges, faces, find_moves, parse_event,
-                            random_perturb, replay_events, trivialize,
-                            _build, _census, _drawn, _reducing_event,
-                            _search_unlock)
+from skeinalg import euler_ok
+from skeinalg.moves import (MoveError, MoveEvent, apply_move, face_edges,
+                            faces, find_moves, parse_event, random_perturb,
+                            replay_events, trivialize, _build, _census,
+                            _drawn, _search_unlock)
 from skeinalg.skein import evaluate
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -594,11 +594,25 @@ class TestTrivialize:
             _search_unlock(diagrams["trefoil+"])
 
     def test_reducing_event_shrinks(self, diagrams):
-        # corpus entries are already reduced, so _reducing_event finds
-        # nothing on them; build reducible diagrams explicitly
+        # corpus entries are already reduced, so no certificate of theirs
+        # opens with R1- or R2-; on reducible diagrams the first event is
+        # one, and it lowers the crossing count
         for d in diagrams.values():
-            assert _reducing_event(d) is None
+            assert trivialize(d)[0].kind not in ("R1-", "R2-")
         for d in (braid_to_diagram(2, [1, -1]), parse_pd("PD[X[1,1,2,2]]")):
-            ev = _reducing_event(d)
-            assert ev is not None and ev.kind in ("R1-", "R2-")
+            ev = trivialize(d)[0]
+            assert ev.kind in ("R1-", "R2-")
             assert apply_move(d, ev).n_crossings < d.n_crossings
+
+    def test_events_come_from_the_census(self, diagrams, monkeypatch):
+        # each step takes its event from one census and builds it from
+        # there: nothing is found or checked a second time
+        calls = []
+        for name in ("find_moves", "apply_move"):
+            real = getattr(skeinalg.moves, name)
+            monkeypatch.setattr(
+                skeinalg.moves, name,
+                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        for d in diagrams.values():
+            trivialize(d)
+        assert calls == []

@@ -1,5 +1,6 @@
 """Smoke checks: every demo runs to completion and prints its pinned
-output, and the package exports exactly its public surface."""
+output, the engine's outputs on the corpus are pinned, and the package
+exports exactly its public surface."""
 
 import hashlib
 import os
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import skeinalg
-from skeinalg import Diagram, OpKind, skein
+from skeinalg import (ALGEBRA_NAMES, Diagram, OpKind, bundled_catalog,
+                      evaluate, make_algebra, random_perturb, replay, skein,
+                      trace, trivialize)
 from skeinalg.cli import ENGINE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +38,21 @@ DEMO_SHA256 = {
         "0170814747a8a2794443c35bd16e7c77d5875f25eabbf04946e480e555cb6b03",
     "values_tour":
         "9a7623d7680569288f8c357455880e72fd11cda2864634af0b0557acabfd14a2",
+}
+
+# sha256 of three texts over the corpus and 6 seeded `random_perturb`
+# walks of each entry (15 steps, cap 14): the values rendered by each of
+# the five algebras, through `evaluate` and through `replay` of the
+# diagram's trace; the PD text and canonical code of each diagram; and
+# the `trivialize` certificate of each corpus entry.  They read the same
+# whatever PYTHONHASHSEED is.
+CORPUS_SHA256 = {
+    "values":
+        "f1b30521cf698a950b7270176fefe085b3f4505cbd42c9acd8ea5b2e4b3163dd",
+    "codes":
+        "c0521f63df24983ff79ef56a225a913ce1a09c534ca80844700e61550a8c5f60",
+    "certificates":
+        "75dfe2f1024a71e0f42a3e29fe7cb9ad6d6a1df532d5ae89c7299e520dfe688c",
 }
 
 PUBLIC = {
@@ -79,6 +97,26 @@ def test_demo_exits_cleanly(demo):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo.stem]
+
+
+def test_corpus_outputs_are_pinned():
+    algebras = [make_algebra(name) for name in ALGEBRA_NAMES]
+    digest = {key: hashlib.sha256() for key in CORPUS_SHA256}
+    for entry in bundled_catalog():
+        d = entry.diagram()
+        events = " ".join(map(str, trivialize(d)))
+        digest["certificates"].update(f"{entry.name}: {events}\n".encode())
+        for seed in (None, *range(6)):
+            moved = (d if seed is None
+                     else random_perturb(d, seed=seed, steps=15, cap=14)[0])
+            digest["codes"].update(
+                f"{moved.pd_text()} {moved.canonical_encode()}\n".encode())
+            tree = trace(moved)
+            for alg in algebras:
+                digest["values"].update(
+                    f"{alg.render(evaluate(moved, alg))} "
+                    f"{alg.render(replay(tree, alg))}\n".encode())
+    assert {key: h.hexdigest() for key, h in digest.items()} == CORPUS_SHA256
 
 
 def test_one_version_string():
