@@ -115,9 +115,10 @@ def _selected_entries(args):
 
 def cmd_fuzz(args) -> int:
     """PASS or FAIL for each selected entry whose walk applied a move,
-    SKIP for one whose walk applied none.  A run that could check
-    nothing is refused (exit 2): a step count below 1, a negative cap or
-    crossing bound, no entry selected, or every entry skipped."""
+    SKIP for one whose walk applied none but the no-op RLT.  A run that
+    could check nothing is refused (exit 2): a step count below 1, a
+    negative cap or crossing bound, no entry selected, or every entry
+    skipped."""
     for flag, value, low in (("--steps", args.steps, 1),
                              ("--cap", args.cap, 0),
                              ("--max-crossings", args.max_crossings, 0)):
@@ -135,7 +136,7 @@ def cmd_fuzz(args) -> int:
         before = evaluate(d, algebra, memo=memo)
         perturbed, events = random_perturb(
             d, seed=args.seed, steps=args.steps, cap=args.cap)
-        if not events:
+        if all(ev.kind == "RLT" for ev in events):
             skipped += 1
             print(f"SKIP {entry.name} (no move applied)")
         elif evaluate(perturbed, algebra, memo=memo) == before:

@@ -344,15 +344,16 @@ class TestFuzzCommand:
         assert capsys.readouterr().err == "error: no corpus entry selected\n"
 
     def test_entry_without_a_move_is_skipped(self, capsys):
-        # at cap 0 only the shrinking moves and slides are drawn, and the
-        # alternating trefoil has none; the unknot can only grow
+        # at cap 0 only the shrinking moves, slides and RLT are drawn:
+        # the alternating trefoil has none of them, the unlink only the
+        # no-op RLT, and torus_3_3 slides its triangles
         rc = main(["fuzz", "--algebra", "gen-conway", "--cap", "0",
-                   "--only", "trefoil+,unlink2,borromean"])
+                   "--only", "trefoil+,unlink2,torus_3_3"])
         assert rc == 0
         assert capsys.readouterr().out == (
             "SKIP trefoil+ (no move applied)\n"
-            "PASS unlink2\n"
-            "SKIP borromean (no move applied)\n"
+            "SKIP unlink2 (no move applied)\n"
+            "PASS torus_3_3\n"
             "fuzz: 1 diagrams PASS, 2 skipped\n")
 
     def test_run_with_every_entry_skipped_is_refused(self, capsys):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skeinalg.moves
+from skeinalg import euler_ok
 from skeinalg.algebra import make_algebra
 from skeinalg.diagram import (Diagram, DiagramError, braid_to_diagram,
                               parse_pd)
-from skeinalg import euler_ok
 from skeinalg.moves import (MoveError, MoveEvent, apply_move, face_edges,
                             faces, find_moves, parse_event, random_perturb,
                             replay_events, trivialize, _build, _census,
