@@ -20,13 +20,11 @@ Each operation runs as a kernel compiled once per table and operation
 table's width.  A kernel combines bare term maps.  The value recursions
 of `skein` (`evaluate` on PD input and on braid words, and `replay`)
 call the kernels directly and keep bare term maps throughout; each
-wraps only the value it returns, through `_wrapped`.  Where `apply` has
-been replaced, the recursions call it instead (`_combiners`).
-`ConwayAlgebraSpec.apply` is the door for `LaurentPoly` operands: it
-runs the same kernels and wraps every result through `_wrapped`.
-`check_axioms` and the tests combine values there.  `_wrapped` does not
-re-check a result, except under the test switch
-`diagram.RECHECK_BUILDS`.
+wraps only the value it returns, through `LaurentPoly._trusted`.  Where
+`apply` has been replaced, the recursions call it instead
+(`_combiners`).  `ConwayAlgebraSpec.apply` is the door for
+`LaurentPoly` operands: it runs the same kernels and wraps every result
+the same way.  `check_axioms` and the tests combine values there.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import diagram
 from .laurent import LaurentError, LaurentPoly, VarTable
 
 
@@ -108,20 +105,6 @@ def _compile_kernel(op: AffineOp, width: int) -> Callable:
     return space["kernel"]
 
 
-def _wrapped(table: VarTable, terms: dict) -> LaurentPoly:
-    """The value with term map `terms` over `table`, which a kernel
-    computed from valid values: wrapped without a check, except under
-    the test switch `diagram.RECHECK_BUILDS`, where it must equal its
-    validated copy."""
-    if diagram.RECHECK_BUILDS:
-        ref = LaurentPoly(table, terms)
-        if ref.terms != terms:
-            raise AssertionError(
-                f"library-computed term map {terms} differs from its "
-                f"validated copy {ref.terms}")
-    return LaurentPoly._trusted(table, terms)
-
-
 def _shifted(shift: tuple[int, ...], width: int) -> tuple[str, str]:
     """Loop target and key expression that add `shift` to exponents."""
     if not any(shift):
@@ -187,7 +170,8 @@ class ConwayAlgebraSpec:
         table = a.table
         if b.table is not table and b.table != table:
             raise LaurentError("operands live over different tables")
-        return _wrapped(table, self._kernels_over(table)[op](a.terms, b.terms))
+        return LaurentPoly._trusted(
+            table, self._kernels_over(table)[op](a.terms, b.terms))
 
     def _kernels_over(self, table: VarTable) -> dict[OpKind, Callable]:
         """The kernel of each operation over `table`: a function of two
@@ -300,11 +284,9 @@ def _from_circ_star(name: str, t: VarTable, circ: AffineOp, star: AffineOp,
     beta_inv = circ.beta.inverse()
     ratio = beta_inv * (LaurentPoly.const(t, 1) - circ.alpha)
     shift = beta_inv * circ.gamma
-    # with gamma = 0, as in all but classic3, a step is one product
-    step = ratio.__mul__ if shift.is_zero() else lambda a: ratio * a - shift
     ops = {OpKind.CIRC: circ, OpKind.SLASH: inverse(circ),
            OpKind.STAR: star, OpKind.SSLASH: inverse(star)}
-    return ConwayAlgebraSpec(name, t, ops, step, k)
+    return ConwayAlgebraSpec(name, t, ops, lambda a: ratio * a - shift, k)
 
 
 @dataclass(frozen=True)

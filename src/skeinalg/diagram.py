@@ -66,8 +66,8 @@ from itertools import chain, count
 
 # Test-only switch: when true, every diagram built inside the library is
 # rebuilt through the validating constructor and compared field by field,
-# and every value the library wraps (`algebra._wrapped`) is compared with
-# its validated copy.
+# and every term map the library wraps (`LaurentPoly._trusted`) is
+# compared with its validated copy.
 RECHECK_BUILDS = False
 
 # The most components a diagram may have for evaluation.  A braid on n
@@ -105,6 +105,13 @@ def _mates(flat) -> list[int]:
             mate[x] = y
             mate[y] = x
     return mate
+
+
+def _curl_at(cr) -> bool:
+    """True when two adjacent slots of the crossing's four labels `cr`
+    hold one label: the crossing is a kink (an R1 curl)."""
+    a, b, c, d = cr
+    return a == b or b == c or c == d or d == a
 
 
 @lru_cache(maxsize=64)

@@ -10,14 +10,20 @@ polynomials are equal exactly when their term maps are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Mapping
+
+from . import diagram
 
 # Exponents are kept inside machine-friendly bounds on purpose: a runaway
 # exponent means a bug upstream, and wrapping silently would corrupt values.
-# The constructor enforces the bound, and so do `+`, `-`, `*`, `**` and
-# `remap`.  `_trusted` does not, and neither do the compiled kernels of
-# `ConwayAlgebraSpec`, whose results it wraps: an operand near the bound
-# can give an out-of-range exponent there.
+# The bound holds where an exponent can grow: the constructor, `*`, `**`
+# and `remap` enforce it.  `_trusted` is the one unchecked door, for term
+# maps computed inside the library: `+`, `-` and `scale` keep every
+# exponent and build through it, and so do the compiled kernels of
+# `ConwayAlgebraSpec`, where an operand near the bound can give an
+# out-of-range exponent.  Under the test switch `diagram.RECHECK_BUILDS`
+# it compares every term map with its validated copy.
 EXP_LIMIT = 2**31
 
 
@@ -58,6 +64,17 @@ class VarTable:
         return self.names[idx] in self.invertible
 
 
+def _merge(out: dict, terms: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """Add `terms` into the term map `out`, dropping zero sums."""
+    for exps, coeff in terms:
+        s = out.get(exps, 0) + coeff
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return out
+
+
 def _check_exps(table: VarTable, exps: tuple[int, ...]) -> None:
     for i, e in enumerate(exps):
         if not -EXP_LIMIT < e < EXP_LIMIT:
@@ -92,7 +109,16 @@ class LaurentPoly:
     def _trusted(cls, table: VarTable, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
         """Wrap a term map computed inside the library from valid polynomials
         over `table`: no zero coefficients, right arity, and no negative
-        power of a non-invertible variable.  `EXP_LIMIT` is not checked."""
+        power of a non-invertible variable.  `EXP_LIMIT` is not checked,
+        and nothing is, except under the test switch
+        `diagram.RECHECK_BUILDS`, where the map must equal its validated
+        copy."""
+        if diagram.RECHECK_BUILDS:
+            ref = cls(table, terms)
+            if ref.terms != terms:
+                raise AssertionError(
+                    f"library-computed term map {terms} differs from its "
+                    f"validated copy {ref.terms}")
         poly = object.__new__(cls)
         object.__setattr__(poly, "table", table)
         object.__setattr__(poly, "terms", terms)
@@ -135,38 +161,28 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._need_same_table(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return LaurentPoly(self.table, out)
+        return LaurentPoly._trusted(
+            self.table, _merge(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._need_same_table(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.table, out)
+        return LaurentPoly(self.table, _merge({}, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items())))
 
     def scale(self, n: int) -> "LaurentPoly":
         if n == 0:
             return LaurentPoly.zero(self.table)
-        return LaurentPoly(self.table, {e: n * c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.table, {e: n * c for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -197,19 +213,6 @@ class LaurentPoly:
 
     # -- units and substitution -------------------------------------------
 
-    def is_unit_monomial(self) -> bool:
-        """True when the polynomial is +-1 times a product of variable powers
-        and all inversions needed for its reciprocal are allowed."""
-        if len(self.terms) != 1:
-            return False
-        (exps, coeff), = self.terms.items()
-        if coeff not in (1, -1):
-            return False
-        for i, e in enumerate(exps):
-            if e != 0 and not self.table.can_negate(i):
-                return False
-        return True
-
     def inverse(self) -> "LaurentPoly":
         if len(self.terms) != 1:
             raise LaurentError("can only invert a single-term unit monomial")
@@ -228,8 +231,8 @@ class LaurentPoly:
         All replacement values must live over one table (`into`, defaulting
         to this polynomial's own); unassigned variables must exist there by
         name.  A variable occurring with a negative exponent may only be
-        replaced by a unit monomial, otherwise the result would leave the
-        Laurent ring and the call is rejected.
+        replaced by a value that `inverse` accepts, otherwise the result
+        would leave the Laurent ring and the call is rejected.
         """
         target = into if into is not None else self.table
         if not assignment and target == self.table:
@@ -239,63 +242,41 @@ class LaurentPoly:
             if value.table != target:
                 raise LaurentError("substitution value over the wrong table")
             values[self.table.index(name)] = value
-        neg_occurs = set()
-        for exps in self.terms:
-            for i in values:
-                if exps[i] < 0:
-                    neg_occurs.add(i)
-        inverses: dict[int, LaurentPoly] = {}
-        for i in neg_occurs:
-            if not values[i].is_unit_monomial():
-                raise LaurentError(
-                    f"substituting {self.table.names[i]!r}, which occurs with a "
-                    "negative exponent, requires a unit monomial value"
-                )
-            inverses[i] = values[i].inverse()
-        tindex: dict[int, int] = {}
-        width = len(target.names)
-        result = LaurentPoly.zero(target)
+        names = self.table.names
+        out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            base = [0] * width
-            factor = None
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in values:
-                    piece = values[i] ** e if e > 0 else inverses[i] ** (-e)
-                    factor = piece if factor is None else factor * piece
-                else:
-                    if i not in tindex:
-                        tindex[i] = target.index(self.table.names[i])
-                    base[tindex[i]] = e
-            term = LaurentPoly(target, {tuple(base): coeff})
-            result = result + (term * factor if factor is not None else term)
-        return result
+            term = LaurentPoly.monomial(target, coeff, {
+                names[i]: e for i, e in enumerate(exps)
+                if e and i not in values})
+            for i, value in values.items():
+                if exps[i]:
+                    term = term * value ** exps[i]
+            _merge(out, term.terms.items())
+        return LaurentPoly(target, out)
 
     def remap(self, target: VarTable, rename: Mapping[str, str] | None = None) -> "LaurentPoly":
         """Re-express this polynomial over another table.
 
         Every variable that actually occurs must either keep its name or be
         listed in `rename`; variables with only zero exponents are dropped.
+        Variables renamed onto one name add their exponents.
         """
         rename = rename or {}
         width = len(target.names)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
+
+        def moved(exps: tuple[int, ...]) -> tuple[int, ...]:
             new = [0] * width
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 name = self.table.names[i]
-                new[target.index(rename.get(name, name))] = e
+                new[target.index(rename.get(name, name))] += e
             key = tuple(new)
             _check_exps(target, key)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(target, out)
+            return key
+
+        return LaurentPoly._trusted(target, _merge(
+            {}, ((moved(exps), coeff) for exps, coeff in self.terms.items())))
 
     # -- rendering ---------------------------------------------------------
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from operator import mul
 
-from .diagram import Diagram, _face_walk, _rebuilt
+from .diagram import Diagram, _curl_at, _face_walk, _rebuilt
 
 
 class MoveError(ValueError):
@@ -223,11 +223,6 @@ def parse_event(text: str) -> MoveEvent:
 
 
 # -- detection ----------------------------------------------------------------
-
-
-def _curl_at(cr) -> bool:
-    a, b, c, d = cr
-    return a == b or b == c or c == d or d == a
 
 
 # the (sign, flavor) of the four curls an R1+ can add at one place

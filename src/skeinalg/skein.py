@@ -44,7 +44,7 @@ Values inside `evaluate` and `replay` are bare term maps, as the
 algebra's compiled kernels take and return them: the kernels come from
 one table per call (`_op_table`), leaves read the unit's term map, and
 memos hold term maps.  Only the value returned is wrapped as a
-`LaurentPoly`, by `algebra._wrapped`.  A replaced `apply` is called for
+`LaurentPoly`, by `LaurentPoly._trusted`.  A replaced `apply` is called for
 every combination instead of the kernels (`algebra._combiners`).
 
 A diagram built by `braid_to_diagram` remembers its word, and
@@ -67,9 +67,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .algebra import ConwayAlgebraSpec, OpKind, _wrapped
-from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
-from .moves import _curl_at
+from .algebra import ConwayAlgebraSpec, OpKind
+from .diagram import _MAX_COMPONENTS, _SIGN, Diagram, _curl_at
+from .laurent import LaurentPoly
 
 MAX_CROSSINGS = 64
 
@@ -265,7 +265,7 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     under `(tag, d, bases)`.
 
     A bad crossing that is a kink (two adjacent slots of one label,
-    `moves._curl_at`) is only switched, and the switched child's result
+    `diagram._curl_at`) is only switched, and the switched child's result
     is the node's: switching a kink is an R1 isotopy, under which the
     axioms make the value invariant.
 
@@ -445,7 +445,7 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
             return ops[sign > 0][kind == "self"](left, right)
 
         terms = _resolve(d, bases, memo, algebra.key, leaf, branch)
-    return _wrapped(algebra.table, terms)
+    return LaurentPoly._trusted(algebra.table, terms)
 
 
 # -- explicit recursion trees -------------------------------------------------
@@ -492,9 +492,9 @@ def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):
     for its whole lifetime.  Nodes are combined as bare term maps by
     the kernels of `_op_table`, and only the value returned is wrapped.
     """
-    return _wrapped(algebra.table,
-                    _replay(node, {} if memo is None else memo,
-                            algebra.unit, _op_table(algebra)))
+    return LaurentPoly._trusted(algebra.table,
+                                _replay(node, {} if memo is None else memo,
+                                        algebra.unit, _op_table(algebra)))
 
 
 def _replay(node, memo, unit, ops) -> dict:

@@ -193,6 +193,15 @@ class TestComputeCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pd, message", [
+        ("PD[X[1,1,2,3],X[2,3,4,4]]",
+         "crossing 1: under-strand runs 2->4, but the label order gives 2->3"),
+        ("PD[X[1,1,2,3],X[3,2,4,4]]",
+         "crossing 0: over-strand 1/3 fits no remaining transition")])
+    def test_unorientable_pd_is_input_error(self, pd, message, capsys):
+        assert main(["compute", "--pd", pd, "--algebra", "gen-conway"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_oversized_diagram_is_input_error(self):
         word = " ".join(["1"] * 65)
         rc = main(["compute", "--braid", f"braid(2; {word})",
@@ -452,6 +461,42 @@ class TestTableCommand:
         # the bad record was replaced, so a third run is quiet
         assert main(base) == 0
         assert "stale" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distrust", [
+        lambda record: json.dumps(dict(record, engine="skeinalg/0.0.0")),
+        lambda record: json.dumps([record])],
+        ids=["another_engine_tag", "json_not_an_object"])
+    def test_untrusted_record_is_recomputed_and_rewritten(
+            self, distrust, tmp_path, capsys):
+        # a record `_cache_read` refuses is a miss: no stale warning, the
+        # fresh value printed, the record rewritten
+        from skeinalg.cli import _cache_path, result_record
+
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(HEADER + 'unknot,0,1,0,"PD[]+O^1",\n'
+                          + f'trefoil+,3,1,3,"{lookup("trefoil+").pd}",\n')
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        algebra = make_algebra("gen-conway")
+        fresh, paths = [], []
+        for entry in load_catalog(corpus):
+            record = result_record(entry.diagram(), algebra)
+            path = _cache_path(str(cache), record["input"], algebra.key)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(distrust(record))
+            fresh.append(record)
+            paths.append(path)
+        out = tmp_path / "o.csv"
+        assert main(["table", "--algebra", "gen-conway", "--input",
+                     str(corpus), "--cache", str(cache),
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[1:] == [
+            f'unknot,gen-conway,"{fresh[0]["value"]}"',
+            f'trefoil+,gen-conway,"{fresh[1]["value"]}"']
+        for record, path in zip(fresh, paths):
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == json.dumps(record)
 
     def test_stale_terms_detected_and_healed(self, tmp_path, capsys):
         from skeinalg.cli import _cache_path

@@ -219,6 +219,24 @@ class TestParsePD:
         with pytest.raises(DiagramError, match="exactly 2"):
             parse_pd("PD[X[1,2,3,4]]")
 
+    @pytest.mark.parametrize("crossings, message", [
+        ([(1, 2, 3)], "crossing 0 has 3 slots, need 4"),
+        ([(0, 1, 1, 0)], "crossing 0: labels must be positive, got 0")])
+    def test_malformed_crossing_rejected(self, crossings, message):
+        with pytest.raises(DiagramError) as info:
+            Diagram(crossings)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pd, message", [
+        ("PD[X[1,1,2,3],X[2,3,4,4]]",
+         "crossing 1: under-strand runs 2->4, but the label order gives 2->3"),
+        ("PD[X[1,1,2,3],X[3,2,4,4]]",
+         "crossing 0: over-strand 1/3 fits no remaining transition")])
+    def test_unorientable_strands_rejected(self, pd, message):
+        with pytest.raises(DiagramError) as info:
+            parse_pd(pd)
+        assert str(info.value) == message
+
     def test_syntax_error_carries_column(self):
         with pytest.raises(PDSyntaxError, match=r"col \d+"):
             parse_pd("PD[X[1,2,3]]")
@@ -341,6 +359,14 @@ class TestCrossingChange:
         assert c.signs[0] == -d.signs[0]
         assert c.components == d.components
         assert c.n_crossings == d.n_crossings
+
+    @pytest.mark.parametrize("ci", [-1, 3])
+    def test_surgery_out_of_range_rejected(self, ci):
+        d = parse_pd(TREFOIL_PD)
+        for surgery in (d.crossing_change, d.smooth_with_map):
+            with pytest.raises(DiagramError) as info:
+                surgery(ci)
+            assert str(info.value) == f"no crossing {ci}"
 
 
 class TestSmooth:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skeinalg.laurent
 from skeinalg.laurent import EXP_LIMIT, LaurentError, LaurentPoly, VarTable
 
 XY = VarTable(("x", "y"))
@@ -48,6 +49,68 @@ class TestNormalForm:
     def test_exponent_limit(self):
         with pytest.raises(OverflowError):
             LaurentPoly.var(PQZ, "p") ** EXP_LIMIT
+
+    def test_negative_power_of_non_invertible_rejected(self):
+        with pytest.raises(LaurentError) as info:
+            LaurentPoly.var(XY, "x") ** -2
+        assert str(info.value) == "negative power of non-invertible 'x'"
+
+
+class TestVarTable:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: VarTable(("x", "y", "x")),
+         "duplicate variable names: ('x', 'y', 'x')"),
+        (lambda: VarTable(("x",), frozenset({"x", "y"})),
+         "invertible names not in table: ['y']"),
+        (lambda: XY.index("z"), "unknown variable 'z'")])
+    def test_refusals(self, build, message):
+        with pytest.raises(LaurentError) as info:
+            build()
+        assert str(info.value) == message
+
+
+class TestTrustedDoor:
+    """`+`, `-`, unary `-` and `scale` keep every exponent and build
+    through `LaurentPoly._trusted`; `remap` checks each term once."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        real = skeinalg.laurent._check_exps
+
+        def counting(table, exps):
+            calls.append(exps)
+            real(table, exps)
+
+        monkeypatch.setattr(skeinalg.laurent, "_check_exps", counting)
+        return calls
+
+    def test_exponent_keeping_operations_check_nothing(self, checked):
+        a = LaurentPoly(PQZ, {(i, -i, 1): i + 1 for i in range(-3, 4)})
+        b = LaurentPoly(PQZ, {(i, -i, 1): 2 - i for i in range(5)})
+        checked.clear()
+        for run in (lambda: a + b, lambda: a - b, lambda: -a,
+                    lambda: a.scale(2)):
+            run()
+            assert checked == []
+        assert (a - b) + b == a and -(-a) == a
+        assert a.scale(2) == a + a
+
+    def test_remap_checks_each_term_once(self, checked):
+        a = LaurentPoly(PQZ, {(i, -i, 1): i + 1 for i in range(-3, 4)})
+        wide = VarTable(("z", "q", "p", "w"), PQZ.invertible)
+        checked.clear()
+        moved = a.remap(wide)
+        assert len(checked) == len(a.terms) == len(moved.terms)
+        assert moved.remap(PQZ) == a
+
+    def test_switch_refuses_what_validation_would_change(self,
+                                                         recheck_builds):
+        with pytest.raises(AssertionError, match="validated copy"):
+            LaurentPoly._trusted(XY, {(1, 0): 2, (0, 1): 0})
+        with pytest.raises(LaurentError, match="non-invertible 'x'"):
+            LaurentPoly._trusted(XY, {(-1, 0): 1})
+        assert LaurentPoly._trusted(XY, {(1, 0): 2}) == poly_of({(1, 0): 2})
 
 
 class TestRingLaws:
@@ -114,10 +177,31 @@ class TestSubstitute:
         q = LaurentPoly.var(PQZ, "q")
         assert p.substitute({"p": q}) == LaurentPoly.var(PQZ, "q", -2)
 
+    def test_value_over_the_wrong_table_rejected(self):
+        with pytest.raises(LaurentError) as info:
+            LaurentPoly.var(XY, "x").substitute(
+                {"x": LaurentPoly.var(PQZ, "p")})
+        assert str(info.value) == "substitution value over the wrong table"
+
     def test_unassigned_variables_pass_through(self):
         p = LaurentPoly.var(PQZ, "p") * LaurentPoly.var(PQZ, "z")
         got = p.substitute({"z": LaurentPoly.const(PQZ, 2)})
         assert got == LaurentPoly.monomial(PQZ, 2, {"p": 1})
+
+
+class TestRemap:
+    ZW = VarTable(("z", "w"))
+    Z = VarTable(("z",))
+
+    def test_variables_landing_on_one_add_their_exponents(self):
+        z, w = (LaurentPoly.var(self.ZW, n) for n in self.ZW.names)
+        moved = (z * w).remap(self.Z, {"w": "z"})
+        assert moved == LaurentPoly.var(self.Z, "z", 2)
+        assert (z * w).substitute({"w": z}) == z * z
+
+    def test_terms_landing_on_one_key_cancel(self):
+        z, w = (LaurentPoly.var(self.ZW, n) for n in self.ZW.names)
+        assert (z * w - z * z).remap(self.Z, {"w": "z"}).is_zero()
 
 
 class TestCanonicalText:

@@ -373,6 +373,22 @@ class TestApplyValidation:
         with pytest.raises(MoveError, match="common face"):
             apply_move(d, f"R2+@e{x}/e{y}")
 
+    def test_r3_needs_a_slideable_triangle(self):
+        # the alternating trefoil's two triangles have no strand that
+        # runs over (or under) both others
+        d = parse_pd(TREFOIL_PD)
+        triangles = [i for i, f in enumerate(faces(d)) if len(f) == 3]
+        assert len(triangles) == 2
+        for i in triangles:
+            with pytest.raises(MoveError) as info:
+                apply_move(d, f"R3@f{i}")
+            assert str(info.value) == "face is not a slideable triangle"
+
+    def test_r2_plus_unknown_second_edge(self):
+        with pytest.raises(MoveError) as info:
+            apply_move(parse_pd(HOPF_PD), "R2+@e1/e99")
+        assert str(info.value) == "no edge 99"
+
     def test_r1_plus_unknown_edge(self):
         with pytest.raises(MoveError, match="no edge"):
             apply_move(parse_pd(HOPF_PD), "R1+@e99/+o")

@@ -17,8 +17,9 @@ from oracles import naive_evaluate
 import skeinalg.algebra
 import skeinalg.diagram
 from skeinalg.algebra import OpKind, make_algebra
-from skeinalg.diagram import DiagramError, _quads, braid_to_diagram, parse_pd
-from skeinalg.moves import _curl_at, apply_move, random_perturb
+from skeinalg.diagram import (DiagramError, _curl_at, _quads, braid_to_diagram,
+                              parse_pd)
+from skeinalg.moves import apply_move, random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
