@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .laurent import LaurentError, LaurentPoly, VarTable
+from .laurent import LaurentPoly, VarTable
 
 
 class AlgebraError(ValueError):
@@ -56,9 +56,10 @@ class AffineOp:
     gamma: LaurentPoly
 
     def remap(self, table: VarTable) -> "AffineOp":
-        return AffineOp(
-            self.alpha.remap(table), self.beta.remap(table), self.gamma.remap(table)
-        )
+        """The same operation with its coefficients over `table`."""
+        return AffineOp(self.alpha.substitute({}, into=table),
+                        self.beta.substitute({}, into=table),
+                        self.gamma.substitute({}, into=table))
 
 
 def _compile_kernel(op: AffineOp, width: int) -> Callable:
@@ -160,18 +161,12 @@ class ConwayAlgebraSpec:
             self._units.append(self._unit_step(self._units[-1]))
         return self._units[n - 1]
 
-    def apply(self, op: OpKind, a, b) -> LaurentPoly:
+    def apply(self, op: OpKind, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         """alpha*a + beta*b + gamma for the operation `op`, over the
         operands' table, through that table's kernel for `op`."""
-        if isinstance(a, int):
-            a = LaurentPoly.const(self.table, a)
-        if isinstance(b, int):
-            b = LaurentPoly.const(self.table, b)
-        table = a.table
-        if b.table is not table and b.table != table:
-            raise LaurentError("operands live over different tables")
+        a._need_same_table(b)
         return LaurentPoly._trusted(
-            table, self._kernels_over(table)[op](a.terms, b.terms))
+            a.table, self._kernels_over(a.table)[op](a.terms, b.terms))
 
     def _kernels_over(self, table: VarTable) -> dict[OpKind, Callable]:
         """The kernel of each operation over `table`: a function of two
@@ -200,19 +195,12 @@ class ConwayAlgebraSpec:
 
         return {op: through(op) for op in self.ops}
 
-    def to_formal(self, stored: LaurentPoly) -> str:
-        """Render a stored k-th power as a formal root (plainly for k=1)."""
-        if self.k is None:
-            raise AlgebraError(f"{self.name} stores plain values, not powers")
-        if self.k == 1:
+    def render(self, stored: LaurentPoly) -> str:
+        """Canonical text of any stored value; a stored k-th power with
+        k > 1 reads as a formal root."""
+        if self.k is None or self.k == 1:
             return stored.text()
         return f"root({self.k}, {stored.text()})"
-
-    def render(self, stored: LaurentPoly) -> str:
-        """Canonical text of any stored value, root-wrapped when needed."""
-        if self.k is None:
-            return stored.text()
-        return self.to_formal(stored)
 
     def __repr__(self) -> str:
         return f"<algebra {self.key}>"

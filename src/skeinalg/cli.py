@@ -253,11 +253,19 @@ def cmd_table(args) -> int:
     try:
         out.write("name,algebra,value\n")
         for name, alg, value in rows:
-            out.write(f"{name},{alg},\"{value}\"\n")
+            out.write(f"{_csv_field(name)},{alg},\"{value}\"\n")
     finally:
         if close:
             out.close()
     return EXIT_OK
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with its quotes doubled, when a
+    comma, a quote or a line break would otherwise split it."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_replay(args) -> int:

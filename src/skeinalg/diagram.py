@@ -94,6 +94,13 @@ def _quads(flat):
     return zip(*[iter(flat)] * 4)
 
 
+def _pd_text(rows, free_loops: int) -> str:
+    """PD text of crossing rows (a, b, c, d) and `free_loops` circles."""
+    body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
+    suffix = f"+O^{free_loops}" if free_loops else ""
+    return f"PD[{body}]{suffix}"
+
+
 def _mates(flat) -> list[int]:
     """For each dart of a flat label sequence, the other dart with its
     label."""
@@ -424,10 +431,7 @@ class Diagram:
     # -- text forms -----------------------------------------------------------
 
     def pd_text(self) -> str:
-        body = ",".join(f"X[{a},{b},{c},{d}]"
-                        for a, b, c, d in _quads(self.flat))
-        suffix = f"+O^{self.free_loops}" if self.free_loops else ""
-        return f"PD[{body}]{suffix}"
+        return _pd_text(_quads(self.flat), self.free_loops)
 
     def canonical_encode(self) -> str:
         """Deterministic text key: equal exactly for diagrams that differ
@@ -448,7 +452,6 @@ class Diagram:
         off edge positions, so only the roots whose first row is least
         are traversed.  The cost is O(E^2 log E) for E edges at worst.
         """
-        suffix = f"+O^{self.free_loops}" if self.free_loops else ""
         flat, over_in = self.flat, self.over_in
         # circles of two edges that run under nothing: the labels
         # leave their direction open, so each is entered at slot 1
@@ -476,8 +479,7 @@ class Diagram:
         for prows in piece_rows:
             shift = 2 * len(rows)
             rows += [tuple(x + shift for x in row) for row in prows]
-        body = ",".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
-        return f"PD[{body}]{suffix}"
+        return _pd_text(rows, self.free_loops)
 
 
 def _find(parent, x: int) -> int:

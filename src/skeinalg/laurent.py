@@ -17,13 +17,14 @@ from . import diagram
 
 # Exponents are kept inside machine-friendly bounds on purpose: a runaway
 # exponent means a bug upstream, and wrapping silently would corrupt values.
-# The bound holds where an exponent can grow: the constructor, `*`, `**`
-# and `remap` enforce it.  `_trusted` is the one unchecked door, for term
-# maps computed inside the library: `+`, `-` and `scale` keep every
-# exponent and build through it, and so do the compiled kernels of
-# `ConwayAlgebraSpec`, where an operand near the bound can give an
-# out-of-range exponent.  Under the test switch `diagram.RECHECK_BUILDS`
-# it compares every term map with its validated copy.
+# The bound holds where an exponent can grow: the constructor, `*` and
+# `**` enforce it, and `substitute` builds through them.  `_trusted` is
+# the one unchecked door, for term maps computed inside the library: `+`
+# and `-` keep every exponent and build through it, and so do the
+# compiled kernels of `ConwayAlgebraSpec`, where an operand near the
+# bound can give an out-of-range exponent.  Under the test switch
+# `diagram.RECHECK_BUILDS` it compares every term map with its validated
+# copy.
 EXP_LIMIT = 2**31
 
 
@@ -178,12 +179,6 @@ class LaurentPoly:
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items())))
 
-    def scale(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            return LaurentPoly.zero(self.table)
-        return LaurentPoly._trusted(
-            self.table, {e: n * c for e, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.inverse() ** (-n)
@@ -233,6 +228,10 @@ class LaurentPoly:
         name.  A variable occurring with a negative exponent may only be
         replaced by a value that `inverse` accepts, otherwise the result
         would leave the Laurent ring and the call is rejected.
+
+        With an empty assignment this re-expresses the polynomial over
+        `into`, dropping variables that do not occur; renaming w to z is
+        `substitute({"w": z}, into=...)` with z a variable over `into`.
         """
         target = into if into is not None else self.table
         if not assignment and target == self.table:
@@ -253,30 +252,6 @@ class LaurentPoly:
                     term = term * value ** exps[i]
             _merge(out, term.terms.items())
         return LaurentPoly(target, out)
-
-    def remap(self, target: VarTable, rename: Mapping[str, str] | None = None) -> "LaurentPoly":
-        """Re-express this polynomial over another table.
-
-        Every variable that actually occurs must either keep its name or be
-        listed in `rename`; variables with only zero exponents are dropped.
-        Variables renamed onto one name add their exponents.
-        """
-        rename = rename or {}
-        width = len(target.names)
-
-        def moved(exps: tuple[int, ...]) -> tuple[int, ...]:
-            new = [0] * width
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.table.names[i]
-                new[target.index(rename.get(name, name))] += e
-            key = tuple(new)
-            _check_exps(target, key)
-            return key
-
-        return LaurentPoly._trusted(target, _merge(
-            {}, ((moved(exps), coeff) for exps, coeff in self.terms.items())))
 
     # -- rendering ---------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Corpus loader and command-line behavior, including exit codes."""
 
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +443,24 @@ class TestTableCommand:
                  out.read_text().splitlines()[1:]]
         assert names == [e.name for e in corpus]
 
+    def test_names_needing_quotes_read_back(self, tmp_path):
+        names = ["two, circles", 'the "unknot"', 'a "b", c']
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(HEADER + "".join(
+            '"{}",0,{},0,"PD[]+O^{}",\n'.format(name.replace('"', '""'),
+                                                i + 1, i + 1)
+            for i, name in enumerate(names)))
+        out = tmp_path / "o.csv"
+        assert main(["table", "--algebra", "homflypt", "--input",
+                     str(corpus), "--output", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == names
+        alg = make_algebra("homflypt")
+        assert [row["value"] for row in rows] == [
+            alg.render(alg.unit(n)) for n in (1, 2, 3)]
+        assert all(len(row) == 3 for row in rows)
+
     def test_stale_cache_detected_and_healed(self, tmp_path, capsys):
         from skeinalg.cli import _cache_path
 
@@ -450,7 +470,7 @@ class TestTableCommand:
         assert main(base) == 0
         canon = parse_diagram(lookup("unknot").pd).canonical_encode()
         victim = _cache_path(str(cache), canon, "gen-conway")
-        record = json.loads(open(victim).read())
+        record = json.loads(Path(victim).read_text())
         record["value"] = "1*p^99"
         with open(victim, "w") as fh:
             json.dump(record, fh)
@@ -507,7 +527,7 @@ class TestTableCommand:
         assert main(base) == 0
         canon = parse_diagram(lookup("unknot").pd).canonical_encode()
         victim = _cache_path(str(cache), canon, "gen-conway")
-        record = json.loads(open(victim).read())
+        record = json.loads(Path(victim).read_text())
         record["terms"][0]["coeff"] += 1
         with open(victim, "w") as fh:
             json.dump(record, fh)

@@ -375,11 +375,12 @@ class TestApplyValidation:
 
     def test_r3_needs_a_slideable_triangle(self):
         # the alternating trefoil's two triangles have no strand that
-        # runs over (or under) both others
+        # runs over (or under) both others, and its three bigons are
+        # not triangles
         d = parse_pd(TREFOIL_PD)
-        triangles = [i for i, f in enumerate(faces(d)) if len(f) == 3]
-        assert len(triangles) == 2
-        for i in triangles:
+        sizes = [len(f) for f in faces(d)]
+        assert sorted(sizes) == [2, 2, 2, 3, 3]
+        for i in range(len(sizes)):
             with pytest.raises(MoveError) as info:
                 apply_move(d, f"R3@f{i}")
             assert str(info.value) == "face is not a slideable triangle"
