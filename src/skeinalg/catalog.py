@@ -10,6 +10,7 @@ feed wrong expectations into tests.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -74,9 +75,11 @@ def load_catalog(path=None) -> list[CorpusEntry]:
         ref = resources.files("skeinalg").joinpath("data/links.csv")
         text = ref.read_text(encoding="utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-    reader = csv.DictReader(text.splitlines())
+    # newline="" leaves line breaks to the csv module, which keeps those
+    # inside quoted fields
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
         return []
     got = [c.strip() for c in reader.fieldnames]

@@ -23,7 +23,10 @@ walk before it builds it.  Switches and triangle slides keep the
 diagram's strands and labels and build through `Diagram._trusted`.
 The moves that add or remove crossings change the parent's components
 where they act and hand them to `_rebuilt`: R1- and R2- contract runs
-of edges, R1+ and R2+ insert new edges.
+of edges, R1+ and R2+ insert new edges.  The skein resolver reduces
+each diagram it meets by R1- and R2- through `_reduced`, which reads
+no face walk: only the faces beside the edges it is given, and beside
+the runs each of its removals joins.
 
 Move events are small strings:
 
@@ -373,6 +376,51 @@ def _remove_crossings(d: Diagram, which):
         flat = flat[:4 * ci] + flat[4 * ci + 4:]
         over_in = over_in[:ci] + over_in[ci + 1:]
     return _rebuilt(flat, over_in, pieces, d.free_loops + freed, rep)
+
+
+def _removable(flat, x: int, y: int):
+    """The crossings that R1- or R2- removes at a face beside the edge
+    with darts x and y, or None.  Both darts at one crossing make the
+    edge a curl's loop (a planar diagram has no edge straight through
+    a crossing back to itself).  Otherwise the face of x goes on at
+    z, one slot counterclockwise of y, and is a bigon when the mate of
+    z is w, one slot clockwise of x; it is a removable clasp as in
+    `_is_clasp`.  The face of y is read the same way."""
+    if x >> 2 == y >> 2:
+        return (x >> 2,)
+    for x, y in ((x, y), (y, x)):
+        z = y - 3 if y & 3 == 3 else y + 1
+        w = x + 3 if x & 3 == 0 else x - 1
+        if flat[w] == flat[z] and (x & y | z & w) & 1:
+            return (x >> 2, y >> 2)
+    return None
+
+
+def _reduced(d: Diagram, edges) -> Diagram:
+    """`d` after greedy R1- and R2- at the faces beside the edges
+    `edges` (None entries are skipped), or `d` itself when none of
+    those faces is a monogon or a removable clasp.
+
+    Only the two faces beside each candidate edge are read
+    (`_removable`).  A removal makes its joined runs candidates, and
+    carries the candidates not yet read through its label map.  A face
+    beside an edge already read changes only where a removal touches
+    it, and then lies beside a joined run; so when every other face of
+    `d` is neither a monogon nor a removable clasp, no face of the
+    result is one."""
+    todo = [e for e in edges if e is not None]
+    while todo:
+        flat = d.flat
+        e = todo.pop()
+        x = flat.index(e)
+        which = _removable(flat, x, flat.index(e, x + 1))
+        if which is None:
+            continue
+        over_in = d.over_in
+        todo += [flat[4 * c + s] for c in which for s in (0, over_in[c])]
+        d, labmap = _remove_crossings(d, which)
+        todo = [e for e in map(labmap.__getitem__, todo) if e is not None]
+    return d
 
 
 def _grown(d: Diagram, heads: dict[int, tuple[int, ...]]):

@@ -10,15 +10,23 @@ self/mixed status.  Termination: switching the first bad crossing makes
 it good without disturbing earlier crossings, and smoothing removes a
 crossing outright.
 
-A bad crossing that is a kink (an R1 curl) is resolved by its switch
-alone.  Switching a kink is an isotopy, and the algebra axioms make the
-value invariant under Reidemeister moves of plane diagrams (Przytycki
-and Traczyk 1987), so the switched child has the parent's value and the
-smoothed child is never built.  Every diagram is planar: construction
-refuses a code that fails `diagram.euler_ok`, and switching and
-smoothing keep a diagram planar.  The rule leans on the axioms: in an
-algebra that fails `check_axioms`, `evaluate`, and a tree from `trace`
-replayed there, can differ from the full recursion.
+Every diagram resolved under its default marking is first reduced:
+its monogons (R1-) and removable clasps (R2-) are removed greedily
+(`moves._reduced`) before its memo lookup.  That is the root when no
+marking is given, every smoothed child, and a switched child whose
+switch made a removable clasp at the switched crossing, which then
+starts afresh.  R1- and R2- are isotopies, and the algebra axioms make
+the value invariant under Reidemeister moves of plane diagrams
+(Przytycki and Traczyk 1987), so a reduced diagram has its parent's
+value.  Every diagram is planar: construction refuses a code that
+fails `diagram.euler_ok`, and switching, smoothing and removal keep a
+diagram planar.  Only the faces beside the edges a surgery touched are
+read: the two edges a smoothing glued, the runs each removal joined,
+and the four edges at a switched crossing.  A reduced diagram has no
+monogon and a switch makes none, so the resolver never meets a kink.
+The rule leans on the axioms: in an algebra that fails `check_axioms`,
+`evaluate`, and a tree from `trace` replayed there, can differ from
+the full recursion.
 
 The caller's marking (or the default one) applies to the root and to
 its chain of switches, which keep the root's edges and components.
@@ -38,7 +46,7 @@ One recursion, `_resolve`, does this for both entry points: `evaluate`
 combines algebra values as it goes, and `trace` records the tree that
 `replay` later values in any algebra that satisfies the axioms.  It is
 the definition, and the path for PD input; its cost grows exponentially
-with the crossings.
+with the crossings that no reduction removes.
 
 Values inside `evaluate` and `replay` are bare term maps, as the
 algebra's compiled kernels take and return them: the kernels come from
@@ -68,8 +76,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .algebra import ConwayAlgebraSpec, OpKind
-from .diagram import _MAX_COMPONENTS, _SIGN, Diagram, _curl_at
+from .diagram import _MAX_COMPONENTS, _SIGN, Diagram
 from .laurent import LaurentPoly
+from .moves import _reduced
 
 MAX_CROSSINGS = 64
 
@@ -264,10 +273,15 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     resolved under its default marking.  Results are memoised in `memo`
     under `(tag, d, bases)`.
 
-    A bad crossing that is a kink (two adjacent slots of one label,
-    `diagram._curl_at`) is only switched, and the switched child's result
-    is the node's: switching a kink is an R1 isotopy, under which the
-    axioms make the value invariant.
+    The smoothed child is first reduced by R1- and R2-
+    (`moves._reduced`), reading only the faces beside the two edges its
+    smoothing glued.  The switched child is read at the four edges of
+    the switched crossing; when it has a monogon or a removable clasp
+    there, it is reduced too and starts afresh under its own default
+    marking.  The reductions are isotopies, under which the axioms make
+    the value invariant.  A reduced diagram has no monogon and a switch
+    makes none, so below a reduced diagram a switch can only make a
+    clasp, and no bad crossing is a kink.
 
     `bad` yields the bad crossings of `d` under `bases` not yet taken,
     in walk order; when it is None, `_walk` finds them, and the default
@@ -287,12 +301,18 @@ def _resolve(d: Diagram, bases, memo, tag, leaf, branch, bad=None):
     if ci is None:
         node = leaf(d.component_count)
     else:
-        node = _resolve(d.crossing_change(ci), bases, memo, tag, leaf,
-                        branch, bad)
-        if not _curl_at(d.flat[4 * ci:4 * ci + 4]):
-            node = branch(ci, _SIGN[d.over_in[ci]], d.classify(ci), node,
-                          _resolve(d.smooth_with_map(ci)[0], None, memo, tag,
-                                   leaf, branch))
+        i = 4 * ci
+        flat = d.flat
+        switched = d.crossing_change(ci)
+        reduced = _reduced(switched, flat[i:i + 4])
+        if reduced is switched:
+            node = _resolve(switched, bases, memo, tag, leaf, branch, bad)
+        else:
+            node = _resolve(reduced, None, memo, tag, leaf, branch)
+        smoothed, labmap = d.smooth_with_map(ci)
+        smoothed = _reduced(smoothed, (labmap[flat[i]], labmap[flat[i + 2]]))
+        node = branch(ci, _SIGN[d.over_in[ci]], d.classify(ci), node,
+                      _resolve(smoothed, None, memo, tag, leaf, branch))
     memo[key] = node
     return node
 
@@ -444,6 +464,8 @@ def evaluate(d: Diagram, algebra: ConwayAlgebraSpec,
         def branch(ci, sign, kind, left, right):
             return ops[sign > 0][kind == "self"](left, right)
 
+        if bases is None:
+            d = _reduced(d, d.comp_of)
         terms = _resolve(d, bases, memo, algebra.key, leaf, branch)
     return LaurentPoly._trusted(algebra.table, terms)
 
@@ -470,17 +492,19 @@ def trace(d: Diagram, marking: Marking | None = None,
     """The skein tree for a diagram, replayable in any algebra that
     satisfies the axioms.
 
-    The tree is that of `_resolve`: a bad kink has no branch of its own,
-    its node being its switched child's.  The kink's value is that of
-    its switch only by the axioms, so replayed in an algebra that fails
-    `check_axioms` the tree can give another value than the full
-    recursion would.  `shared` is a node cache;
-    passing the same dict across calls lets diagrams with common
-    descendants reuse each other's subtrees.
+    The tree is that of `_resolve`, from the root reduced by R1- and
+    R2- when no marking is given: it has no node for a diagram that
+    such a reduction removed.  Reidemeister moves keep the value only by
+    the axioms, so replayed in an algebra that fails `check_axioms` the
+    tree can give another value than the full recursion would.  `shared`
+    is a node cache; passing the same dict across calls lets diagrams
+    with common descendants reuse each other's subtrees.
     """
-    return _resolve(d, _root_bases(d, marking),
-                    {} if shared is None else shared, None, TraceLeaf,
-                    TraceBranch)
+    bases = _root_bases(d, marking)
+    if bases is None:
+        d = _reduced(d, d.comp_of)
+    return _resolve(d, bases, {} if shared is None else shared, None,
+                    TraceLeaf, TraceBranch)
 
 
 def replay(node, algebra: ConwayAlgebraSpec, memo: dict | None = None):

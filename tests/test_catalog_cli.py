@@ -115,6 +115,19 @@ class TestLoader:
                            match=r"^row 3 \(flat8\): .*PD code is not planar"):
             load_catalog(p)
 
+    def test_quoted_line_break_is_kept(self, tmp_path):
+        # a quoted field may hold line breaks, in a file whose lines end
+        # in \n or in \r\n
+        p = tmp_path / "c.csv"
+        for end in ("\n", "\r\n"):
+            rows = [HEADER.rstrip("\n"),
+                    '"curl\nor\r\ntwo",1,1,1,"PD[X[1,1,2,2]]","a\nnote"',
+                    "unknot,0,1,0,PD[]+O^1,"]
+            p.write_bytes((end.join(rows) + end).encode())
+            entries = load_catalog(p)
+            assert [e.name for e in entries] == ["curl\nor\r\ntwo", "unknot"]
+            assert entries[0].comment == "a\nnote"
+
     def test_lookup(self):
         assert lookup("fig8").crossings == 4
         with pytest.raises(CatalogError, match="no corpus entry"):
@@ -261,6 +274,22 @@ class TestComputeCommand:
             assert rc == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_torus_pd_text_answers(self):
+        # the PD text of T(2,64) ran past any wait before the resolver
+        # reduced its nodes by R1- and R2-; the timeout only stops a
+        # hang, so start-up stays out of any time bound
+        word = "braid(2; 1^64)"
+        outs = []
+        for flag, value in (("--braid", word),
+                            ("--pd", parse_diagram(word).pd_text())):
+            proc = subprocess.run(
+                [sys.executable, "-m", "skeinalg.cli", "compute", flag,
+                 value, "--algebra", "gen-conway"],
+                capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].count("*") > 64
 
     def test_unknown_algebra_is_semantic_error(self, capsys):
         rc = main(["compute", "--pd", "PD[]+O^1", "--algebra", "nope"])

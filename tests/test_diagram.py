@@ -461,16 +461,20 @@ class TestLibraryBuiltDiagrams:
         real = Diagram.crossings.fget
         monkeypatch.setattr(Diagram, "crossings", property(
             lambda d: built.append(d) or real(d)))
-        # four perturbation seeds: bad kinks are only switched, so two
-        # seeds no longer reach 5,000 nodes
-        nodes = 0
+        # four perturbation seeds, and the PD text of two closures: each
+        # node is reduced by R1- and R2-, so the corpus and its walks
+        # alone come to about 1,000 nodes
+        roots = [parse_pd(braid_to_diagram(n, w).pd_text())
+                 for n, w in ((3, [1, -2] * 10), (4, [1, -2, 3] * 6))]
         for entry in corpus:
             d = entry.diagram()
-            for x in [d] + [random_perturb(d, seed=s, steps=15, cap=14)[0]
-                            for s in range(4)]:
-                shared = {}
-                trace(x, shared=shared)
-                nodes += len(shared)
+            roots += [d] + [random_perturb(d, seed=s, steps=15, cap=14)[0]
+                            for s in range(4)]
+        nodes = 0
+        for x in roots:
+            shared = {}
+            trace(x, shared=shared)
+            nodes += len(shared)
         assert nodes > 5_000 and built == []
         assert x.crossings and built == [x]
 

@@ -17,9 +17,9 @@ from oracles import naive_evaluate
 import skeinalg.algebra
 import skeinalg.diagram
 from skeinalg.algebra import OpKind, make_algebra
-from skeinalg.diagram import (DiagramError, _curl_at, _quads, braid_to_diagram,
-                              parse_pd)
-from skeinalg.moves import apply_move, random_perturb
+from skeinalg.diagram import (DiagramError, _curl_at, _face_walk, _quads,
+                              braid_to_diagram, parse_pd)
+from skeinalg.moves import _is_clasp, apply_move, random_perturb
 from skeinalg.skein import (MAX_CROSSINGS, Marking, SkeinError, TraceBranch,
                             TraceLeaf, bad_crossings, default_marking,
                             evaluate, replay, trace)
@@ -190,9 +190,10 @@ class TestMarkingRule:
             trace(d, shared=shared)
         off = off_the_rule(shared)
         assert not off, f"{len(off)} of {len(shared)} keys off the rule"
-        # a switch can leave its head's marking short of its own default
+        # a switch can leave its head's marking short of its own default,
+        # but no switched child here does
         assert sum(bases != default_marking(d).bases
-                   for (_, d, bases) in shared) == 1
+                   for (_, d, bases) in shared) == 0
 
     def test_other_root_marking_stops_at_smoothings(self, diagrams):
         for name, d in diagrams.items():
@@ -270,7 +271,7 @@ class TestFewestBadMarking:
         shared = {}
         for d in diagrams.values():
             trace(d, shared=shared)
-        assert len(shared) == 392
+        assert len(shared) == 76
 
 
 class TestMarkingValidation:
@@ -427,7 +428,7 @@ NONPLANAR = [
 
 
 class TestKinks:
-    """A bad kink is resolved by its switch alone."""
+    """A curl adds no node: R1- removes it before the resolver meets it."""
 
     def test_bad_curl_adds_no_node(self):
         trefoil = parse_pd("PD[X[1,5,2,4],X[5,3,6,2],X[3,1,4,6]]")
@@ -462,6 +463,81 @@ class TestKinks:
         # the values these codes once took can no longer be asked for
         with pytest.raises(DiagramError, match="not planar"):
             parse_pd(pd)
+
+
+class CappedMemo(dict):
+    """A memo that fails a test once it would hold more than `cap`
+    entries, before an exponential recursion fills the memory."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value):
+        assert len(self) < self.cap, f"memo past {self.cap} entries"
+        super().__setitem__(key, value)
+
+
+def reducible(d) -> bool:
+    """Whether a full face walk of `d` finds a monogon or a removable
+    clasp."""
+    mate, orbits, _ = _face_walk(d)
+    return any(len(orbit) == 1 or _is_clasp(orbit, mate)
+               for orbit in orbits)
+
+
+class TestReduction:
+    """Every fresh node is reduced by R1- and R2- before it is resolved,
+    from the faces beside the edges its surgery touched."""
+
+    def test_fresh_nodes_have_no_monogon_or_clasp(self, diagrams):
+        # the local detection must miss nothing that a full face walk
+        # finds, on the corpus, seeded walks of it and the PD text of
+        # closures whose switches make clasps
+        roots = [parse_pd(braid_to_diagram(n, w).pd_text())
+                 for n, w in ((2, [1] * 9), (3, [1, -2] * 8),
+                              (4, [1, -2, 3] * 5))]
+        for d in diagrams.values():
+            roots.append(d)
+            roots += [random_perturb(d, seed=seed, steps=15, cap=14)[0]
+                      for seed in range(10)]
+        keys = set()
+        for d in roots:
+            shared = {}
+            trace(d, shared=shared)
+            keys.update((sub, bases) for (_, sub, bases) in shared)
+        fresh = [d for d, bases in keys if bases == default_marking(d).bases]
+        assert len(fresh) > 1_000
+        assert [d for d in fresh if reducible(d)] == []
+        # the switched children that keep their head's marking descend
+        # from reduced heads, each switch checked at its crossing
+        assert not any(reducible(d) for d, _ in keys)
+
+    def test_perturbed_corpus_matches_oracle(self, diagrams, algebras):
+        # the oracle never reduces; walks capped at 8 crossings keep its
+        # memo-free recursion to seconds
+        for name, d in diagrams.items():
+            for seed in (0, 1):
+                moved = random_perturb(d, seed=seed, steps=6, cap=8)[0]
+                node = trace(moved)
+                for key in FIVE_KEYS:
+                    alg = by_key(algebras, key)
+                    want = naive_evaluate(moved, alg)
+                    assert evaluate(moved, alg) == want, (name, seed, key)
+                    assert replay(node, alg) == want, (name, seed, key)
+
+    def test_torus_pd_text_is_fast(self, algebras):
+        # each switch of T(2,64) makes a removable clasp and each
+        # smoothing leaves T(2,63), so the resolver meets a few keys per
+        # crossing where the unreduced recursion met exponentially many
+        word = braid_to_diagram(2, [1] * 64)
+        pd = parse_pd(word.pd_text())
+        assert pd.braid is None
+        gc = by_key(algebras, "gen-conway")
+        t0 = time.perf_counter()
+        got = evaluate(pd, gc, memo=CappedMemo(4 * 64))
+        assert time.perf_counter() - t0 < 0.1
+        assert got == evaluate(word, gc)
 
 
 class TestValueSwitch:

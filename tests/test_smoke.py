@@ -37,7 +37,7 @@ DEMO_SHA256 = {
     "untangling":
         "0170814747a8a2794443c35bd16e7c77d5875f25eabbf04946e480e555cb6b03",
     "values_tour":
-        "9a7623d7680569288f8c357455880e72fd11cda2864634af0b0557acabfd14a2",
+        "4d490d9b3f1f22937484eafebf7b7035043b36fe837d130bbacce9717f4f8bb0",
 }
 
 # sha256 of three texts over the corpus and 6 seeded `random_perturb`
