@@ -289,7 +289,7 @@ class TestComputeCommand:
                 capture_output=True, text=True, timeout=60)
             assert (proc.returncode, proc.stderr) == (0, "")
             outs.append(proc.stdout)
-        assert outs[0] == outs[1] and outs[0].count("*") > 64
+        assert outs[0] == outs[1]
 
     def test_unknown_algebra_is_semantic_error(self, capsys):
         rc = main(["compute", "--pd", "PD[]+O^1", "--algebra", "nope"])

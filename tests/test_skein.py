@@ -506,12 +506,11 @@ class TestReduction:
             shared = {}
             trace(d, shared=shared)
             keys.update((sub, bases) for (_, sub, bases) in shared)
-        fresh = [d for d, bases in keys if bases == default_marking(d).bases]
-        assert len(fresh) > 1_000
-        assert [d for d in fresh if reducible(d)] == []
-        # the switched children that keep their head's marking descend
-        # from reduced heads, each switch checked at its crossing
-        assert not any(reducible(d) for d, _ in keys)
+        fresh = sum(bases == default_marking(d).bases for d, bases in keys)
+        assert fresh > 1_000
+        # the switched children that keep their head's marking are
+        # reduced too: each switch is read at its crossing
+        assert [d for d, _ in keys if reducible(d)] == []
 
     def test_perturbed_corpus_matches_oracle(self, diagrams, algebras):
         # the oracle never reduces; walks capped at 8 crossings keep its
