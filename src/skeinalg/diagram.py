@@ -41,12 +41,12 @@ count and every letter, then builds the closure from the strands it
 traces, and so knows its components and directions.  Diagrams that the
 library derives from a valid parent know them too: crossing switches,
 mirrors and triangle slides keep the parent's strands and labels; a
-smoothing walks again only the components through its crossing; the
-moves that add or remove crossings splice or contract the parent's
-components.  Every build that adds, removes or reconnects crossings
-ends in `_rebuilt`, which numbers the new components in order of their
-smallest old label, each along its orientation from there.  None of
-these is validated a second time.
+smoothing and the moves R1- and R2- remove crossings through `_spliced`,
+whose docstring states how the strands reconnect; R1+ and R2+ splice
+new edges into the parent's components.  Every build that adds, removes
+or reconnects crossings ends in `_rebuilt`, which numbers the new
+components in order of their smallest old label, each along its
+orientation from there.  None of these is validated a second time.
 
 One genuine ambiguity exists in this encoding: a component of two edges
 that never passes under anything admits two direction readings (they
@@ -61,6 +61,7 @@ first).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, count
 
@@ -358,62 +359,16 @@ class Diagram:
             self.components, self.comp_of, self.pos, self._small)
 
     def smooth_with_map(self, ci: int) -> tuple["Diagram", dict[int, int | None]]:
-        """Orientation-respecting smoothing of one crossing.
+        """Orientation-respecting smoothing of one crossing: the
+        crosswise splice of `_spliced`, which states how the strands
+        reconnect and how the joined edges are named.
 
         Returns the relabeled diagram and the old-label -> new-label map
         (None for labels absorbed into a detached crossingless circle).
-        The strand that arrives on the under-strand leaves on the
-        over-strand's out-edge, and the one that arrives on the
-        over-strand leaves on the under-strand's out-edge; each such pair
-        of edges becomes one edge, named after its smaller label.  Only
-        the runs of the one or two components through the crossing, from
-        its out-edges to its in-edges, are walked again; every other
-        component keeps its edges in order.  `_rebuilt` numbers the
-        result.
         """
-        flat, over_in = self.flat, self.over_in
-        if not 0 <= ci < len(over_in):
+        if not 0 <= ci < len(self.over_in):
             raise DiagramError(f"no crossing {ci}")
-        i = 4 * ci
-        a, b, c, d = flat[i:i + 4]
-        o_in, o_out = (d, b) if over_in[ci] == 3 else (b, d)
-        comps, comp_of, pos = self.components, self.comp_of, self.pos
-        ku, ko = comp_of[a], comp_of[o_in]
-        # the new cycles through the crossing, as runs of old labels from
-        # an out-edge (c or o_out) to an in-edge (a or o_in)
-        if ku == ko:
-            comp = comps[ku]
-            pc, pi = pos[c], pos[o_in]
-            cycles = [[_run(comp, pc, pi)], [_run(comp, pi + 1, pc - 1)]]
-        else:
-            cu, co = comps[ku], comps[ko]
-            pc, po = pos[c], pos[o_out]
-            cycles = [[cu[pc:] + cu[:pc], co[po:] + co[:po]]]
-        # each glued pair is one edge, named after its smaller label
-        m = c if c < o_in else o_in
-        rep = {c: m, o_in: m}
-        m = a if a < o_out else o_out
-        rep[a] = rep[o_out] = m
-
-        pieces = [comp for k, comp in enumerate(comps) if k != ku and k != ko]
-        freed = 0
-        for runs in cycles:
-            if sum(map(len, runs)) == len(runs):
-                # no crossing left on the cycle: a crossingless circle,
-                # whose glued labels map to None
-                freed += 1
-                continue
-            # a run opens with the glued edge it starts on, then its inner
-            # edges
-            seq = []
-            for run in runs:
-                seq.append(rep[run[0]])
-                seq += run[1:-1]
-            k = seq.index(min(seq))
-            pieces.append(tuple(seq[k:] + seq[:k]))
-        return _rebuilt(flat[:i] + flat[i + 4:],
-                        over_in[:ci] + over_in[ci + 1:], pieces,
-                        self.free_loops + freed, rep)
+        return _spliced(self, (ci,), True)
 
     def mirror(self) -> "Diagram":
         """Swap slots b and d everywhere; negates every crossing sign.
@@ -608,14 +563,6 @@ def _recheck(d: Diagram) -> None:
 # -- rebuilt diagrams -----------------------------------------------------
 
 
-def _run(comp, i: int, j: int) -> tuple[int, ...]:
-    """The labels of `comp` from position i to position j, both
-    included, along the orientation (positions taken modulo its length)."""
-    n = len(comp)
-    i, j = i % n, j % n
-    return comp[i:j + 1] if i <= j else comp[i:] + comp[:j + 1]
-
-
 @lru_cache(maxsize=1024)
 def _numbered(lengths: tuple[int, ...]):
     """The tables `(components, comp_of, pos, small)` of components of
@@ -655,6 +602,89 @@ def _rebuilt(flat, over_in, pieces, free_loops: int, rep):
     child = Diagram._trusted(tuple(map(labmap.__getitem__, flat)), over_in,
                              free_loops, *_numbered(tuple(map(len, pieces))))
     return child, labmap
+
+
+def _spliced(d: Diagram, which, crosswise: bool):
+    """`d` with the crossings `which` removed, and the old-label ->
+    new-label map: the one rule by which a smoothing and the moves R1-
+    and R2- reconnect strands.
+
+    Each in-edge of a removed crossing runs on into an out-edge of it.
+    With `crosswise` it joins the other strand's out-edge, as an
+    orientation-respecting smoothing does: the strand that arrives on
+    the under-strand leaves on the over-strand's out-edge, and the
+    other way round.  Without it the edge runs straight through, as
+    R1- and R2- do.  Each run of edges so joined becomes one edge,
+    named after its smallest label and kept in the run's place; a cycle
+    made only of joined edges becomes a crossingless circle, whose
+    labels map to None.  Only the components through the removed
+    crossings are walked again, a stretch at a time: each stretch runs
+    from an out-edge to the next in-edge along its component, found by
+    a bisect over the in-edges' positions there, and is sliced out
+    whole.  `_rebuilt` numbers the result.
+    """
+    flat, over_in = d.flat, d.over_in
+    comps, comp_of, pos = d.components, d.comp_of, d.pos
+    # each in-edge of a removed crossing, and the out-edge it runs on into
+    nxt = {}
+    for ci in which:
+        i = 4 * ci
+        oi = over_in[ci]
+        u_in, u_out, o_in, o_out = (flat[i], flat[i + 2], flat[i + oi],
+                                    flat[i + 4 - oi])
+        nxt[u_in], nxt[o_in] = (o_out, u_out) if crosswise else (u_out, o_out)
+    ends: dict[int, list[int]] = {}  # the in-edges' positions by component
+    for e in nxt:
+        ends.setdefault(comp_of[e], []).append(pos[e])
+    for ps in ends.values():
+        ps.sort()
+    pieces = [comp for k, comp in enumerate(comps) if k not in ends]
+    rep: dict[int, int | None] = {}
+    outs = nxt.values()
+    for e0 in nxt:
+        if e0 in rep or e0 in outs:
+            continue
+        # the new cycle from e0, an in-edge after a kept crossing: each
+        # stretch runs from the out-edge o at position p to the in-edge
+        # at position q; a stretch of one edge carries the run on
+        e = e0
+        run = [e]
+        seq = []
+        while True:
+            o = nxt[e]
+            run.append(o)
+            k = comp_of[o]
+            comp = comps[k]
+            ps = ends[k]
+            p = pos[o]
+            # the first in-edge at or after p, wrapping past the end
+            q = ps[bisect_left(ps, p) - len(ps)]
+            if p == q:
+                e = o
+                continue
+            m = min(run)
+            for x in run:
+                rep[x] = m
+            seq.append(m)
+            seq += comp[p + 1:q] if p < q else comp[p + 1:] + comp[:q]
+            e = comp[q]
+            if e == e0:
+                break
+            run = [e]
+        k = seq.index(min(seq))
+        pieces.append(tuple(seq[k:] + seq[:k]))
+    # the cycles left are made only of joined edges
+    freed = 0
+    for e in nxt:
+        if e not in rep:
+            freed += 1
+            while e not in rep:
+                rep[e] = None
+                e = nxt[e]
+    for ci in sorted(which, reverse=True):
+        flat = flat[:4 * ci] + flat[4 * ci + 4:]
+        over_in = over_in[:ci] + over_in[ci + 1:]
+    return _rebuilt(flat, over_in, pieces, d.free_loops + freed, rep)
 
 
 # -- braids -----------------------------------------------------------------

@@ -21,9 +21,10 @@ the same way.  Only `apply_move`, the door for events from outside
 such as those `replay_events` reads, checks an event against a face
 walk before it builds it.  Switches and triangle slides keep the
 diagram's strands and labels and build through `Diagram._trusted`.
-The moves that add or remove crossings change the parent's components
-where they act and hand them to `_rebuilt`: R1- and R2- contract runs
-of edges, R1+ and R2+ insert new edges.  The skein resolver reduces
+R1- and R2- remove their crossings through `diagram._spliced`, the
+rule a smoothing shares, running each strand straight through them;
+R1+ and R2+ insert new edges into the parent's components where they
+act and hand them to `_rebuilt`.  The skein resolver reduces
 each diagram it meets by R1- and R2- through `_reduced`, which reads
 no face walk: only the faces beside the edges it is given, and beside
 the runs each of its removals joins.
@@ -58,7 +59,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from operator import mul
 
-from .diagram import Diagram, _curl_at, _face_walk, _rebuilt
+from .diagram import Diagram, _curl_at, _face_walk, _rebuilt, _spliced
 
 
 class MoveError(ValueError):
@@ -336,48 +337,6 @@ def _event(kind: str, at: int) -> MoveEvent:
 # -- application --------------------------------------------------------------
 
 
-def _remove_crossings(d: Diagram, which):
-    """Remove the crossings `which`; returns the child and the label map.
-
-    An in-edge of a removed crossing runs on into its successor, and
-    each run of edges so joined becomes one edge, named after its
-    smallest label, in the place of its first.  A component made only of
-    such edges becomes a crossingless circle.  Only the components
-    through the removed crossings are walked."""
-    flat, over_in, comp_of, pos = d.flat, d.over_in, d.comp_of, d.pos
-    runs_on = {flat[4 * ci + s] for ci in which for s in (0, over_in[ci])}
-    touched = {comp_of[e] for e in runs_on}
-    pieces = [c for k, c in enumerate(d.components) if k not in touched]
-    rep: dict[int, int | None] = {}
-    freed = 0
-    for k in touched:
-        comp = d.components[k]
-        L = len(comp)
-        joined = {pos[e] for e in runs_on if comp_of[e] == k}
-        after = {(p + 1) % L for p in joined}
-        if len(joined) == L:
-            freed += 1
-            rep.update(dict.fromkeys(comp))
-            continue
-        seq = list(comp)
-        for p in joined - after:  # where the runs start
-            run = [comp[p]]
-            q = p
-            while q in joined:
-                q = (q + 1) % L
-                run.append(comp[q])
-            seq[p] = min(run)
-            rep.update(dict.fromkeys(run, seq[p]))
-        for q in sorted(after, reverse=True):
-            del seq[q]
-        r = seq.index(min(seq))
-        pieces.append(tuple(seq[r:] + seq[:r]))
-    for ci in sorted(which, reverse=True):
-        flat = flat[:4 * ci] + flat[4 * ci + 4:]
-        over_in = over_in[:ci] + over_in[ci + 1:]
-    return _rebuilt(flat, over_in, pieces, d.free_loops + freed, rep)
-
-
 def _removable(flat, x: int, y: int):
     """The crossings that R1- or R2- removes at a face beside the edge
     with darts x and y, or None.  Both darts at one crossing make the
@@ -418,7 +377,7 @@ def _reduced(d: Diagram, edges) -> Diagram:
             continue
         over_in = d.over_in
         todo += [flat[4 * c + s] for c in which for s in (0, over_in[c])]
-        d, labmap = _remove_crossings(d, which)
+        d, labmap = _spliced(d, which, False)
         todo = [e for e in map(labmap.__getitem__, todo) if e is not None]
     return d
 
@@ -523,9 +482,9 @@ def _build(d: Diagram, ev: MoveEvent, walk, darts) -> Diagram:
     an R2+ event's edges on their common face."""
     kind = ev.kind
     if kind == "R1-":
-        return _remove_crossings(d, (ev.crossing,))[0]
+        return _spliced(d, (ev.crossing,), False)[0]
     if kind == "R2-":
-        return _remove_crossings(d, [x >> 2 for x in walk[1][ev.face]])[0]
+        return _spliced(d, [x >> 2 for x in walk[1][ev.face]], False)[0]
     if kind == "R3":
         return _slide(d, walk[0], walk[1][ev.face])
     if kind == "R1+":
