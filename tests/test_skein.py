@@ -525,6 +525,25 @@ class TestReduction:
                     assert evaluate(moved, alg) == want, (name, seed, key)
                     assert replay(node, alg) == want, (name, seed, key)
 
+    def test_unreduced_perturbed_roots_keep_their_value(self, diagrams,
+                                                        algebras):
+        # criterion 6 traces its walks from reduced roots, and most of
+        # them reduce back to their entry; under an explicit marking the
+        # root is resolved as the walk left it, curls and clasps included
+        gc = by_key(algebras, "gen-conway")
+        hf = by_key(algebras, "homflypt")
+        unreduced = 0
+        for name, d in diagrams.items():
+            want = [evaluate(d, alg) for alg in (gc, hf)]
+            for seed in range(5):
+                moved = random_perturb(d, seed=seed, steps=15, cap=14)[0]
+                node = trace(moved, default_marking(moved))
+                assert [replay(node, alg) for alg in (gc, hf)] == want, \
+                    (name, seed)
+                unreduced += reducible(moved)
+        # most roots keep a curl or a clasp for the resolver to meet
+        assert unreduced > 5 * len(diagrams) // 2
+
     def test_torus_pd_text_is_fast(self, algebras):
         # each switch of T(2,64) makes a removable clasp and each
         # smoothing leaves T(2,63), so the resolver meets a few keys per
